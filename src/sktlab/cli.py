@@ -51,7 +51,7 @@ _KNOWN_KEYS = {
     "run.ratio": (float, _POS, 10.0),
     "run.amplitude": (float, _POS, 0.1),
     "run.t_march": (float, _NONNEG, 20.0),
-    "run.dt": (float, _POS, 1e-3),
+    "run.dt": (float, _POS, 0.1),
 }
 
 

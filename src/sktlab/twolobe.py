@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import AssemblyError, NoBracket, NoConvergence
@@ -223,6 +222,9 @@ def _edge_slope(x: np.ndarray, f: np.ndarray, left: bool) -> float:
 def _phi_splines(lobe: UnitLobe, lp: LimitParams):
     """Clamped cubic splines of the two smooth pieces of the unit part
     phi = d1*u on [0, theta], -gamma*d2*v on [theta, 1/n]."""
+    # imported here: scipy.interpolate costs a quarter second of import
+    # time and only the pattern commands need it
+    from scipy.interpolate import CubicSpline
     fu = lp.d1 * lobe.u_profile
     su = CubicSpline(lobe.x_u, fu,
                      bc_type=((1, 0.0), (1, _edge_slope(lobe.x_u, fu, False))))

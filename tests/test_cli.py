@@ -4,13 +4,19 @@ import sys
 
 import pytest
 
+import sktlab
 from sktlab.cli import main, parse_config
 from sktlab.errors import ParseError, ValidationError
 
 
 def run_cli(args, cwd):
+    # the child runs in cwd, where a relative PYTHONPATH (such as "src")
+    # does not resolve; put the directory of the imported package first
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(sktlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "sktlab.cli"] + args,
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 # in-process invocations for speed; subprocess only where the exit code

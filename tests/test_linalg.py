@@ -1,5 +1,6 @@
 import numpy as np
-from scipy.linalg import solve_banded
+import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from sktlab.linalg import (lap_band, lap_of_diag_band, lap_stencil_diag,
                            residual_floor, solve_bordered, solve_tridiag)
@@ -52,6 +53,37 @@ def test_solve_tridiag(rng):
     x = solve_tridiag(ab, rhs)
     A = _dense_from_band(ab, (1, 1))
     assert np.max(np.abs(A @ x - rhs)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 5, 256, 4096])
+def test_solve_tridiag_bit_identical_to_solve_banded(rng, n):
+    for _ in range(5):
+        ab = rng.normal(size=(3, n))
+        ab[1] = np.abs(ab[0]) + np.abs(ab[2]) + rng.uniform(0.1, 2.0, n)
+        rhs = rng.normal(size=n)
+        assert np.array_equal(solve_tridiag(ab, rhs), solve_banded((1, 1), ab, rhs))
+
+
+def test_solve_tridiag_keeps_solve_banded_checks():
+    # Neumann Laplacian at h = 1: constants span its kernel, and elimination
+    # on small integers is exact, so the last pivot is exactly zero
+    ab = lap_band(8, 1.0)
+    rhs = np.ones(8)
+    with pytest.raises(LinAlgError):
+        solve_banded((1, 1), ab, rhs)
+    with pytest.raises(LinAlgError):
+        solve_tridiag(ab, rhs)
+    good = lap_band(8, 1.0)
+    good[1] -= 1.0
+    for bad in (np.nan, np.inf):
+        ab = good.copy()
+        ab[1, 3] = bad
+        with pytest.raises(ValueError):
+            solve_tridiag(ab, rhs)
+        b = rhs.copy()
+        b[5] = bad
+        with pytest.raises(ValueError):
+            solve_tridiag(good, b)
 
 
 def test_solve_bordered_matches_dense(rng):
