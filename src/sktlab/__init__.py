@@ -7,6 +7,8 @@ systems, local bifurcation of the incomplete-segregation branch, and the
 explicit construction of sign-changing complete-segregation solutions.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (AssemblyError, BandError, BlowUp, BracketError,
                      DegenerateError, DomainError, NegativeState, NoBracket,
                      NoConvergence, NoThreshold, ParseError, RegimeError,
@@ -14,8 +16,6 @@ from .errors import (AssemblyError, BandError, BlowUp, BracketError,
 from .grid import Grid, GridFn
 from .limits import CSState, ISState, LimitParams
 from .model import CompetitionRegime, ConstantState, ModelParams
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "BandError", "BlowUp", "BracketError",

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BracketError, NoConvergence, NoThreshold, TauCollapse
 from .grid import (Grid, GridFn, discrete_eigenvalue, integrate,
                    laplacian_values, neumann_eigenpair)
-from .limits import LimitParams, _is_linearization, _is_residual_values, uv_from_w_tau
+from .limits import LimitParams, _is_linearization, _is_residual_values
 from .linalg import lap_band, residual_floor, solve_bordered, solve_tridiag
 from .model import constant_state
 
@@ -93,7 +93,7 @@ def l21_value(lp: LimitParams, d1: float, psi: GridFn) -> float:
     cs = constant_state(lp)
     w0 = w_star(lp, d1)
     lp1 = lp.with_d1(d1)
-    _, _, f_w, _ = _is_linearization(lp1, np.array([w0]), cs.tau_star)
+    _, _, f_w, _, _, _, _ = _is_linearization(lp1, np.array([w0]), cs.tau_star)
     return float(f_w[0]) * integrate(psi)
 
 
@@ -186,10 +186,11 @@ def l11_min_eigenvalue(lp: LimitParams, d1: float, g: Grid,
     return lam
 
 
-def _branch_residual(lp1, w, tau, d1, phi, w0_const, s_target, h):
+def _branch_residual(lp1, w, tau, phi, w0_const, s_target, h):
     fld, con = _is_residual_values(lp1, w, tau, h)
     phase = h * float(np.sum(phi * (w - w0_const))) - s_target
-    return fld, con, phase
+    rnorm = max(float(np.max(np.abs(fld))), abs(con), abs(phase))
+    return fld, con, phase, rnorm
 
 
 def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
@@ -198,22 +199,22 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
 
     Unknowns (w, tau, d1); equations: field residual, integral constraint,
     phase condition fixing the Phi_j-amplitude of w - w*(d1) at s_target.
+    The residual of the trial the line search accepts is that of the next
+    iterate, so it is carried over rather than evaluated again.
     """
     h = g.h
     cs = constant_state(lp)
+    lap = lap_band(g.n_cells, h)
+    phase_d1 = -cs.u_star * h * float(np.sum(phi))
+    lp1 = lp.with_d1(d1)
+    fld, con, phase, rnorm = _branch_residual(lp1, w, tau, phi, w_star(lp, d1),
+                                              s_target, h)
     for it in range(max_iter):
-        lp1 = lp.with_d1(d1)
-        w0c = w_star(lp, d1)
-        fld, con, phase = _branch_residual(lp1, w, tau, d1, phi, w0c, s_target, h)
-        rnorm = max(float(np.max(np.abs(fld))), abs(con), abs(phase))
         if rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(w))))):
             return w, tau, d1, it
-        q_w, q_t, f_w, f_t = _is_linearization(lp1, w, tau)
-
         # d1 enters through the transform (u, v)(w, tau; d1) and the
         # constant-branch offset in the phase row
-        u, v = uv_from_w_tau(lp1, w, tau)
-        S = np.sqrt(w * w + 4.0 * lp.gamma * d1 * lp.d2 * tau)
+        q_w, q_t, f_w, f_t, u, v, S = _is_linearization(lp1, w, tau)
         u_d = lp.gamma * lp.d2 * tau / (d1 * S) - u / d1
         v_d = tau / S
         fu = lp.a1 - 2.0 * lp.b1 * u - lp.c1 * v
@@ -223,16 +224,16 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
         q_d = (fu - lp.gamma * gu) * u_d + (fv - lp.gamma * gv) * v_d
         f_d = fu * u_d + fv * v_d
 
-        ab = lap_band(g.n_cells, h)
+        ab = lap.copy()
         ab[1, :] += q_w
         cols = np.column_stack([q_t, q_d])
         rows = np.vstack([h * f_w, h * phi])
         corner = np.array([
             [h * float(np.sum(f_t)), h * float(np.sum(f_d))],
-            [0.0, -cs.u_star * h * float(np.sum(phi))],
+            [0.0, phase_d1],
         ])
         rhs_bot = np.array([-con, -phase])
-        dxy = solve_bordered((1, 1), ab, cols, rows, corner, -fld, rhs_bot)
+        dxy = solve_bordered(ab, cols, rows, corner, -fld, rhs_bot)
         dw, (dtau, dd1) = dxy
         step = 1.0
         while True:
@@ -243,9 +244,8 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
                     raise TauCollapse("branch iterate left the admissible cone", tau=taut)
                 continue
             lp1t = lp.with_d1(d1t)
-            t_fld, t_con, t_phase = _branch_residual(
-                lp1t, wt, taut, d1t, phi, w_star(lp, d1t), s_target, h)
-            tnorm = max(float(np.max(np.abs(t_fld))), abs(t_con), abs(t_phase))
+            t_fld, t_con, t_phase, tnorm = _branch_residual(
+                lp1t, wt, taut, phi, w_star(lp, d1t), s_target, h)
             if tnorm <= (1.0 - 1e-4 * step) * rnorm \
                     or tnorm <= max(tol, residual_floor(h, float(np.max(np.abs(wt))))):
                 break
@@ -253,7 +253,8 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
             if step < _MIN_STEP:
                 raise NoConvergence("branch corrector line search stalled",
                                     residual=rnorm, iterations=it)
-        w, tau, d1 = wt, taut, d1t
+        w, tau, d1, lp1 = wt, taut, d1t, lp1t
+        fld, con, phase, rnorm = t_fld, t_con, t_phase, tnorm
     raise NoConvergence("branch corrector did not converge",
                         residual=rnorm, iterations=max_iter)
 

@@ -1,13 +1,15 @@
 """Batch front end: flat key=value configs, subcommands, CSV output.
 
-Exit codes: 0 success, 2 solver non-convergence, 3 configuration error,
-4 regime or threshold error (the requested object provably does not exist
-for the given parameters).
+Exit codes: 0 success, 2 solver non-convergence or tau collapse,
+3 configuration error (including non-finite values and grids below 8
+cells), 4 regime or threshold error (the requested object provably does
+not exist for the given parameters).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -16,8 +18,8 @@ import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
 from .errors import (BandError, NegativeState, NoBracket, NoConvergence, NoThreshold,
-                     ParseError, RegimeError, ValidationError)
-from .grid import Grid, GridFn, integrate, neumann_eigenpair
+                     ParseError, RegimeError, TauCollapse, ValidationError)
+from .grid import MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair
 from .limits import LimitParams
 from .model import ModelParams, constant_state
 
@@ -55,6 +57,20 @@ _KNOWN_KEYS = {
 }
 
 
+def _checked(key: str, value):
+    """value if it satisfies the constraint of key, else ValidationError."""
+    _, constraint, _ = _KNOWN_KEYS[key]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value}", key=key)
+    if constraint == _POS and not value > 0:
+        raise ValidationError(f"{key} must be positive, got {value}", key=key)
+    if constraint == _NONNEG and value < 0:
+        raise ValidationError(f"{key} must be nonnegative, got {value}", key=key)
+    if key == "grid.n_cells" and value < MIN_CELLS:
+        raise ValidationError(f"{key} must be at least {MIN_CELLS}, got {value}", key=key)
+    return value
+
+
 def parse_config(text: str) -> dict:
     """Flat `key = value` lines, `#` comments; unknown keys are an error."""
     cfg = {k: v[2] for k, v in _KNOWN_KEYS.items()}
@@ -68,17 +84,12 @@ def parse_config(text: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _KNOWN_KEYS:
             raise ValidationError(f"line {lineno}: unknown key {key!r}", key=key)
-        conv, constraint, _ = _KNOWN_KEYS[key]
         try:
-            value = conv(val)
+            value = _KNOWN_KEYS[key][0](val)
         except ValueError:
             raise ParseError(f"line {lineno}: cannot parse {val!r} for {key}",
                              line=lineno) from None
-        if constraint == _POS and not value > 0:
-            raise ValidationError(f"{key} must be positive, got {value}", key=key)
-        if constraint == _NONNEG and value < 0:
-            raise ValidationError(f"{key} must be nonnegative, got {value}", key=key)
-        cfg[key] = value
+        cfg[key] = _checked(key, value)
     return cfg
 
 
@@ -90,13 +101,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
     for attr, key in pairs:
         v = getattr(args, attr, None)
         if v is not None:
-            conv, constraint, _ = _KNOWN_KEYS[key]
-            v = conv(v)
-            if constraint == _POS and not v > 0:
-                raise ValidationError(f"{key} must be positive, got {v}", key=key)
-            if constraint == _NONNEG and v < 0:
-                raise ValidationError(f"{key} must be nonnegative, got {v}", key=key)
-            cfg[key] = v
+            cfg[key] = _checked(key, _KNOWN_KEYS[key][0](v))
     return cfg
 
 
@@ -342,7 +347,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it;
+    parse_args keeps no state between calls."""
     parser = _Parser(prog="sktlab",
                      description="Stationary cross-diffusion laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -380,6 +388,11 @@ def main(argv=None) -> int:
         return 4
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
+        return 2
+    except TauCollapse as exc:
+        # a collapsed iterate does not prove that no state exists: exit 2, not 4
+        print(f"no convergence: tau collapse: {exc} (last tau = {exc.tau!r})",
+              file=sys.stderr)
         return 2
 
 

@@ -15,14 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+MIN_CELLS = 8
+
+
 @dataclass(frozen=True)
 class Grid:
     n_cells: int
     length: float = 1.0
 
     def __post_init__(self):
-        if self.n_cells < 8:
-            raise ValueError("need at least 8 cells")
+        if self.n_cells < MIN_CELLS:
+            raise ValueError(f"need at least {MIN_CELLS} cells")
         if self.length <= 0.0:
             raise ValueError("length must be positive")
 

@@ -89,11 +89,15 @@ def uv_from_w_tau(lp: LimitParams, w, tau):
     u v = tau.  At tau = 0 this degenerates to the positive/negative parts."""
     if np.any(np.asarray(tau) < 0.0):
         raise ValueError("tau must be nonnegative")
-    w = np.asarray(w, dtype=float)
-    s = np.sqrt(w * w + 4.0 * lp.gamma * lp.d1 * lp.d2 * tau)
-    u = (s + w) / (2.0 * lp.d1)
-    v = (s - w) / (2.0 * lp.gamma * lp.d2)
+    u, v, _ = _uv_root(lp, np.asarray(w, dtype=float), tau)
     return u, v
+
+
+def _uv_root(lp: LimitParams, w: np.ndarray, tau):
+    """(u, v, S) for float w and tau >= 0, where S = sqrt(w^2 + 4 gamma d1
+    d2 tau) is the root both densities share."""
+    s = np.sqrt(w * w + 4.0 * lp.gamma * lp.d1 * lp.d2 * tau)
+    return (s + w) / (2.0 * lp.d1), (s - w) / (2.0 * lp.gamma * lp.d2), s
 
 
 def w_z_from_uv(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
@@ -160,9 +164,9 @@ def is_residual(lp: LimitParams, s: ISState) -> tuple[GridFn, float]:
 
 
 def _is_linearization(lp: LimitParams, w: np.ndarray, tau: float):
-    """Nodewise partials of q = f - gamma g and of f wrt (w, tau)."""
-    u, v = uv_from_w_tau(lp, w, tau)
-    s = np.sqrt(w * w + 4.0 * lp.gamma * lp.d1 * lp.d2 * tau)
+    """Nodewise partials of q = f - gamma g and of f wrt (w, tau), followed
+    by the (u, v, S) of _uv_root they were computed from."""
+    u, v, s = _uv_root(lp, w, tau)
     u_w = u / s
     v_w = -v / s
     u_t = lp.gamma * lp.d2 / s
@@ -175,7 +179,7 @@ def _is_linearization(lp: LimitParams, w: np.ndarray, tau: float):
     q_t = (fu - lp.gamma * gu) * u_t + (fv - lp.gamma * gv) * v_t
     f_w = fu * u_w + fv * v_w
     f_t = fu * u_t + fv * v_t
-    return q_w, q_t, f_w, f_t
+    return q_w, q_t, f_w, f_t, u, v, s
 
 
 def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
@@ -194,6 +198,7 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
     h = g.h
     w = w0.values.copy()
     tau = float(tau0)
+    lap = lap_band(g.n_cells, h)
     fld, con = _is_residual_values(lp, w, tau, h)
     rnorm = max(float(np.max(np.abs(fld))), abs(con))
 
@@ -201,14 +206,13 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
         if rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(w))))):
             return ISState(w=GridFn(g, w), tau=tau,
                            residual_inf=float(np.max(np.abs(fld))), constraint=con)
-        q_w, q_t, f_w, f_t = _is_linearization(lp, w, tau)
-        ab = lap_band(g.n_cells, h)
+        q_w, q_t, f_w, f_t, _, _, _ = _is_linearization(lp, w, tau)
+        ab = lap.copy()
         ab[1, :] += q_w
         col = q_t
         row = h * f_w
         corner = h * float(np.sum(f_t))
-        dw, dtau = solve_bordered((1, 1), ab, col, row[None, :], corner,
-                                  -fld, -con)
+        dw, dtau = solve_bordered(ab, col, row[None, :], corner, -fld, -con)
         dtau = float(dtau[0])
 
         lam = 1.0

@@ -9,7 +9,7 @@ border block so each Newton step stays O(n).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 
@@ -66,12 +66,13 @@ def solve_tridiag(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_bordered(l_and_u, ab, border_cols, border_rows, corner, rhs_top, rhs_bot):
-    """Solve [[A, B], [C, D]] [x; y] = [rhs_top; rhs_bot] with banded A.
+def solve_bordered(ab, border_cols, border_rows, corner, rhs_top, rhs_bot):
+    """Solve [[A, B], [C, D]] [x; y] = [rhs_top; rhs_bot] with tridiagonal A.
 
-    border_cols is (n, k), border_rows (k, n), corner (k, k).  The banded
-    factorization is applied to a stacked right-hand side and the k x k
-    Schur complement closed densely.
+    ab is A in solve_banded's (1, 1) layout, border_cols (n, k),
+    border_rows (k, n), corner (k, k).  A is solved once for the stacked
+    right-hand side [rhs_top, B] by solve_tridiag (gtsv takes several
+    right-hand sides) and the k x k Schur complement closed densely.
     """
     border_cols = np.atleast_2d(border_cols)
     if border_cols.shape[0] != rhs_top.size:
@@ -81,7 +82,7 @@ def solve_bordered(l_and_u, ab, border_cols, border_rows, corner, rhs_top, rhs_b
     rhs_bot = np.atleast_1d(rhs_bot)
 
     stacked = np.column_stack([rhs_top, border_cols])
-    X = solve_banded(l_and_u, ab, stacked)
+    X = solve_tridiag(ab, stacked)
     x_f, X_b = X[:, 0], X[:, 1:]
     schur = corner - border_rows @ X_b
     y = np.linalg.solve(schur, rhs_bot - border_rows @ x_f)

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import AssemblyError, NoBracket, NoConvergence
 from .grid import Grid, GridFn
 from .limits import LimitParams, _cs_residual_values
-from .linalg import residual_floor
+from .linalg import residual_floor, solve_tridiag
 
 _MIN_STEP = 2.0 ** -20
 
@@ -104,7 +103,7 @@ def _solve_lobe(d: float, a: float, b: float, ell: float, m: int,
             ab[0, 1] = 2.0 * inv
             ab[1, :] = -2.0 * inv + a - 2.0 * b * w
             ab[2, :-1] = inv
-            dw = solve_banded((1, 1), ab, -r)
+            dw = solve_tridiag(ab, -r)
             lam = 1.0
             while True:
                 wt = w + lam * dw

@@ -99,3 +99,49 @@ def test_entry_point_exit_codes(tmp_path):
     r = run_cli(["dhmp", "--n", "4", "--out", str(tmp_path)], cwd=str(tmp_path))
     assert r.returncode == 4
     assert "not applicable" in r.stderr
+
+
+def test_is_solve_tau_collapse_exits_2(tmp_path, capsys):
+    # P1 with d1 below delta_1 = 0.658: the bordered Newton iterate from a
+    # large start amplitude drives tau below its floor
+    cfg = tmp_path / "tc.cfg"
+    cfg.write_text("model.d1 = 0.5\nrun.amplitude = 10\ngrid.n_cells = 64\n")
+    assert main(["is-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "tau collapse" in err and "last tau" in err
+    assert not (tmp_path / "is_state.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["model.a1", "model.alpha", "run.t_march"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_config_rejects_non_finite(key, value, tmp_path):
+    # a positive key (a1) and two nonnegative ones (alpha, t_march)
+    with pytest.raises(ValidationError):
+        parse_config(f"{key} = {value}\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+def test_too_small_grid_and_bad_overrides_are_config_errors(tmp_path):
+    with pytest.raises(ValidationError):
+        parse_config("grid.n_cells = 4\n")
+    assert parse_config("grid.n_cells = 8\n")["grid.n_cells"] == 8
+    # command-line overrides pass the same checks as config values
+    assert main(["is-solve", "--grid", "4", "--out", str(tmp_path)]) == 3
+    assert main(["bounds", "--alpha", "nan", "--out", str(tmp_path)]) == 3
+
+
+def test_cached_parser_leaks_no_state(tmp_path):
+    # two in-process calls share one parser; each must write what a fresh
+    # process writes for the same arguments
+    calls = [("bounds", ["bounds", "--eta", "0.3"], "bounds.txt"),
+             ("bifurcate", ["bifurcate", "--mode", "2", "--grid", "64"], "branch.csv")]
+    for name, argv, _ in calls:
+        assert main(argv + ["--out", str(tmp_path / "inproc" / name)]) == 0
+    for name, argv, _ in calls:
+        r = run_cli(argv + ["--out", str(tmp_path / "fresh" / name)], cwd=str(tmp_path))
+        assert r.returncode == 0, r.stderr
+    for name, _, fname in calls:
+        assert (tmp_path / "inproc" / name / fname).read_bytes() \
+            == (tmp_path / "fresh" / name / fname).read_bytes()

@@ -38,3 +38,57 @@ def test_write_metadata(tmp_path):
     text = path.read_text()
     assert "u_bound = 12.5" in text
     assert text.startswith("# sktlab")
+
+
+def _data_lines(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("values", [
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1.0 / 3.0, 1e300],
+    np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, -2.5e-17, 1.7976931348623157e308]),
+    [1, -2, 0, 12345678901234567890],
+    ["a", "b c", "%s", "%.17g"],
+    [True, False, True, False],
+    [1, 2.5, "x", True, float("nan"), -0.0, None, np.float64(0.1)],
+    np.array([3, -4, 5], dtype=np.int64),
+    np.array([True, False]),
+    [np.float64(0.1), np.float64(-0.0), np.float64(np.inf)],
+])
+def test_write_csv_cells_match_per_cell_fmt(tmp_path, values):
+    # the writer formats whole rows; every cell must be what _fmt writes
+    path = tmp_path / "c.csv"
+    io.write_csv(str(path), {"a": values, "b": list(range(len(values)))}, "t", {})
+    rows = _data_lines(path)[1:]
+    assert rows == [f"{io._fmt(v)},{i}" for i, v in enumerate(list(values))]
+
+
+def test_write_csv_float_cells_round_trip(tmp_path):
+    vals = np.random.default_rng(3).standard_normal(257) * 10.0 ** np.arange(-128, 129)
+    path = tmp_path / "f.csv"
+    io.write_csv(str(path), {"v": vals}, "t", {})
+    rows = _data_lines(path)[1:]
+    assert rows == [format(v, ".17g") for v in vals.tolist()]
+    assert np.array_equal(np.array([float(r) for r in rows]), vals)
+
+
+def test_write_csv_ignores_stale_tmp_path(tmp_path):
+    # a directory sitting at the old fixed temp name does not block the write
+    (tmp_path / "out.csv.tmp").mkdir()
+    io.write_csv(str(tmp_path / "out.csv"), {"x": [1.0]}, "t", {})
+    io.write_metadata(str(tmp_path / "meta.txt"), "t", {}, {"k": 1.0})
+    assert _data_lines(tmp_path / "out.csv") == ["x", "1"]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["meta.txt", "out.csv", "out.csv.tmp"]
+
+
+def test_write_csv_failed_rename_leaves_no_tmp(tmp_path):
+    (tmp_path / "dir.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        io.write_csv(str(tmp_path / "dir.csv"), {"x": [1.0]}, "t", {})
+    assert [p.name for p in tmp_path.iterdir()] == ["dir.csv"]
+
+
+def test_version_is_package_version():
+    import sktlab
+    assert io.VERSION == sktlab.__version__

@@ -96,7 +96,7 @@ def test_solve_bordered_matches_dense(rng):
     D = rng.normal(size=(k, k)) + 5.0 * np.eye(k)
     rt = rng.normal(size=n)
     rb = rng.normal(size=k)
-    x, y = solve_bordered((1, 1), ab, B, C, D, rt, rb)
+    x, y = solve_bordered(ab, B, C, D, rt, rb)
     full = np.block([[A, B], [C, D]])
     ref = np.linalg.solve(full, np.concatenate([rt, rb]))
     assert np.max(np.abs(np.concatenate([x, y]) - ref)) < 1e-8
@@ -112,7 +112,7 @@ def test_solve_bordered_single_border(rng):
     d = 3.0
     rt = rng.normal(size=n)
     rb = 0.7
-    x, y = solve_bordered((1, 1), ab, b, c, np.array([[d]]), rt, rb)
+    x, y = solve_bordered(ab, b, c, np.array([[d]]), rt, rb)
     full = np.block([[A, b[:, None]], [c[None, :], np.array([[d]])]])
     ref = np.linalg.solve(full, np.concatenate([rt, [rb]]))
     assert np.max(np.abs(np.concatenate([x, y]) - ref)) < 1e-9
@@ -123,3 +123,33 @@ def test_stencil_diag_neumann_rows():
     assert np.allclose([d[0], d[-1]], -100.0)
     assert np.allclose(d[1:-1], -200.0)
     assert d[0] == d[-1] == d[1] / 2.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [8, 256, 4096])
+def test_solve_bordered_bit_identical_to_stacked_solve_banded(rng, n, k):
+    ab = rng.normal(size=(3, n))
+    ab[1] = np.abs(ab[0]) + np.abs(ab[2]) + rng.uniform(0.1, 2.0, n)
+    B = rng.normal(size=(n, k))
+    C = rng.normal(size=(k, n))
+    D = rng.normal(size=(k, k)) + 5.0 * np.eye(k)
+    rt = rng.normal(size=n)
+    rb = rng.normal(size=k)
+    # the formulation on scipy's solve_banded that solve_bordered replaces
+    X = solve_banded((1, 1), ab, np.column_stack([rt, B]))
+    y_ref = np.linalg.solve(D - C @ X[:, 1:], rb - C @ X[:, 0])
+    x_ref = X[:, 0] - X[:, 1:] @ y_ref
+    x, y = solve_bordered(ab, B, C, D, rt, rb)
+    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+
+
+def test_solve_bordered_keeps_checks(rng):
+    n = 8
+    B, C, D = rng.normal(size=(n, 1)), rng.normal(size=(1, n)), np.eye(1)
+    with pytest.raises(LinAlgError):
+        solve_bordered(lap_band(n, 1.0), B, C, D, np.ones(n), np.ones(1))
+    good = lap_band(n, 1.0)
+    good[1] -= 1.0
+    B[2, 0] = np.nan
+    with pytest.raises(ValueError):
+        solve_bordered(good, B, C, D, np.ones(n), np.ones(1))
