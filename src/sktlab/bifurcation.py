@@ -19,10 +19,9 @@ from .errors import BracketError, NoConvergence, NoThreshold, TauCollapse
 from .grid import (Grid, GridFn, discrete_eigenvalue, integrate,
                    laplacian_values, neumann_eigenpair)
 from .limits import LimitParams, _is_linearization, _is_residual_values
-from .linalg import lap_band, residual_floor, solve_bordered, solve_tridiag
-from .model import constant_state
-
-_MIN_STEP = 2.0 ** -20
+from .linalg import (_damped_newton, lap_band, residual_floor, solve_bordered,
+                     solve_tridiag)
+from .model import constant_state, kinetic_partials
 
 
 @dataclass(frozen=True)
@@ -186,41 +185,37 @@ def l11_min_eigenvalue(lp: LimitParams, d1: float, g: Grid,
     return lam
 
 
-def _branch_residual(lp1, w, tau, phi, w0_const, s_target, h):
-    fld, con = _is_residual_values(lp1, w, tau, h)
-    phase = h * float(np.sum(phi * (w - w0_const))) - s_target
-    rnorm = max(float(np.max(np.abs(fld))), abs(con), abs(phase))
-    return fld, con, phase, rnorm
-
-
 def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
                    tol=1e-11, max_iter=30):
     """Corrector for the amplitude-parametrized branch system.
 
-    Unknowns (w, tau, d1); equations: field residual, integral constraint,
-    phase condition fixing the Phi_j-amplitude of w - w*(d1) at s_target.
-    The residual of the trial the line search accepts is that of the next
-    iterate, so it is carried over rather than evaluated again.
+    Unknowns (w, tau, d1), stacked; equations: field residual, integral
+    constraint, phase condition fixing the Phi_j-amplitude of w - w*(d1) at
+    s_target.  Trials with tau <= 1e-12 or d1 <= 0 are halved; TauCollapse
+    is raised if no step stays admissible.
     """
     h = g.h
     cs = constant_state(lp)
     lap = lap_band(g.n_cells, h)
     phase_d1 = -cs.u_star * h * float(np.sum(phi))
-    lp1 = lp.with_d1(d1)
-    fld, con, phase, rnorm = _branch_residual(lp1, w, tau, phi, w_star(lp, d1),
-                                              s_target, h)
-    for it in range(max_iter):
-        if rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(w))))):
-            return w, tau, d1, it
+
+    def residual(x):
+        w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
+        lp1 = lp.with_d1(d1)
+        fld, con = _is_residual_values(lp1, w, tau, h)
+        phase = h * float(np.sum(phi * (w - w_star(lp, d1)))) - s_target
+        return max(float(np.max(np.abs(fld))), abs(con), abs(phase)), \
+            (fld, con, phase, lp1)
+
+    def step(x, data):
+        w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
+        fld, con, phase, lp1 = data
         # d1 enters through the transform (u, v)(w, tau; d1) and the
         # constant-branch offset in the phase row
         q_w, q_t, f_w, f_t, u, v, S = _is_linearization(lp1, w, tau)
         u_d = lp.gamma * lp.d2 * tau / (d1 * S) - u / d1
         v_d = tau / S
-        fu = lp.a1 - 2.0 * lp.b1 * u - lp.c1 * v
-        fv = -lp.c1 * u
-        gu = -lp.b2 * v
-        gv = lp.a2 - lp.b2 * u - 2.0 * lp.c2 * v
+        fu, fv, gu, gv = kinetic_partials(lp, u, v)
         q_d = (fu - lp.gamma * gu) * u_d + (fv - lp.gamma * gv) * v_d
         f_d = fu * u_d + fv * v_d
 
@@ -232,31 +227,19 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
             [h * float(np.sum(f_t)), h * float(np.sum(f_d))],
             [0.0, phase_d1],
         ])
-        rhs_bot = np.array([-con, -phase])
-        dxy = solve_bordered(ab, cols, rows, corner, -fld, rhs_bot)
-        dw, (dtau, dd1) = dxy
-        step = 1.0
-        while True:
-            wt, taut, d1t = w + step * dw, tau + step * dtau, d1 + step * dd1
-            if taut <= 1e-12 or d1t <= 0.0:
-                step *= 0.5
-                if step < _MIN_STEP:
-                    raise TauCollapse("branch iterate left the admissible cone", tau=taut)
-                continue
-            lp1t = lp.with_d1(d1t)
-            t_fld, t_con, t_phase, tnorm = _branch_residual(
-                lp1t, wt, taut, phi, w_star(lp, d1t), s_target, h)
-            if tnorm <= (1.0 - 1e-4 * step) * rnorm \
-                    or tnorm <= max(tol, residual_floor(h, float(np.max(np.abs(wt))))):
-                break
-            step *= 0.5
-            if step < _MIN_STEP:
-                raise NoConvergence("branch corrector line search stalled",
-                                    residual=rnorm, iterations=it)
-        w, tau, d1, lp1 = wt, taut, d1t, lp1t
-        fld, con, phase, rnorm = t_fld, t_con, t_phase, tnorm
-    raise NoConvergence("branch corrector did not converge",
-                        residual=rnorm, iterations=max_iter)
+        dw, dy = solve_bordered(ab, cols, rows, corner, -fld, np.array([-con, -phase]))
+        return np.concatenate((dw, dy))
+
+    def done(x, rnorm):
+        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:-2])))))
+
+    def feasible(x):
+        if x[-2] <= 1e-12 or x[-1] <= 0.0:
+            return TauCollapse("branch iterate left the admissible cone", tau=x[-2])
+
+    x, _, _, it, _ = _damped_newton(residual, step, np.concatenate((w, [tau, d1])),
+                                    done, max_iter, "branch corrector", feasible)
+    return x[:-2], float(x[-2]), float(x[-1]), it
 
 
 def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,

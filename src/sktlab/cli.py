@@ -1,6 +1,7 @@
 """Batch front end: flat key=value configs, subcommands, CSV output.
 
-Exit codes: 0 success, 2 solver non-convergence or tau collapse,
+Exit codes: 0 success, 2 solver non-convergence (a stalled or exhausted
+Newton, or one that found no step inside the nonnegative cone) or tau collapse,
 3 configuration error (including non-finite values and grids below 8
 cells), 4 regime or threshold error (the requested object provably does
 not exist for the given parameters).
@@ -114,11 +115,7 @@ def _model(cfg: dict) -> ModelParams:
 
 
 def _limit_params(cfg: dict) -> LimitParams:
-    return LimitParams(a1=cfg["model.a1"], a2=cfg["model.a2"],
-                       b1=cfg["model.b1"], b2=cfg["model.b2"],
-                       c1=cfg["model.c1"], c2=cfg["model.c2"],
-                       d1=cfg["model.d1"], d2=cfg["model.d2"],
-                       gamma=cfg["model.gamma"])
+    return LimitParams.from_model(_model(cfg), gamma=cfg["model.gamma"])
 
 
 def _grid(cfg: dict) -> Grid:
@@ -285,10 +282,9 @@ def _cmd_dhmp(cfg, args) -> int:
     out = _outdir(args)
     for variant in ("fg", "gf"):
         sol = twolobe.assemble(lobe, lp, variant, g)
-        u = np.maximum(sol.w.values, 0.0) / lp.d1
-        v = np.maximum(-sol.w.values, 0.0) / (lp.gamma * lp.d2)
+        u, v = limits.CSState(sol.w).densities(lp)
         io.write_csv(os.path.join(out, f"dhmp_{variant}.csv"),
-                     {"x": g.x, "w": sol.w.values, "u": u, "v": v},
+                     {"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
                      "dhmp", cfg,
                      metadata={"n": n, "variant": variant,
                                "theta_n": lobe.theta, "flux": lobe.flux,
@@ -386,7 +382,7 @@ def main(argv=None) -> int:
     except (RegimeError, NoThreshold, NoBracket, BandError) as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 4
-    except NoConvergence as exc:
+    except (NoConvergence, NegativeState) as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 2
     except TauCollapse as exc:

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, TauCollapse
+from .errors import DomainError, TauCollapse
 from .grid import Grid, GridFn, laplacian_values
-from .linalg import lap_band, residual_floor, solve_bordered, solve_tridiag
-from .model import ModelParams, reaction_f, reaction_g
+from .linalg import (_damped_newton, lap_band, residual_floor, solve_bordered,
+                     solve_tridiag)
+from .model import ModelParams, kinetic_partials, reaction_f, reaction_g
 
 _TAU_FLOOR = 1e-10
-_MIN_STEP = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ class CSState:
     residual_inf: float = np.nan
 
     def densities(self, lp: LimitParams) -> tuple[GridFn, GridFn]:
+        """u = w_+/d1 and v = w_-/(gamma d2), the tau = 0 root."""
         w = self.w.values
-        u = np.maximum(w, 0.0) / lp.d1
-        v = np.maximum(-w, 0.0) / (lp.gamma * lp.d2)
+        u, v = _uv_of_root(lp, w, np.abs(w))
         return GridFn(self.w.grid, u), GridFn(self.w.grid, v)
 
 
@@ -97,7 +97,14 @@ def _uv_root(lp: LimitParams, w: np.ndarray, tau):
     """(u, v, S) for float w and tau >= 0, where S = sqrt(w^2 + 4 gamma d1
     d2 tau) is the root both densities share."""
     s = np.sqrt(w * w + 4.0 * lp.gamma * lp.d1 * lp.d2 * tau)
-    return (s + w) / (2.0 * lp.d1), (s - w) / (2.0 * lp.gamma * lp.d2), s
+    return (*_uv_of_root(lp, w, s), s)
+
+
+def _uv_of_root(lp: LimitParams, w, s):
+    """u = (S + w)/(2 d1), v = (S - w)/(2 gamma d2): the (u, v) of w and the
+    root S >= |w| (S = |w| gives w_+/d1 and w_-/(gamma d2) exactly, signed
+    zeros included; S = sqrt(w^2 + eps^2) is their eps-smoothing)."""
+    return (s + w) / (2.0 * lp.d1), (s - w) / (2.0 * lp.gamma * lp.d2)
 
 
 def w_z_from_uv(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
@@ -117,14 +124,9 @@ def uv_from_w_z(p: ModelParams, w: GridFn, z: GridFn) -> tuple[GridFn, GridFn]:
     evaluated in the branch that avoids subtractive cancellation, which
     matters once the rates reach 1e3-1e4.
     """
-    u, v = uv_from_w_z_values(p, w.values, z.values)
-    return GridFn(w.grid, u), GridFn(w.grid, v)
-
-
-def uv_from_w_z_values(p: ModelParams, wv: np.ndarray, zv: np.ndarray):
-    """Raw-array version of uv_from_w_z."""
     if p.alpha <= 0.0 or p.beta <= 0.0:
         raise ValueError("transform requires alpha, beta > 0")
+    wv, zv = w.values, z.values
     gamma = p.alpha / p.beta
     c = p.d1 * p.d2 / p.beta
     disc = (wv - c) ** 2 + 4.0 * gamma * p.d1 * p.d2 * zv
@@ -144,7 +146,7 @@ def uv_from_w_z_values(p: ModelParams, wv: np.ndarray, zv: np.ndarray):
     v = np.where(wv + c <= 0.0,
                  (s - (wv + c)) / (2.0 * gamma * p.d2),
                  num_v / (2.0 * gamma * p.d2 * np.maximum(s + (wv + c), 1e-300)))
-    return u, v
+    return GridFn(w.grid, u), GridFn(w.grid, v)
 
 
 def _is_residual_values(lp: LimitParams, w: np.ndarray, tau: float, h: float):
@@ -171,10 +173,7 @@ def _is_linearization(lp: LimitParams, w: np.ndarray, tau: float):
     v_w = -v / s
     u_t = lp.gamma * lp.d2 / s
     v_t = lp.d1 / s
-    fu = lp.a1 - 2.0 * lp.b1 * u - lp.c1 * v
-    fv = -lp.c1 * u
-    gu = -lp.b2 * v
-    gv = lp.a2 - lp.b2 * u - 2.0 * lp.c2 * v
+    fu, fv, gu, gv = kinetic_partials(lp, u, v)
     q_w = (fu - lp.gamma * gu) * u_w + (fv - lp.gamma * gv) * v_w
     q_t = (fu - lp.gamma * gu) * u_t + (fv - lp.gamma * gv) * v_t
     f_w = fu * u_w + fv * v_w
@@ -186,109 +185,89 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
               tol: float = 1e-11, max_iter: int = 40) -> ISState:
     """Bordered Newton on the field equations plus the integral constraint.
 
-    The (n+1)-dimensional Jacobian is a tridiagonal block bordered by one
-    dense column (tau derivative) and one dense row (constraint gradient),
-    solved by a Schur complement on the scalar.  Iterates whose tau falls
-    below 1e-10 raise TauCollapse: the complete-segregation signature, an
-    informative outcome rather than a failure.
+    The unknown is (w, tau) stacked.  The (n+1)-dimensional Jacobian is a
+    tridiagonal block bordered by one dense column (tau derivative) and one
+    dense row (constraint gradient), solved by a Schur complement on the
+    scalar.  A line-search trial whose tau falls below 1e-10 raises
+    TauCollapse: the complete-segregation signature, an informative outcome
+    rather than a failure.
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
     g = w0.grid
     h = g.h
-    w = w0.values.copy()
-    tau = float(tau0)
     lap = lap_band(g.n_cells, h)
-    fld, con = _is_residual_values(lp, w, tau, h)
-    rnorm = max(float(np.max(np.abs(fld))), abs(con))
 
-    for it in range(max_iter):
-        if rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(w))))):
-            return ISState(w=GridFn(g, w), tau=tau,
-                           residual_inf=float(np.max(np.abs(fld))), constraint=con)
-        q_w, q_t, f_w, f_t, _, _, _ = _is_linearization(lp, w, tau)
+    def residual(x):
+        fld, con = _is_residual_values(lp, x[:-1], float(x[-1]), h)
+        return max(float(np.max(np.abs(fld))), abs(con)), (fld, con)
+
+    def step(x, data):
+        fld, con = data
+        q_w, q_t, f_w, f_t, _, _, _ = _is_linearization(lp, x[:-1], float(x[-1]))
         ab = lap.copy()
         ab[1, :] += q_w
-        col = q_t
-        row = h * f_w
         corner = h * float(np.sum(f_t))
-        dw, dtau = solve_bordered(ab, col, row[None, :], corner, -fld, -con)
-        dtau = float(dtau[0])
+        dw, dtau = solve_bordered(ab, q_t, (h * f_w)[None, :], corner, -fld, -con)
+        return np.concatenate((dw, dtau))
 
-        lam = 1.0
-        while True:
-            wt = w + lam * dw
-            taut = tau + lam * dtau
-            if taut < _TAU_FLOOR:
-                raise TauCollapse("tau fell below the collapse floor", tau=taut)
-            t_fld, t_con = _is_residual_values(lp, wt, taut, h)
-            tnorm = max(float(np.max(np.abs(t_fld))), abs(t_con))
-            if tnorm <= (1.0 - 1e-4 * lam) * rnorm \
-                    or tnorm <= max(tol, residual_floor(h, float(np.max(np.abs(wt))))):
-                break
-            lam *= 0.5
-            if lam < _MIN_STEP:
-                raise NoConvergence("line search stalled in bordered Newton",
-                                    residual=rnorm, iterations=it)
-        w, tau, fld, con, rnorm = wt, taut, t_fld, t_con, tnorm
+    def done(x, rnorm):
+        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:-1])))))
 
-    raise NoConvergence("bordered Newton did not converge",
-                        residual=rnorm, iterations=max_iter)
+    def feasible(x):
+        if x[-1] < _TAU_FLOOR:
+            raise TauCollapse("tau fell below the collapse floor", tau=float(x[-1]))
+
+    x, (fld, con), _, _, _ = _damped_newton(
+        residual, step, np.concatenate((w0.values, [float(tau0)])), done, max_iter,
+        "bordered Newton", feasible)
+    return ISState(w=GridFn(g, x[:-1]), tau=float(x[-1]),
+                   residual_inf=float(np.max(np.abs(fld))), constraint=con)
+
+
+def _cs_root(w: np.ndarray, eps: float):
+    """The root S of the eps-smoothed positive/negative parts."""
+    return np.sqrt(w * w + eps * eps) if eps > 0.0 else np.abs(w)
 
 
 def _cs_residual_values(lp: LimitParams, w: np.ndarray, eps: float, h: float):
-    s = np.sqrt(w * w + eps * eps) if eps > 0.0 else np.abs(w)
-    u = (s + w) / (2.0 * lp.d1)
-    v = (s - w) / (2.0 * lp.gamma * lp.d2)
+    u, v = _uv_of_root(lp, w, _cs_root(w, eps))
     q = reaction_f(lp, u, v) - lp.gamma * reaction_g(lp, u, v)
     return laplacian_values(w, h) + q
 
 
 def _cs_q_w(lp: LimitParams, w: np.ndarray, eps: float):
+    s = _cs_root(w, eps)
     if eps > 0.0:
-        s = np.sqrt(w * w + eps * eps)
         u_w = (1.0 + w / s) / (2.0 * lp.d1)
         v_w = (w / s - 1.0) / (2.0 * lp.gamma * lp.d2)
-        u = (s + w) / (2.0 * lp.d1)
-        v = (s - w) / (2.0 * lp.gamma * lp.d2)
     else:
         # semismooth branch: derivative of w_+ taken as 1 at w = 0
         pos = w >= 0.0
         u_w = np.where(pos, 1.0 / lp.d1, 0.0)
         v_w = np.where(pos, 0.0, -1.0 / (lp.gamma * lp.d2))
-        u = np.maximum(w, 0.0) / lp.d1
-        v = np.maximum(-w, 0.0) / (lp.gamma * lp.d2)
-    fu = lp.a1 - 2.0 * lp.b1 * u - lp.c1 * v
-    fv = -lp.c1 * u
-    gu = -lp.b2 * v
-    gv = lp.a2 - lp.b2 * u - 2.0 * lp.c2 * v
+    fu, fv, gu, gv = kinetic_partials(lp, *_uv_of_root(lp, w, s))
     return (fu - lp.gamma * gu) * u_w + (fv - lp.gamma * gv) * v_w
 
 
 def _cs_newton_at_eps(lp, w, eps, h, tol, max_iter):
-    fld = _cs_residual_values(lp, w, eps, h)
-    rnorm = float(np.max(np.abs(fld)))
-    for it in range(max_iter):
-        if rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(w))))):
-            return w, rnorm
-        ab = lap_band(w.size, h)
+    lap = lap_band(w.size, h)
+
+    def residual(w):
+        fld = _cs_residual_values(lp, w, eps, h)
+        return float(np.max(np.abs(fld))), fld
+
+    def step(w, fld):
+        ab = lap.copy()
         ab[1, :] += _cs_q_w(lp, w, eps)
-        dw = solve_tridiag(ab, -fld)
-        lam = 1.0
-        while True:
-            wt = w + lam * dw
-            t_fld = _cs_residual_values(lp, wt, eps, h)
-            tnorm = float(np.max(np.abs(t_fld)))
-            if tnorm <= (1.0 - 1e-4 * lam) * rnorm \
-                    or tnorm <= max(tol, residual_floor(h, float(np.max(np.abs(wt))))):
-                break
-            lam *= 0.5
-            if lam < _MIN_STEP:
-                raise NoConvergence("line search stalled in smoothed Newton",
-                                    residual=rnorm, iterations=it)
-        w, fld, rnorm = wt, t_fld, tnorm
-    raise NoConvergence("smoothed Newton did not converge",
-                        residual=rnorm, iterations=max_iter)
+        return solve_tridiag(ab, -fld)
+
+    def done(w, rnorm):
+        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(w)))))
+
+    w, _, rnorm, _, _ = _damped_newton(residual, step, w, done, max_iter,
+                                       "smoothed Newton")
+    return w, rnorm
 
 
 def cs_solve(lp: LimitParams, w0: GridFn, tol: float = 1e-10,

@@ -146,12 +146,7 @@ def match_limit(report: LimitRunReport, lp: LimitParams | None = None) -> float:
     if report.classification == "Undetermined":
         raise ValueError("cannot match an Undetermined run")
     if lp is None:
-        lp = LimitParams(
-            a1=report.final_state.params.a1, a2=report.final_state.params.a2,
-            b1=report.final_state.params.b1, b2=report.final_state.params.b2,
-            c1=report.final_state.params.c1, c2=report.final_state.params.c2,
-            d1=report.final_state.params.d1, d2=report.final_state.params.d2,
-            gamma=report.gamma_target)
+        lp = LimitParams.from_model(report.final_state.params, gamma=report.gamma_target)
     w_n = report.final_w
     if report.classification == "Incomplete":
         sol = limits.is_newton(lp, w_n, max(report.steps[-1].tau_hat, 1e-8))

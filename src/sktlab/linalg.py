@@ -1,4 +1,5 @@
-"""Banded and bordered direct solves shared by the nonlinear solvers.
+"""Banded and bordered direct solves shared by the nonlinear solvers, and
+the damped-Newton iteration they all run under.
 
 Everything on the grid reduces to tridiagonal or small-bandwidth systems;
 the nonlocal constraint and continuation conditions add a handful of dense
@@ -11,6 +12,50 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
+
+from .errors import NoConvergence
+
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0 ** -20
+
+
+def _damped_newton(residual, step, x, done, max_iter, what, feasible=None):
+    """Damped Newton with a backtracking line search in the sup norm.
+
+    residual(x) -> (norm, data); step(x, data) -> Newton direction dx;
+    done(x, norm) -> True once x is converged.  From each iterate the
+    trials x + lam*dx, lam = 1, 1/2, 1/4, ..., are tried in turn, and the
+    first that meets the Armijo test norm <= (1 - 1e-4*lam) * old norm or
+    already meets done is accepted; its residual data is carried over.  If
+    feasible is given, a trial for which it returns an exception is halved
+    without evaluating its residual, and that exception is raised if the
+    step then falls below 2**-20 (feasible may also raise itself).  A
+    stalled line search or max_iter iterations raise NoConvergence with the
+    last accepted norm and the iteration count.
+
+    Returns (x, data, norm, iterations, residual history).
+    """
+    rnorm, data = residual(x)
+    history = [rnorm]
+    for it in range(max_iter):
+        if done(x, rnorm):
+            return x, data, rnorm, it, history
+        dx = step(x, data)
+        lam = 1.0
+        while True:
+            xt = x + lam * dx
+            err = feasible(xt) if feasible is not None else None
+            if err is None:
+                tnorm, tdata = residual(xt)
+                if tnorm <= (1.0 - _ARMIJO * lam) * rnorm or done(xt, tnorm):
+                    break
+            lam *= 0.5
+            if lam < _MIN_STEP:
+                raise err or NoConvergence(f"line search stalled in {what}",
+                                           residual=rnorm, iterations=it)
+        x, data, rnorm = xt, tdata, tnorm
+        history.append(rnorm)
+    raise NoConvergence(f"{what} did not converge", residual=rnorm, iterations=max_iter)
 
 
 def residual_floor(h: float, *scales: float) -> float:

@@ -96,6 +96,13 @@ def reaction_g(p: ModelParams, u, v):
     return v * (p.a2 - p.b2 * u - p.c2 * v)
 
 
+def kinetic_partials(p, u, v):
+    """(df/du, df/dv, dg/du, dg/dv) of the kinetic terms; p is any record
+    with the kinetic coefficients a1, a2, b1, b2, c1, c2."""
+    return (p.a1 - 2.0 * p.b1 * u - p.c1 * v, -p.c1 * u,
+            -p.b2 * v, p.a2 - p.b2 * u - 2.0 * p.c2 * v)
+
+
 def big_F(p: ModelParams, u, v):
     """Reduced-form reaction term of the u equation.
 

@@ -2,30 +2,31 @@
 
 The pipeline is semi-implicit time marching into a basin of attraction
 followed by damped Newton with an analytically assembled block-tridiagonal
-Jacobian (interleaved unknown ordering, direct banded factorization).  Two
-diagnostics accompany the solver: the algebraic identity tying the
-divergence-form residuals to the reduced-form ones, and the discrete
-maximum-principle sign check on F and G at the density maxima.
+Jacobian (interleaved unknown ordering, direct banded factorization).
+Newton runs in one of two formulations: the densities (u, v), or
+(w, log tau) with w = d1 u - gamma d2 v and tau = u v, which keeps both
+densities positive at large rates.  Two diagnostics accompany the solver:
+the algebraic identity tying the divergence-form residuals to the
+reduced-form ones, and the discrete maximum-principle sign check on F and
+G at the density maxima.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from . import bounds, model
+from . import bounds
 from .analytic import TrigPoly
-from .errors import BandError, BlowUp, DomainError, NegativeState, NoConvergence
+from .errors import BandError, BlowUp, NegativeState
 from .grid import Grid, GridFn, laplacian_values
-from .linalg import (lap_of_diag_band, lap_stencil_diag, residual_floor,
-                     solve_tridiag)
-from .model import ModelParams, big_F, big_G, reaction_f, reaction_g
-
-_MIN_STEP = 2.0 ** -20
-_ARMIJO = 1e-4
+from .limits import LimitParams, _is_linearization, _uv_root
+from .linalg import (_damped_newton, lap_of_diag_band, lap_stencil_diag,
+                     residual_floor, solve_tridiag)
+from .model import (ModelParams, big_F, big_G, kinetic_partials, reaction_f,
+                    reaction_g)
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,7 @@ def _jacobian_banded(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
     diagc = lap_stencil_diag(n, h)
     m1 = p.d1 + p.alpha * v
     m2 = p.d2 + p.beta * u
-    fu = p.a1 - 2.0 * p.b1 * u - p.c1 * v
-    fv = -p.c1 * u
-    gu = -p.b2 * v
-    gv = p.a2 - p.b2 * u - 2.0 * p.c2 * v
+    fu, fv, gu, gv = kinetic_partials(p, u, v)
 
     ab = np.zeros((7, 2 * n))
     # diagonal
@@ -113,176 +111,62 @@ def _certificate_ok(p: ModelParams, u: np.ndarray, v: np.ndarray) -> bool | None
     return cert.covers(float(np.max(u)), float(np.max(v)))
 
 
+def _banded_step(ab: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Newton direction for a pair of fields whose (3, 3)-banded Jacobian
+    uses the interleaved ordering (a0, b0, a1, b1, ...); returned as the
+    two fields one after the other, the layout of the solvers' unknown."""
+    rhs = np.empty(2 * r1.size)
+    rhs[0::2] = -r1
+    rhs[1::2] = -r2
+    d = solve_banded((3, 3), ab, rhs)
+    return np.concatenate((d[0::2], d[1::2]))
+
+
+def _steady_state(p, g, u, v, rnorm, it, history) -> SteadyState:
+    return SteadyState(params=p, grid=g, u=GridFn(g, u), v=GridFn(g, v),
+                       residual_inf=rnorm, newton_iters=it,
+                       certificate_ok=_certificate_ok(p, u, v),
+                       residual_history=tuple(history))
+
+
 def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
                  tol: float = 1e-11, max_iter: int = 60) -> SteadyState:
     """Damped Newton on the stacked residual.
 
     Line-search trial residuals are evaluated with the negative part
-    clipped at zero; the accepted iterate itself is never clipped and must
-    stay within 1e-12 of the nonnegative cone.
+    clipped at zero; a trial more than 1e-12 outside the nonnegative cone is
+    halved, and NegativeState is raised if no step stays inside.  The
+    accepted iterate itself is never clipped; the returned densities are.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     g = u0.grid
     h = g.h
-    u = u0.values.copy()
-    v = v0.values.copy()
-    r1, r2 = _residual_values(p, np.maximum(u, 0.0), np.maximum(v, 0.0), h)
-    rnorm = _norm_inf(r1, r2)
-    history = [rnorm]
+    n = g.n_cells
 
-    for it in range(max_iter):
-        prod_scale = float(np.max((p.d1 + p.alpha * np.abs(v)) * np.abs(u))) \
-            + float(np.max((p.d2 + p.beta * np.abs(u)) * np.abs(v)))
-        if rnorm <= max(tol, residual_floor(h, prod_scale)):
-            uu = GridFn(g, np.maximum(u, 0.0))
-            vv = GridFn(g, np.maximum(v, 0.0))
-            return SteadyState(
-                params=p, grid=g, u=uu, v=vv, residual_inf=rnorm,
-                newton_iters=it, certificate_ok=_certificate_ok(p, uu.values, vv.values),
-                residual_history=tuple(history),
-            )
-        ab = _jacobian_banded(p, u, v, h)
-        rhs = np.empty(2 * u.size)
-        rhs[0::2] = -r1
-        rhs[1::2] = -r2
-        delta = solve_banded((3, 3), ab, rhs)
-        du, dv = delta[0::2], delta[1::2]
+    def residual(x):
+        r1, r2 = _residual_values(p, np.maximum(x[:n], 0.0),
+                                  np.maximum(x[n:], 0.0), h)
+        return _norm_inf(r1, r2), (r1, r2)
 
-        lam = 1.0
-        while True:
-            ut, vt = u + lam * du, v + lam * dv
-            t1, t2 = _residual_values(p, np.maximum(ut, 0.0), np.maximum(vt, 0.0), h)
-            tnorm = _norm_inf(t1, t2)
-            if tnorm <= (1.0 - _ARMIJO * lam) * rnorm:
-                break
-            lam *= 0.5
-            if lam < _MIN_STEP:
-                raise NoConvergence("line search stalled", residual=rnorm, iterations=it)
-        if min(float(np.min(ut)), float(np.min(vt))) < -1e-12:
-            raise NegativeState("accepted Newton iterate left the nonnegative cone")
-        u, v = ut, vt
-        r1, r2, rnorm = t1, t2, tnorm
-        history.append(rnorm)
+    def step(x, r):
+        return _banded_step(_jacobian_banded(p, x[:n], x[n:], h), *r)
 
-    raise NoConvergence("Newton did not converge", residual=rnorm, iterations=max_iter)
+    def done(x, rnorm):
+        u, v = np.abs(x[:n]), np.abs(x[n:])
+        prod_scale = float(np.max((p.d1 + p.alpha * v) * u)) \
+            + float(np.max((p.d2 + p.beta * u) * v))
+        return rnorm <= max(tol, residual_floor(h, prod_scale))
 
+    def feasible(x):
+        if float(np.min(x)) < -1e-12:
+            return NegativeState("no Newton step stays in the nonnegative cone")
 
-def _wz_residual(p: ModelParams, w: np.ndarray, z: np.ndarray, h: float):
-    """Residual of the exactly transformed system.
-
-    Linear combinations of the two divergence-form equations turn them into
-    Delta w + f - gamma*g = 0 and Delta z + f/alpha = 0 with (u, v)
-    recovered pointwise; no rate-sized coefficients remain, so Newton in
-    (w, z) stays well conditioned at rates where the (u, v) form stalls.
-    """
-    from .limits import uv_from_w_z_values
-    gamma = p.alpha / p.beta
-    u, v = uv_from_w_z_values(p, w, z)
-    r1 = laplacian_values(w, h) + reaction_f(p, u, v) - gamma * reaction_g(p, u, v)
-    r2 = laplacian_values(z, h) + reaction_f(p, u, v) / p.alpha
-    return r1, r2, u, v
-
-
-def _wz_jacobian_banded(p: ModelParams, w: np.ndarray, z: np.ndarray, h: float):
-    """Banded Jacobian of the transformed residual, interleaved
-    (w0, z0, w1, z1, ...), bandwidth (2, 2)."""
-    n = w.size
-    gamma = p.alpha / p.beta
-    c = p.d1 * p.d2 / p.beta
-    from .limits import uv_from_w_z_values
-    u, v = uv_from_w_z_values(p, w, z)
-    s = np.sqrt((w - c) ** 2 + 4.0 * gamma * p.d1 * p.d2 * np.maximum(z, 0.0))
-    s = np.maximum(s, 1e-300)
-    u_w = (1.0 + (w - c) / s) / (2.0 * p.d1)
-    v_w = ((w - c) / s - 1.0) / (2.0 * gamma * p.d2)
-    u_z = gamma * p.d2 / s
-    v_z = p.d1 / s
-    fu = p.a1 - 2.0 * p.b1 * u - p.c1 * v
-    fv = -p.c1 * u
-    gu = -p.b2 * v
-    gv = p.a2 - p.b2 * u - 2.0 * p.c2 * v
-    q_w = (fu - gamma * gu) * u_w + (fv - gamma * gv) * v_w
-    q_z = (fu - gamma * gu) * u_z + (fv - gamma * gv) * v_z
-    f_w = (fu * u_w + fv * v_w) / p.alpha
-    f_z = (fu * u_z + fv * v_z) / p.alpha
-
-    inv = 1.0 / (h * h)
-    diagc = lap_stencil_diag(n, h)
-    ab = np.zeros((5, 2 * n))
-    ab[2, 0::2] = diagc + q_w
-    ab[2, 1::2] = diagc + f_z
-    ab[1, 1::2] = q_z                      # dR1_i/dz_i
-    ab[3, 0::2] = f_w                      # dR2_i/dw_i
-    ab[0, 2::2] = inv                      # dR1_i/dw_{i+1}
-    ab[4, 0:2 * n - 2:2] = inv             # dR1_i/dw_{i-1}
-    ab[0, 3::2] = inv                      # dR2_i/dz_{i+1}
-    ab[4, 1:2 * n - 2:2] = inv             # dR2_i/dz_{i-1}
-    return ab
-
-
-def newton_solve_wz(p: ModelParams, w0: GridFn, z0: GridFn,
-                    tol: float = 1e-11, max_iter: int = 60) -> SteadyState:
-    """Damped Newton on the transformed system; the solver of choice for
-    large rates.  Trial iterates must keep the inversion feasible
-    (nonnegative discriminant and densities); infeasible steps are halved.
-    """
-    g = w0.grid
-    h = g.h
-    w = w0.values.copy()
-    z = z0.values.copy()
-    r1, r2, u, v = _wz_residual(p, w, z, h)
-    rnorm = _norm_inf(r1, r2)
-    history = [rnorm]
-    # tiny negative excursions are tolerated mid-iteration (the transformed
-    # system is defined there); positivity is enforced on the answer only
-    feas_floor = -1e-7 * max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1.0)
-
-    for it in range(max_iter):
-        wz_scale = max(float(np.max(np.abs(w))), float(np.max(np.abs(z))))
-        if rnorm <= max(tol, residual_floor(h, wz_scale)):
-            if min(float(np.min(u)), float(np.min(v))) < feas_floor:
-                raise NegativeState("converged iterate left the nonnegative cone")
-            uu = GridFn(g, np.maximum(u, 0.0))
-            vv = GridFn(g, np.maximum(v, 0.0))
-            return SteadyState(
-                params=p, grid=g, u=uu, v=vv, residual_inf=rnorm,
-                newton_iters=it,
-                certificate_ok=_certificate_ok(p, uu.values, vv.values),
-                residual_history=tuple(history),
-            )
-        ab = _wz_jacobian_banded(p, w, z, h)
-        rhs = np.empty(2 * w.size)
-        rhs[0::2] = -r1
-        rhs[1::2] = -r2
-        delta = solve_banded((2, 2), ab, rhs)
-        dw, dz = delta[0::2], delta[1::2]
-
-        lam = 1.0
-        while True:
-            wt, zt = w + lam * dw, z + lam * dz
-            try:
-                t1, t2, ut, vt = _wz_residual(p, wt, zt, h)
-            except DomainError:
-                lam *= 0.5
-                if lam < _MIN_STEP:
-                    raise NoConvergence("no feasible step in transformed Newton",
-                                        residual=rnorm, iterations=it)
-                continue
-            tnorm = _norm_inf(t1, t2)
-            if tnorm <= (1.0 - _ARMIJO * lam) * rnorm:
-                break
-            lam *= 0.5
-            if lam < _MIN_STEP:
-                raise NoConvergence("line search stalled in transformed Newton",
-                                    residual=rnorm, iterations=it)
-        w, z = wt, zt
-        r1, r2, u, v = t1, t2, ut, vt
-        rnorm = tnorm
-        history.append(rnorm)
-
-    raise NoConvergence("transformed Newton did not converge",
-                        residual=rnorm, iterations=max_iter)
+    x, _, rnorm, it, history = _damped_newton(
+        residual, step, np.concatenate((u0.values, v0.values)), done, max_iter,
+        "Newton", feasible)
+    return _steady_state(p, g, np.maximum(x[:n], 0.0), np.maximum(x[n:], 0.0),
+                         rnorm, it, history)
 
 
 def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float):
@@ -293,14 +177,12 @@ def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float):
     Newton cannot wander onto the spurious sign-flipped branches that exist
     when the segregated regions carry only O(1/rate) density.
     """
-    gamma = p.alpha / p.beta
+    lp = LimitParams.from_model(p)
     tau = np.exp(q)
-    s = np.sqrt(w * w + 4.0 * gamma * p.d1 * p.d2 * tau)
-    u = (s + w) / (2.0 * p.d1)
-    v = (s - w) / (2.0 * gamma * p.d2)
+    u, v, _ = _uv_root(lp, w, tau)
     fval = reaction_f(p, u, v)
     gval = reaction_g(p, u, v)
-    r1 = laplacian_values(w, h) + fval - gamma * gval
+    r1 = laplacian_values(w, h) + fval - lp.gamma * gval
     y = p.d1 * u / p.alpha + tau
     r2 = laplacian_values(y, h) + fval / p.alpha
     return r1, r2, u, v
@@ -308,28 +190,14 @@ def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float):
 
 def _wq_jacobian_banded(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float):
     """Banded Jacobian of the (w, log tau) residual, interleaved ordering,
-    bandwidth (3, 3)."""
+    bandwidth (3, 3); the partials are those of the incomplete-segregation
+    system at tau = exp(q)."""
+    lp = LimitParams.from_model(p)
     n = w.size
-    gamma = p.alpha / p.beta
     tau = np.exp(q)
-    S = np.sqrt(w * w + 4.0 * gamma * p.d1 * p.d2 * tau)
-    u = (S + w) / (2.0 * p.d1)
-    v = (S - w) / (2.0 * gamma * p.d2)
-    u_w = u / S
-    v_w = -v / S
-    u_t = gamma * p.d2 / S
-    v_t = p.d1 / S
-    fu = p.a1 - 2.0 * p.b1 * u - p.c1 * v
-    fv = -p.c1 * u
-    gu = -p.b2 * v
-    gv = p.a2 - p.b2 * u - 2.0 * p.c2 * v
-    q_w = (fu - gamma * gu) * u_w + (fv - gamma * gv) * v_w
-    q_t = (fu - gamma * gu) * u_t + (fv - gamma * gv) * v_t
-    f_w = fu * u_w + fv * v_w
-    f_t = fu * u_t + fv * v_t
-
-    m1 = p.d1 * u_w / p.alpha                    # dy/dw
-    m2 = (p.d1 * u_t / p.alpha + 1.0) * tau      # dy/dq
+    q_w, q_t, f_w, f_t, u, v, S = _is_linearization(lp, w, tau)
+    m1 = p.d1 * (u / S) / p.alpha                  # dy/dw
+    m2 = (p.d1 * (lp.gamma * lp.d2 / S) / p.alpha + 1.0) * tau   # dy/dq
     inv = 1.0 / (h * h)
     diagc = lap_stencil_diag(n, h)
     ab = np.zeros((7, 2 * n))
@@ -350,62 +218,39 @@ def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
                     tol: float = 1e-11, max_iter: int = 80) -> SteadyState:
     """Damped Newton in (w, log tau): the segregated-regime solver.
 
-    tau0 may be a scalar or nodal array of strictly positive values.  This
-    is the only solver of the three that keeps iterates on the positive
-    branch when the rates are large and one density is O(1/rate) on part of
-    the domain.
+    tau0 may be a scalar or nodal array of strictly positive values.  Both
+    densities are recovered from (w, tau) through the positive root, so
+    every iterate keeps them nonnegative; this is the formulation that stays
+    on the positive branch when the rates are large and one density is
+    O(1/rate) on part of the domain.  The log-step is capped at 8 per sweep.
     """
     g = w0.grid
     h = g.h
-    w = w0.values.copy()
-    tau0 = np.broadcast_to(np.asarray(tau0, dtype=float), w.shape)
+    n = g.n_cells
+    tau0 = np.broadcast_to(np.asarray(tau0, dtype=float), w0.values.shape)
     if np.any(tau0 <= 0.0):
         raise ValueError("tau0 must be strictly positive")
-    q = np.log(tau0).copy()
-    r1, r2, u, v = _wq_residual(p, w, q, h)
-    rnorm = _norm_inf(r1, r2)
-    history = [rnorm]
 
-    for it in range(max_iter):
-        scale = max(float(np.max(np.abs(w))), float(np.max(np.exp(q))))
-        if rnorm <= max(tol, residual_floor(h, scale)):
-            uu = GridFn(g, u)
-            vv = GridFn(g, v)
-            return SteadyState(
-                params=p, grid=g, u=uu, v=vv, residual_inf=rnorm,
-                newton_iters=it,
-                certificate_ok=_certificate_ok(p, u, v),
-                residual_history=tuple(history),
-            )
-        ab = _wq_jacobian_banded(p, w, q, h)
-        rhs = np.empty(2 * w.size)
-        rhs[0::2] = -r1
-        rhs[1::2] = -r2
-        delta = solve_banded((3, 3), ab, rhs)
-        dw, dq = delta[0::2], delta[1::2]
+    def residual(x):
+        r1, r2, u, v = _wq_residual(p, x[:n], x[n:], h)
+        return _norm_inf(r1, r2), (r1, r2, u, v)
+
+    def step(x, r):
+        dx = _banded_step(_wq_jacobian_banded(p, x[:n], x[n:], h), r[0], r[1])
         # cap the log-step so tau cannot jump by more than e^8 per sweep
-        mx = float(np.max(np.abs(dq)))
+        mx = float(np.max(np.abs(dx[n:])))
         if mx > 8.0:
-            dq = dq * (8.0 / mx)
+            dx[n:] *= 8.0 / mx
+        return dx
 
-        lam = 1.0
-        while True:
-            wt, qt = w + lam * dw, q + lam * dq
-            t1, t2, ut, vt = _wq_residual(p, wt, qt, h)
-            tnorm = _norm_inf(t1, t2)
-            if tnorm <= (1.0 - _ARMIJO * lam) * rnorm:
-                break
-            lam *= 0.5
-            if lam < _MIN_STEP:
-                raise NoConvergence("line search stalled in log-product Newton",
-                                    residual=rnorm, iterations=it)
-        w, q = wt, qt
-        r1, r2, u, v = t1, t2, ut, vt
-        rnorm = tnorm
-        history.append(rnorm)
+    def done(x, rnorm):
+        scale = max(float(np.max(np.abs(x[:n]))), float(np.max(np.exp(x[n:]))))
+        return rnorm <= max(tol, residual_floor(h, scale))
 
-    raise NoConvergence("log-product Newton did not converge",
-                        residual=rnorm, iterations=max_iter)
+    x, (_, _, u, v), rnorm, it, history = _damped_newton(
+        residual, step, np.concatenate((w0.values, np.log(tau0))), done, max_iter,
+        "log-product Newton")
+    return _steady_state(p, g, u, v, rnorm, it, history)
 
 
 def _blowup_cap(p: ModelParams) -> float:

@@ -19,9 +19,7 @@ import numpy as np
 from .errors import AssemblyError, NoBracket, NoConvergence
 from .grid import Grid, GridFn
 from .limits import LimitParams, _cs_residual_values
-from .linalg import residual_floor, solve_tridiag
-
-_MIN_STEP = 2.0 ** -20
+from .linalg import _damped_newton, residual_floor, solve_tridiag
 
 
 @dataclass(frozen=True)
@@ -88,39 +86,24 @@ def _solve_lobe(d: float, a: float, b: float, ell: float, m: int,
             + w[1:m - 1] * (a - b * w[1:m - 1])
         # last unknown couples to the Dirichlet zero at x = ell
         r[m - 1] = inv * (w[m - 2] - 2.0 * w[m - 1]) + w[m - 1] * (a - b * w[m - 1])
-        return r
+        return float(np.max(np.abs(r))), r
 
-    def newton(amp):
-        w = amp * np.cos(math.pi * x[:m] / (2.0 * ell))
-        r = residual(w)
-        rnorm = float(np.max(np.abs(r)))
-        for it in range(max_iter):
-            floor = residual_floor(h, d * float(np.max(np.abs(w))))
-            if rnorm <= max(tol * max(a * amp, 1.0), floor):
-                return w
-            ab = np.zeros((3, m))
-            ab[0, 1:] = inv
-            ab[0, 1] = 2.0 * inv
-            ab[1, :] = -2.0 * inv + a - 2.0 * b * w
-            ab[2, :-1] = inv
-            dw = solve_tridiag(ab, -r)
-            lam = 1.0
-            while True:
-                wt = w + lam * dw
-                rt = residual(wt)
-                tnorm = float(np.max(np.abs(rt)))
-                if tnorm <= (1.0 - 1e-4 * lam) * rnorm:
-                    break
-                lam *= 0.5
-                if lam < _MIN_STEP:
-                    raise NoConvergence("lobe line search stalled",
-                                        residual=rnorm, iterations=it)
-            w, r, rnorm = wt, rt, tnorm
-        raise NoConvergence("lobe Newton did not converge",
-                            residual=rnorm, iterations=max_iter)
+    def step(w, r):
+        ab = np.zeros((3, m))
+        ab[0, 1:] = inv
+        ab[0, 1] = 2.0 * inv
+        ab[1, :] = -2.0 * inv + a - 2.0 * b * w
+        ab[2, :-1] = inv
+        return solve_tridiag(ab, -r)
 
     for amp in (a / b, 1.4 * a / b, 0.6 * a / b):
-        w = newton(amp)
+        rtol = tol * max(a * amp, 1.0)
+
+        def done(w, rnorm):
+            return rnorm <= max(rtol, residual_floor(h, d * float(np.max(np.abs(w)))))
+
+        w0 = amp * np.cos(math.pi * x[:m] / (2.0 * ell))
+        w = _damped_newton(residual, step, w0, done, max_iter, "lobe Newton")[0]
         if float(np.max(w)) > 1e-6 * a / b:
             return x, np.append(w, 0.0)
     raise NoConvergence("lobe solver found only the trivial solution",

@@ -5,8 +5,9 @@ import sys
 import pytest
 
 import sktlab
+from sktlab import steady
 from sktlab.cli import main, parse_config
-from sktlab.errors import ParseError, ValidationError
+from sktlab.errors import NegativeState, ParseError, ValidationError
 
 
 def run_cli(args, cwd):
@@ -64,6 +65,15 @@ def test_exit_code_threshold_failure(tmp_path):
     cfg.write_text("model.a1 = 3\nmodel.a2 = 5\nmodel.b1 = 1\nmodel.b2 = 0.1\n"
                    "model.c1 = 0.1\nmodel.c2 = 1\n")
     assert main(["bifurcate", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+
+
+def test_exit_code_negative_state(tmp_path, monkeypatch):
+    def negative(*args, **kwargs):
+        raise NegativeState("no Newton step stays in the nonnegative cone")
+
+    monkeypatch.setattr(steady, "newton_solve", negative)
+    assert main(["solve", "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "state.csv").exists()
 
 
 def test_selftest_and_outputs(tmp_path):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from sktlab.linalg import (lap_band, lap_of_diag_band, lap_stencil_diag,
-                           residual_floor, solve_bordered, solve_tridiag)
+from sktlab.errors import NoConvergence
+from sktlab.linalg import (_damped_newton, lap_band, lap_of_diag_band,
+                           lap_stencil_diag, residual_floor, solve_bordered,
+                           solve_tridiag)
 
 
 def _dense_from_band(ab, lu):
@@ -153,3 +155,71 @@ def test_solve_bordered_keeps_checks(rng):
     B[2, 0] = np.nan
     with pytest.raises(ValueError):
         solve_bordered(good, B, C, D, np.ones(n), np.ones(1))
+
+
+# the shared damped-Newton loop on small problems whose every trial is known
+
+def _scalar_residual(target):
+    def residual(x):
+        r = x - target
+        return float(np.max(np.abs(r))), r
+    return residual
+
+
+def test_damped_newton_returns_on_stop_test():
+    def residual(x):
+        r = x * x - 2.0
+        return float(np.max(np.abs(r))), r
+
+    x, r, rnorm, it, history = _damped_newton(
+        residual, lambda x, r: -r / (2.0 * x), np.array([1.0]),
+        lambda x, rnorm: rnorm <= 1e-14, 20, "test Newton")
+    assert abs(x[0] - np.sqrt(2.0)) < 1e-14
+    assert rnorm <= 1e-14 and rnorm == history[-1] == abs(r[0])
+    assert it == len(history) - 1 >= 4
+    assert all(b < a for a, b in zip(history, history[1:]))
+
+
+def test_damped_newton_accepts_trial_that_only_meets_stop_test():
+    # the residual norm never falls, so no trial meets Armijo; the full
+    # step lands where the stop test holds and must be taken
+    x, _, rnorm, it, history = _damped_newton(
+        lambda x: (1.0, None), lambda x, r: np.ones(1), np.zeros(1),
+        lambda x, rnorm: x[0] >= 1.0, 5, "test Newton")
+    assert x[0] == 1.0 and it == 1 and history == [1.0, 1.0]
+
+
+def test_damped_newton_stalled_line_search_and_max_iter():
+    with pytest.raises(NoConvergence, match="line search stalled") as e:
+        _damped_newton(lambda x: (1.0, None), lambda x, r: np.ones(1), np.zeros(1),
+                       lambda x, rnorm: False, 5, "test Newton")
+    assert e.value.residual == 1.0 and e.value.iterations == 0
+
+    # each step halves the residual of x -> x - 1: Armijo holds, the stop
+    # test never does
+    with pytest.raises(NoConvergence, match="did not converge") as e:
+        _damped_newton(_scalar_residual(1.0), lambda x, r: -0.5 * r, np.array([2.0]),
+                       lambda x, rnorm: False, 3, "test Newton")
+    assert e.value.residual == 0.125 and e.value.iterations == 3
+
+
+def test_damped_newton_halves_infeasible_trials():
+    seen = []
+    residual = _scalar_residual(-1.0)
+
+    def counted(x):
+        seen.append(float(x[0]))
+        return residual(x)
+
+    err = ValueError("left the feasible set")
+
+    def feasible(x):
+        return err if x[0] < 0.0 else None
+
+    # from x = 1 the full step lands on x = -1 (infeasible) and is halved
+    # to x = 0; from there every trial is negative, so the step underflows
+    with pytest.raises(ValueError) as e:
+        _damped_newton(counted, lambda x, r: -r, np.array([1.0]),
+                       lambda x, rnorm: rnorm <= 1e-12, 10, "test Newton", feasible)
+    assert e.value is err
+    assert seen == [1.0, 0.0]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sktlab.errors import RegimeError
+from sktlab.limits import LimitParams
 from sktlab.model import (CompetitionRegime, ModelParams, big_F, big_G,
-                          constant_state, reaction_f, reaction_g, regime,
-                          sigma_affine)
+                          constant_state, kinetic_partials, reaction_f,
+                          reaction_g, regime, sigma_affine)
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
 
@@ -77,3 +78,15 @@ def test_parameter_validation():
         ModelParams(**P1).with_rates(-1.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(**PW).gamma()  # beta = 0
+
+
+def test_kinetic_partials_match_central_differences(p1, rng):
+    u = rng.uniform(0.1, 5.0, 32)
+    v = rng.uniform(0.1, 5.0, 32)
+    e = 1e-6
+    for p in (p1, LimitParams.from_model(p1, gamma=2.0)):
+        fu, fv, gu, gv = kinetic_partials(p, u, v)
+        for got, fn, du, dv in ((fu, reaction_f, e, 0.0), (fv, reaction_f, 0.0, e),
+                                (gu, reaction_g, e, 0.0), (gv, reaction_g, 0.0, e)):
+            fd = (fn(p, u + du, v + dv) - fn(p, u - du, v - dv)) / (2.0 * e)
+            assert np.max(np.abs(got - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))

@@ -59,30 +59,6 @@ def test_uv_jacobian_matches_fd(p1r, rng):
     assert np.max(np.abs(J - J_fd)) < 1e-4 * np.max(np.abs(J_fd))
 
 
-def test_wz_jacobian_matches_fd(p1r, rng):
-    g = Grid(16)
-    h = g.h
-    n = g.n_cells
-    u = rng.uniform(0.5, 3.0, n)
-    v = rng.uniform(0.5, 3.0, n)
-    w = p1r.d1 * u - p1r.gamma() * p1r.d2 * v
-    z = p1r.d1 * u / p1r.alpha + u * v
-
-    def res(x):
-        r1, r2, _, _ = steady._wz_residual(p1r, x[0::2], x[1::2], h)
-        out = np.empty(2 * n)
-        out[0::2] = r1
-        out[1::2] = r2
-        return out
-
-    x0 = np.empty(2 * n)
-    x0[0::2] = w
-    x0[1::2] = z
-    J_fd, _ = _fd_jacobian(res, x0, 2 * n)
-    J = _dense_from_band(steady._wz_jacobian_banded(p1r, w, z, h), (2, 2))
-    assert np.max(np.abs(J - J_fd)) < 1e-4 * np.max(np.abs(J_fd))
-
-
 def test_wq_jacobian_matches_fd(p1r, rng):
     g = Grid(16)
     h = g.h
@@ -127,19 +103,16 @@ def test_newton_recovers_constant_from_perturbation(grid64):
     assert st.certificate_ok
 
 
-def test_all_three_solvers_agree(grid64):
+def test_both_solvers_agree(grid64):
     p = ModelParams(**P1).with_rates(100.0, 100.0)
     x = grid64.x
     u0 = GridFn(grid64, U_STAR * (1 + 0.1 * np.cos(np.pi * x)))
     v0 = GridFn(grid64, V_STAR * (1 - 0.1 * np.cos(np.pi * x)))
     a = steady.newton_solve(p, u0, v0)
     w0 = GridFn(grid64, p.d1 * u0.values - p.d2 * v0.values)
-    z0 = GridFn(grid64, p.d1 * u0.values / p.alpha + u0.values * v0.values)
-    b = steady.newton_solve_wz(p, w0, z0)
     c = steady.newton_solve_wq(p, w0, u0.values * v0.values)
-    for other in (b, c):
-        assert np.max(np.abs(a.u.values - other.u.values)) < 1e-8
-        assert np.max(np.abs(a.v.values - other.v.values)) < 1e-8
+    assert np.max(np.abs(a.u.values - c.u.values)) < 1e-8
+    assert np.max(np.abs(a.v.values - c.v.values)) < 1e-8
 
 
 def test_wq_solver_handles_extreme_rates(grid64):
