@@ -1,10 +1,11 @@
 """Batch front end: flat key=value configs, subcommands, CSV output.
 
 Exit codes: 0 success, 2 solver non-convergence (a stalled or exhausted
-Newton, or one that found no step inside the nonnegative cone) or tau collapse,
-3 configuration error (including non-finite values and grids below 8
-cells), 4 regime or threshold error (the requested object provably does
-not exist for the given parameters).
+Newton, or one that found no step inside the nonnegative cone), tau collapse
+or a singular tridiagonal or bordered linear system, 3 configuration error
+(including non-finite values and grids below 8 cells), 4 regime or
+threshold error (the requested object provably does not exist for the given
+parameters).
 """
 
 from __future__ import annotations
@@ -389,6 +390,11 @@ def main(argv=None) -> int:
         # a collapsed iterate does not prove that no state exists: exit 2, not 4
         print(f"no convergence: tau collapse: {exc} (last tau = {exc.tau!r})",
               file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        # scipy.linalg.LinAlgError is this class; ValueError is not caught,
+        # since it would relabel solver faults
+        print(f"no convergence: singular linear system: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,12 +11,12 @@ Newton solvers for the two reduced systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, TauCollapse
-from .grid import Grid, GridFn, laplacian_values
+from .grid import GridFn, laplacian_values
 from .linalg import (_damped_newton, lap_band, residual_floor, solve_bordered,
                      solve_tridiag)
 from .model import ModelParams, kinetic_partials, reaction_f, reaction_g

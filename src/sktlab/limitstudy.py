@@ -9,14 +9,14 @@ well the final member of the sequence is explained by its limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import limits, steady
 from .errors import NoConvergence
 from .grid import GridFn, integrate
-from .limits import CSState, ISState, LimitParams
+from .limits import LimitParams
 from .model import ModelParams, constant_state
 from .steady import SteadyState
 

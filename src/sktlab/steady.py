@@ -169,15 +169,18 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
                          rnorm, it, history)
 
 
-def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float):
+def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float,
+                 lp: LimitParams | None = None):
     """Residual in the (w, log tau) parametrization, tau = u*v.
 
     Equivalent to the (w, z) form through z = d1*u/alpha + tau, but both
     densities recovered from (w, tau) are nonnegative by construction, so
     Newton cannot wander onto the spurious sign-flipped branches that exist
-    when the segregated regions carry only O(1/rate) density.
+    when the segregated regions carry only O(1/rate) density.  lp is
+    LimitParams.from_model(p), built here if not given.
     """
-    lp = LimitParams.from_model(p)
+    if lp is None:
+        lp = LimitParams.from_model(p)
     tau = np.exp(q)
     u, v, _ = _uv_root(lp, w, tau)
     fval = reaction_f(p, u, v)
@@ -188,11 +191,13 @@ def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float):
     return r1, r2, u, v
 
 
-def _wq_jacobian_banded(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float):
+def _wq_jacobian_banded(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float,
+                        lp: LimitParams | None = None):
     """Banded Jacobian of the (w, log tau) residual, interleaved ordering,
     bandwidth (3, 3); the partials are those of the incomplete-segregation
-    system at tau = exp(q)."""
-    lp = LimitParams.from_model(p)
+    system at tau = exp(q); lp as in _wq_residual."""
+    if lp is None:
+        lp = LimitParams.from_model(p)
     n = w.size
     tau = np.exp(q)
     q_w, q_t, f_w, f_t, u, v, S = _is_linearization(lp, w, tau)
@@ -230,13 +235,14 @@ def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
     tau0 = np.broadcast_to(np.asarray(tau0, dtype=float), w0.values.shape)
     if np.any(tau0 <= 0.0):
         raise ValueError("tau0 must be strictly positive")
+    lp = LimitParams.from_model(p)
 
     def residual(x):
-        r1, r2, u, v = _wq_residual(p, x[:n], x[n:], h)
+        r1, r2, u, v = _wq_residual(p, x[:n], x[n:], h, lp)
         return _norm_inf(r1, r2), (r1, r2, u, v)
 
     def step(x, r):
-        dx = _banded_step(_wq_jacobian_banded(p, x[:n], x[n:], h), r[0], r[1])
+        dx = _banded_step(_wq_jacobian_banded(p, x[:n], x[n:], h, lp), r[0], r[1])
         # cap the log-step so tau cannot jump by more than e^8 per sweep
         mx = float(np.max(np.abs(dx[n:])))
         if mx > 8.0:

@@ -137,9 +137,15 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
                theta_tol: float = 1e-13) -> UnitLobe:
     """Nested shooting for the matched lobe pair.
 
-    Outer bisection on the flux mismatch M(theta) = d1*u'(theta) +
-    gamma*d2*v'(theta) over the admissible theta window (both lobes must
-    exceed their quarter-period thresholds), finished by a secant polish.
+    The flux mismatch M(theta) = d1*u'(theta) + gamma*d2*v'(theta) is
+    evaluated at both ends of the admissible theta window (both lobes must
+    exceed their quarter-period thresholds) and must fall from positive to
+    negative across it.  Its root is then found by Illinois false position
+    on the sign bracket: every trial lies strictly inside the bracket (the
+    midpoint if the false-position point does not), and the search stops
+    when the bracket or the last step is within theta_tol, or M is exactly
+    zero.  The lobes returned are those of the last evaluation, at the
+    returned theta.
     """
     if not existence_check(lp, n):
         raise NoBracket(f"no n = {n} solution: the diffusion lengths are too large")
@@ -150,37 +156,40 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
     hi = min(0.98 / n, hi_q - pad)
     if not lo < hi:
         raise NoBracket("admissible theta window is empty")
-    f_lo, _ = _mismatch(lp, n, lo, m)
-    f_hi, _ = _mismatch(lp, n, hi, m)
-    if f_lo == 0.0:
-        hi, f_hi = lo, f_lo
-    if not (f_lo > 0.0 > f_hi or f_lo == 0.0 or f_hi == 0.0):
-        raise NoBracket("flux mismatch does not change sign on the theta window")
-
-    while hi - lo > 64.0 * theta_tol:
-        mid = 0.5 * (lo + hi)
-        fm, _ = _mismatch(lp, n, mid, m)
-        if fm == 0.0:
-            lo = hi = mid
+    f, lobes = _mismatch(lp, n, lo, m)
+    theta, f_lo = lo, f
+    if f_lo != 0.0:
+        # only the latest evaluation's lobes are returned: release the
+        # previous ones before the next lobe pair is solved
+        lobes = None
+        f, lobes = _mismatch(lp, n, hi, m)
+        theta, f_hi = hi, f
+        if not (f_lo > 0.0 > f_hi or f_hi == 0.0):
+            raise NoBracket("flux mismatch does not change sign on the theta window")
+    # Illinois false position (Dowell & Jarratt 1971), written out rather
+    # than scipy.optimize.brentq: brentq leaks the frame of a callback that
+    # raises, and the lobe Newton raises NoConvergence through it.
+    side = 0
+    while f != 0.0 and hi - lo > theta_tol:
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        step, theta = abs(t - theta), t
+        lobes = None
+        f, lobes = _mismatch(lp, n, theta, m)
+        if f > 0.0:
+            lo, f_lo = theta, f
+            if side > 0:
+                f_hi *= 0.5           # hi kept twice in a row: halve its weight
+            side = 1
+        elif f < 0.0:
+            hi, f_hi = theta, f
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
+        if step <= theta_tol:
             break
-        if f_lo * fm < 0.0:
-            hi, f_hi = mid, fm
-        else:
-            lo, f_lo = mid, fm
-    # secant polish on the narrow bracket
-    t0, t1 = lo, hi
-    f0, f1 = f_lo, f_hi
-    for _ in range(8):
-        if f1 == f0 or t1 == t0:
-            break
-        t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-        t2 = min(max(t2, lo), hi)
-        f2, _ = _mismatch(lp, n, t2, m)
-        t0, f0, t1, f1 = t1, f1, t2, f2
-        if abs(t1 - t0) <= theta_tol:
-            break
-    theta = t1
-    mm, (xu, u, xv, v, flux_u, flux_v) = _mismatch(lp, n, theta, m)
+    xu, u, xv, v, flux_u, flux_v = lobes
     return UnitLobe(n=n, theta=theta, x_u=xu, u_profile=u, x_v=xv,
                     v_profile=v, flux_u=flux_u, flux_v=flux_v)
 

@@ -3,9 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from scipy.linalg import LinAlgError
 
 import sktlab
-from sktlab import steady
+from sktlab import steady, twolobe
 from sktlab.cli import main, parse_config
 from sktlab.errors import NegativeState, ParseError, ValidationError
 
@@ -74,6 +75,27 @@ def test_exit_code_negative_state(tmp_path, monkeypatch):
     monkeypatch.setattr(steady, "newton_solve", negative)
     assert main(["solve", "--grid", "16", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "state.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["dhmp", "cs-solve"])
+def test_singular_linear_system_exits_2(command, tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise LinAlgError("singular matrix")
+
+    monkeypatch.setattr(twolobe, "solve_unit", singular)
+    assert main([command, "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert "no convergence: singular linear system: singular matrix" \
+        in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_value_error_is_not_relabelled(tmp_path, monkeypatch):
+    def bad(*args, **kwargs):
+        raise ValueError("not a solver outcome")
+
+    monkeypatch.setattr(twolobe, "solve_unit", bad)
+    with pytest.raises(ValueError):
+        main(["dhmp", "--grid", "16", "--out", str(tmp_path)])
 
 
 def test_selftest_and_outputs(tmp_path):
