@@ -1,8 +1,9 @@
 """Batch front end: flat key=value configs, subcommands, CSV output.
 
 Exit codes: 0 success, 2 solver non-convergence (a stalled or exhausted
-Newton, or one that found no step inside the nonnegative cone), tau collapse
-or a singular tridiagonal or bordered linear system, 3 configuration error
+Newton, or one that found no step inside the nonnegative cone), tau collapse,
+a singular tridiagonal or bordered linear system, a time march that blew up
+or a pattern tiling that failed, 3 configuration error
 (including non-finite values and grids below 8 cells), 4 regime or
 threshold error (the requested object provably does not exist for the given
 parameters).
@@ -19,8 +20,9 @@ import sys
 import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
-from .errors import (BandError, NegativeState, NoBracket, NoConvergence, NoThreshold,
-                     ParseError, RegimeError, TauCollapse, ValidationError)
+from .errors import (AssemblyError, BandError, BlowUp, NegativeState, NoBracket,
+                     NoConvergence, NoThreshold, ParseError, RegimeError, TauCollapse,
+                     ValidationError)
 from .grid import MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair
 from .limits import LimitParams
 from .model import ModelParams, constant_state
@@ -280,14 +282,15 @@ def _cmd_dhmp(cfg, args) -> int:
         raise NoBracket(
             f"no {n}-node solution exists: sqrt(d1/a1) + sqrt(d2/a2) >= 2/({n}*pi)")
     lobe = twolobe.solve_unit(lp, n)
+    # both variants are assembled before either file is written
+    sols = [twolobe.assemble(lobe, lp, variant, g) for variant in ("fg", "gf")]
     out = _outdir(args)
-    for variant in ("fg", "gf"):
-        sol = twolobe.assemble(lobe, lp, variant, g)
+    for sol in sols:
         u, v = limits.CSState(sol.w).densities(lp)
-        io.write_csv(os.path.join(out, f"dhmp_{variant}.csv"),
+        io.write_csv(os.path.join(out, f"dhmp_{sol.variant}.csv"),
                      {"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
                      "dhmp", cfg,
-                     metadata={"n": n, "variant": variant,
+                     metadata={"n": n, "variant": sol.variant,
                                "theta_n": lobe.theta, "flux": lobe.flux,
                                "zero_count": sol.zero_count,
                                "cs_residual": sol.cs_residual})
@@ -390,6 +393,9 @@ def main(argv=None) -> int:
         # a collapsed iterate does not prove that no state exists: exit 2, not 4
         print(f"no convergence: tau collapse: {exc} (last tau = {exc.tau!r})",
               file=sys.stderr)
+        return 2
+    except (AssemblyError, BlowUp) as exc:
+        print(f"no solution built: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:
         # scipy.linalg.LinAlgError is this class; ValueError is not caught,

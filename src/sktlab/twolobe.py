@@ -3,14 +3,16 @@ solutions on the unit interval.
 
 One positive u-lobe and one negative v-lobe are glued at an interior point
 theta where the diffusive fluxes match; tiling reflected copies of the glued
-unit across [0, 1] produces solutions with exactly n interior zeros.  The
-lobe problems are scalar logistic BVPs solved by finite-difference Newton on
-dedicated sub-grids; theta is found by an outer scalar root-find on the flux
-mismatch.
+unit across [0, 1] produces solutions with exactly n interior zeros.  Each
+lobe solves d*w'' + w*(a - b*w) = 0, w'(0) = 0, w(ell) = 0; the time map, a
+quadrature monotone in the peak, gives the peak from ell, so lobes are
+positive and monotone by construction.  theta is found by an outer scalar
+root-find on the flux mismatch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +21,6 @@ import numpy as np
 from .errors import AssemblyError, NoBracket, NoConvergence
 from .grid import Grid, GridFn
 from .limits import LimitParams, _cs_residual_values
-from .linalg import _damped_newton, residual_floor, solve_tridiag
 
 
 @dataclass(frozen=True)
@@ -63,74 +64,79 @@ def existence_check(lp: LimitParams, n: int) -> bool:
     return math.sqrt(lp.d1 / lp.a1) + math.sqrt(lp.d2 / lp.a2) < 2.0 / (n * math.pi)
 
 
-def _solve_lobe(d: float, a: float, b: float, ell: float, m: int,
-                tol: float = 1e-12, max_iter: int = 80):
-    """Positive solution of d*w'' + w*(a - b*w) = 0 on [0, ell] with
-    w'(0) = 0, w(ell) = 0, on a vertex grid of m intervals.
-
-    Returns (x nodes, profile including the zero endpoint).  The trivial
-    solution is avoided by starting from a cosine hump and, if the iterate
-    still collapses, retrying with larger amplitude.
-    """
-    if ell <= (math.pi / 2.0) * math.sqrt(d / a):
-        raise NoConvergence("lobe interval below the quarter-period threshold",
-                            residual=None, iterations=0)
-    h = ell / m
-    x = np.linspace(0.0, ell, m + 1)
-    inv = d / (h * h)
-
-    def residual(w):
-        r = np.empty(m)
-        r[0] = 2.0 * inv * (w[1] - w[0]) + w[0] * (a - b * w[0])
-        r[1:m - 1] = inv * (w[0:m - 2] - 2.0 * w[1:m - 1] + w[2:m]) \
-            + w[1:m - 1] * (a - b * w[1:m - 1])
-        # last unknown couples to the Dirichlet zero at x = ell
-        r[m - 1] = inv * (w[m - 2] - 2.0 * w[m - 1]) + w[m - 1] * (a - b * w[m - 1])
-        return float(np.max(np.abs(r))), r
-
-    def step(w, r):
-        ab = np.zeros((3, m))
-        ab[0, 1:] = inv
-        ab[0, 1] = 2.0 * inv
-        ab[1, :] = -2.0 * inv + a - 2.0 * b * w
-        ab[2, :-1] = inv
-        return solve_tridiag(ab, -r)
-
-    for amp in (a / b, 1.4 * a / b, 0.6 * a / b):
-        rtol = tol * max(a * amp, 1.0)
-
-        def done(w, rnorm):
-            return rnorm <= max(rtol, residual_floor(h, d * float(np.max(np.abs(w)))))
-
-        w0 = amp * np.cos(math.pi * x[:m] / (2.0 * ell))
-        w = _damped_newton(residual, step, w0, done, max_iter, "lobe Newton")[0]
-        if float(np.max(w)) > 1e-6 * a / b:
-            return x, np.append(w, 0.0)
-    raise NoConvergence("lobe solver found only the trivial solution",
-                        residual=None, iterations=max_iter)
+@functools.cache
+def _gauss_nodes():
+    """96 Gauss-Legendre nodes on [0, 1]: L to ~1e-15 up to L ~ 60, ~1e-13 at 100."""
+    x, wt = np.polynomial.legendre.leggauss(96)
+    return 0.5 * (x + 1.0), 0.5 * wt
 
 
-def _lobe_flux_energy(d: float, a: float, b: float, amp: float) -> float:
-    """|w'| at the zero endpoint from the conserved energy
-    d*w'^2/2 + a*w^2/2 - b*w^3/3, evaluated at the flat maximum."""
-    e = 0.5 * a * amp * amp - (b / 3.0) * amp ** 3
-    if e <= 0.0:
-        raise NoConvergence("nonpositive lobe energy", residual=e, iterations=0)
-    return math.sqrt(2.0 * e / d)
+def _time_map_integrand(tau: np.ndarray, dh: float):
+    """(dX/dtau, s^2), X = x*sqrt(a/d), 1 - w/peak = s^2, s = sqrt(2*dh)*sinh(tau):
+    smooth through a long lobe's flat top, dX/dtau in [2, 2*sqrt(3)]."""
+    s2 = 2.0 * dh * np.sinh(tau) ** 2
+    r = s2 * (dh + s2 * (1.0 - dh) / 3.0) / (dh + 0.5 * s2)
+    return 2.0 / np.sqrt(1.0 - r), s2
+
+
+def _time_map(y: float) -> tuple[float, float]:
+    """Scaled length L = ell*sqrt(a/d) of the positive lobe with peak
+    (a/b)*(1 - exp(y)), and dL/dy.  L falls strictly from pi/2 at y = 0 (the
+    zero-amplitude limit) with slope in [-1, -2/3], so the peak is monotone
+    in the lobe length (Smoller & Wasserman 1981; Schaaf 1990)."""
+    u, wt = _gauss_nodes()
+    dh = math.exp(y)
+    tmax = math.asinh(1.0 / math.sqrt(2.0 * dh))
+    q, s2 = _time_map_integrand(tmax * u, dh)
+    dq = (1.0 - s2 + s2 * s2 / 3.0) * q ** 3 / (8.0 * np.cosh(tmax * u) ** 2)
+    return tmax * float(np.dot(wt, q)), -tmax * float(np.dot(wt, dq))
+
+
+def _lobe(d: float, a: float, b: float, ell: float) -> tuple[float, float]:
+    """(y, |w'(ell)|) of the positive lobe with w'(0) = 0, w(ell) = 0 and
+    peak A = (a/b)*(1 - exp(y)): Newton on the convex, decreasing L(y) from
+    left of the root, then the energy d*w'^2/2 + a*w^2/2 - b*w^3/3 at A."""
+    target = ell * math.sqrt(a / d)
+    if not 0.5 * math.pi < target <= 700.0:
+        raise NoConvergence(f"scaled lobe length {target:.6g} is not between the "
+                            "quarter period pi/2 and 700", residual=None, iterations=0)
+    # L(y) + y rises from log(12/(2 + sqrt 3)) at y = -inf to pi/2 at y = 0
+    y = math.log(12.0 / (2.0 + math.sqrt(3.0))) - target
+    for it in range(40):
+        ell_y, slope = _time_map(y)
+        step = (ell_y - target) / slope
+        y = min(y - step, 0.0)
+        if abs(step) <= 1e-14 * max(1.0, -y):
+            amp = (a / b) * -math.expm1(y)
+            return y, math.sqrt(amp * amp * (a - (2.0 / 3.0) * b * amp) / d)
+    raise NoConvergence("lobe amplitude did not converge", residual=ell_y - target,
+                        iterations=it + 1)
+
+
+def _lobe_profile(d: float, a: float, b: float, ell: float, y: float, m: int):
+    """(x nodes, profile) on m intervals of [0, ell]: X(tau) by Simpson's rule,
+    inverted by cubic Hermite interpolation with the exact dtau/dX; A*(1 - s^2)
+    with s in [0, 1] rising is nonnegative and monotone by construction."""
+    from scipy.interpolate import CubicHermiteSpline   # as in _phi_splines
+    dh = math.exp(y)
+    tau = np.linspace(0.0, math.asinh(1.0 / math.sqrt(2.0 * dh)), 2 * (m // 2) + 1)
+    q = _time_map_integrand(tau, dh)[0]
+    big_x = np.concatenate(([0.0], np.cumsum(
+        (tau[1] / 3.0) * (q[:-2:2] + 4.0 * q[1::2] + q[2::2]))))
+    # the targets span the accumulated X, so x = ell lands on the zero
+    tau_x = CubicHermiteSpline(big_x, tau[::2], 1.0 / q[::2])(
+        np.linspace(0.0, big_x[-1], m + 1))
+    w = np.maximum((a / b) * -math.expm1(y) * (1.0 - 2.0 * dh * np.sinh(tau_x) ** 2), 0.0)
+    w[-1] = 0.0
+    return np.linspace(0.0, ell, m + 1), w
 
 
 def _mismatch(lp: LimitParams, n: int, theta: float, m: int):
-    ell_v = 1.0 / n - theta
-    xu, u = _solve_lobe(lp.d1, lp.a1, lp.b1, theta, m)
-    xv_loc, v_loc = _solve_lobe(lp.d2, lp.a2, lp.c2, ell_v, m)
-    du = _lobe_flux_energy(lp.d1, lp.a1, lp.b1, float(np.max(u)))
-    dv = _lobe_flux_energy(lp.d2, lp.a2, lp.c2, float(np.max(v_loc)))
-    flux_u = -lp.d1 * du                       # d1 * u'(theta) < 0
-    flux_v = lp.gamma * lp.d2 * dv             # gamma * d2 * v'(theta) > 0
-    # v(x) = w(1/n - x): mirror the canonical lobe onto [theta, 1/n]
-    xv = 1.0 / n - xv_loc[::-1]
-    v = v_loc[::-1].copy()
-    return flux_u + flux_v, (xu, u, xv, v, flux_u, flux_v)
+    """d1*u'(theta) + gamma*d2*v'(theta) and (y_u, y_v, flux_u, flux_v)."""
+    y_u, du = _lobe(lp.d1, lp.a1, lp.b1, theta)
+    y_v, dv = _lobe(lp.d2, lp.a2, lp.c2, 1.0 / n - theta)
+    flux_u, flux_v = -lp.d1 * du, lp.gamma * lp.d2 * dv    # < 0 and > 0
+    return flux_u + flux_v, (y_u, y_v, flux_u, flux_v)
 
 
 def solve_unit(lp: LimitParams, n: int, m: int = 4096,
@@ -140,12 +146,12 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
     The flux mismatch M(theta) = d1*u'(theta) + gamma*d2*v'(theta) is
     evaluated at both ends of the admissible theta window (both lobes must
     exceed their quarter-period thresholds) and must fall from positive to
-    negative across it.  Its root is then found by Illinois false position
-    on the sign bracket: every trial lies strictly inside the bracket (the
-    midpoint if the false-position point does not), and the search stops
-    when the bracket or the last step is within theta_tol, or M is exactly
-    zero.  The lobes returned are those of the last evaluation, at the
-    returned theta.
+    negative across it; each evaluation is two time-map root-finds.  Its
+    root is then found by Illinois false position on the sign bracket:
+    every trial lies strictly inside the bracket (theta_tol/2 inside an end
+    the false-position point rounds onto), and the search stops when the
+    bracket or the last step is within theta_tol, or M is exactly zero.
+    The m-interval lobe profiles are built once, at the returned theta.
     """
     if not existence_check(lp, n):
         raise NoBracket(f"no n = {n} solution: the diffusion lengths are too large")
@@ -156,27 +162,23 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
     hi = min(0.98 / n, hi_q - pad)
     if not lo < hi:
         raise NoBracket("admissible theta window is empty")
-    f, lobes = _mismatch(lp, n, lo, m)
+    f, amps = _mismatch(lp, n, lo, m)
     theta, f_lo = lo, f
     if f_lo != 0.0:
-        # only the latest evaluation's lobes are returned: release the
-        # previous ones before the next lobe pair is solved
-        lobes = None
-        f, lobes = _mismatch(lp, n, hi, m)
+        f, amps = _mismatch(lp, n, hi, m)
         theta, f_hi = hi, f
         if not (f_lo > 0.0 > f_hi or f_hi == 0.0):
             raise NoBracket("flux mismatch does not change sign on the theta window")
     # Illinois false position (Dowell & Jarratt 1971), written out rather
     # than scipy.optimize.brentq: brentq leaks the frame of a callback that
-    # raises, and the lobe Newton raises NoConvergence through it.
+    # raises, and the amplitude root-find raises NoConvergence through it.
     side = 0
     while f != 0.0 and hi - lo > theta_tol:
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
+        if not lo < t < hi:       # rounded onto an end: confirm, not bisect
+            t = lo + 0.5 * theta_tol if t <= lo else hi - 0.5 * theta_tol
         step, theta = abs(t - theta), t
-        lobes = None
-        f, lobes = _mismatch(lp, n, theta, m)
+        f, amps = _mismatch(lp, n, theta, m)
         if f > 0.0:
             lo, f_lo = theta, f
             if side > 0:
@@ -189,9 +191,12 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
             side = -1
         if step <= theta_tol:
             break
-    xu, u, xv, v, flux_u, flux_v = lobes
-    return UnitLobe(n=n, theta=theta, x_u=xu, u_profile=u, x_v=xv,
-                    v_profile=v, flux_u=flux_u, flux_v=flux_v)
+    y_u, y_v, flux_u, flux_v = amps
+    xu, u = _lobe_profile(lp.d1, lp.a1, lp.b1, theta, y_u, m)
+    xv, v = _lobe_profile(lp.d2, lp.a2, lp.c2, 1.0 / n - theta, y_v, m)
+    # v(x) = w(1/n - x): mirror the canonical lobe onto [theta, 1/n]
+    return UnitLobe(n=n, theta=theta, x_u=xu, u_profile=u, x_v=1.0 / n - xv[::-1],
+                    v_profile=v[::-1].copy(), flux_u=flux_u, flux_v=flux_v)
 
 
 def _edge_slope(x: np.ndarray, f: np.ndarray, left: bool) -> float:

@@ -8,7 +8,8 @@ from scipy.linalg import LinAlgError
 import sktlab
 from sktlab import steady, twolobe
 from sktlab.cli import main, parse_config
-from sktlab.errors import NegativeState, ParseError, ValidationError
+from sktlab.errors import (AssemblyError, BlowUp, NegativeState, ParseError,
+                           ValidationError)
 
 
 def run_cli(args, cwd):
@@ -75,6 +76,33 @@ def test_exit_code_negative_state(tmp_path, monkeypatch):
     monkeypatch.setattr(steady, "newton_solve", negative)
     assert main(["solve", "--grid", "16", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "state.csv").exists()
+
+
+def test_exit_code_blow_up(tmp_path, monkeypatch, capsys):
+    def blow_up(*args, **kwargs):
+        raise BlowUp("state exceeded 10x the certificate cap")
+
+    monkeypatch.setattr(steady, "time_march", blow_up)
+    assert main(["solve", "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert "no solution built: state exceeded" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_dhmp_assembly_error_writes_no_partial_output(tmp_path, monkeypatch):
+    assemble = twolobe.assemble
+
+    def fail_second(lobe, lp, variant, g):
+        if variant == "gf":
+            raise AssemblyError("tiling produced 0 zeros, expected 1")
+        return assemble(lobe, lp, variant, g)
+
+    monkeypatch.setattr(twolobe, "assemble", fail_second)
+    out = tmp_path / "out"
+    cfg = tmp_path / "sym.cfg"
+    cfg.write_text("model.a1 = 1\nmodel.a2 = 1\nmodel.b1 = 1\nmodel.b2 = 1\n"
+                   "model.c1 = 1\nmodel.c2 = 1\nmodel.d1 = 0.01\nmodel.d2 = 0.01\n")
+    assert main(["dhmp", "--config", str(cfg), "--grid", "64", "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command", ["dhmp", "cs-solve"])

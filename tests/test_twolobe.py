@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from sktlab import twolobe
-from sktlab.errors import NoBracket
+from sktlab.cli import main as cli_main
+from sktlab.errors import NoBracket, NoConvergence
 from sktlab.grid import Grid
 from sktlab.limits import LimitParams
+from sktlab.linalg import _damped_newton, residual_floor, solve_tridiag
 from sktlab.twolobe import (_mismatch, assemble, existence_check, solve_unit,
                             validate)
 
@@ -186,3 +188,140 @@ def test_no_sign_change_raises_no_bracket(monkeypatch):
     with pytest.raises(NoBracket, match="does not change sign"):
         solve_unit(SYM, 1)
     assert len(calls) == 2
+
+
+# --- the time-map lobe -------------------------------------------------------
+
+def _fd_lobe(d, a, b, ell, m, tol=1e-12, max_iter=80):
+    """Finite-difference Newton reference for the lobe d*w'' + w*(a - b*w) = 0
+    on a vertex grid of m intervals of [0, ell], w'(0) = 0, w(ell) = 0, from
+    a cosine hump of height a/b.  It stops at the rounding floor of its
+    stencil, which on some fine grids is above its O(h^2) error."""
+    h = ell / m
+    x = np.linspace(0.0, ell, m + 1)
+    inv = d / (h * h)
+
+    def residual(w):
+        r = np.empty(m)
+        r[0] = 2.0 * inv * (w[1] - w[0]) + w[0] * (a - b * w[0])
+        r[1:m - 1] = inv * (w[0:m - 2] - 2.0 * w[1:m - 1] + w[2:m]) \
+            + w[1:m - 1] * (a - b * w[1:m - 1])
+        r[m - 1] = inv * (w[m - 2] - 2.0 * w[m - 1]) + w[m - 1] * (a - b * w[m - 1])
+        return float(np.max(np.abs(r))), r
+
+    def step(w, r):
+        ab = np.zeros((3, m))
+        ab[0, 1:] = inv
+        ab[0, 1] = 2.0 * inv
+        ab[1, :] = -2.0 * inv + a - 2.0 * b * w
+        ab[2, :-1] = inv
+        return solve_tridiag(ab, -r)
+
+    def done(w, rnorm):
+        return rnorm <= max(tol * max(a * a / b, 1.0),
+                            residual_floor(h, d * float(np.max(np.abs(w)))))
+
+    w0 = (a / b) * np.cos(math.pi * x[:m] / (2.0 * ell))
+    w = _damped_newton(residual, step, w0, done, max_iter, "lobe Newton")[0]
+    return x, np.append(w, 0.0)
+
+
+def _ell_of_amp(d, a, b, amp):
+    """Lobe length ell for the peak amp, from the time map."""
+    return math.sqrt(d / a) * twolobe._time_map(math.log1p(-b * amp / a))[0]
+
+
+@pytest.mark.parametrize("d, a, b", [(0.01, 1.0, 1.0), (1.0, 5.0, 0.1), (0.1, 3.0, 0.1)])
+def test_time_map_quarter_period_limit_and_monotone(d, a, b):
+    quarter = 0.5 * math.pi * math.sqrt(d / a)
+    assert _ell_of_amp(d, a, b, 0.0) == pytest.approx(quarter, rel=1e-14)
+    assert _ell_of_amp(d, a, b, 1e-9 * a / b) == pytest.approx(quarter, rel=1e-8)
+    amps = (a / b) * np.concatenate((np.linspace(1e-6, 0.98, 60),
+                                     1.0 - np.logspace(-2, -13, 30)))
+    ells = [_ell_of_amp(d, a, b, amp) for amp in amps]
+    assert ells[0] > quarter
+    assert np.all(np.diff(ells) > 0.0)
+
+
+@pytest.mark.parametrize("d, a, b, ell", [
+    (0.01, 1.0, 1.0, 0.16),        # just above the quarter period 0.157
+    (0.01, 1.0, 1.0, 0.5),
+    (0.0033305, 1.0, 1.0, 0.836),  # the long v-lobe of a formerly bad set
+    (1.0, 5.0, 0.1, 0.9),
+])
+def test_time_map_amplitude_round_trip(d, a, b, ell):
+    y, edge_slope = twolobe._lobe(d, a, b, ell)
+    assert -1.0 < math.expm1(y) < 0.0 and edge_slope > 0.0
+    ell_back = math.sqrt(d / a) * twolobe._time_map(y)[0]
+    assert ell_back == pytest.approx(ell, rel=1e-12)
+
+
+def test_time_map_resolves_a_flat_top():
+    y = twolobe._lobe(0.001, 1.0, 1.0, 0.9)[0]
+    assert math.exp(y) < 1e-8         # delta = a - b*A, here ~1e-12
+    assert math.sqrt(0.001) * twolobe._time_map(y)[0] == pytest.approx(0.9, rel=1e-12)
+
+
+def test_lobe_below_quarter_period_raises():
+    with pytest.raises(NoConvergence, match="quarter period"):
+        twolobe._lobe(0.01, 1.0, 1.0, 0.15)
+
+
+# lobes on which the reference converges below its O(h^2) error at m = 4096
+@pytest.mark.parametrize("d, a, b, ell", [(0.01, 1.0, 1.0, 0.5), (1.0, 5.0, 0.1, 0.9),
+                                          (0.1, 3.0, 0.1, 0.35), (0.02, 1.0, 1.0, 0.6)])
+def test_fd_oracle_gap_is_second_order(d, a, b, ell):
+    y = twolobe._lobe(d, a, b, ell)[0]
+    gap = {}
+    for m in (2048, 4096):
+        x, w = twolobe._lobe_profile(d, a, b, ell, y, m)
+        x_fd, w_fd = _fd_lobe(d, a, b, ell, m)
+        assert np.array_equal(x, x_fd) and w_fd.min() >= 0.0
+        gap[m] = float(np.max(np.abs(w - w_fd)))
+    assert 3.0 < gap[2048] / gap[4096] < 5.0
+
+
+def _assert_positive_monotone(lobe):
+    assert lobe.u_profile.min() >= 0.0 and lobe.v_profile.min() >= 0.0
+    assert np.all(np.diff(lobe.u_profile) <= 0.0)
+    assert np.all(np.diff(lobe.v_profile) >= 0.0)
+    assert lobe.u_profile[-1] == 0.0 == lobe.v_profile[0]
+
+
+# SYM kinetics at n = 1 on which the finite-difference lobe Newton converged
+# to a sign-changing lobe (min -0.50) and dhmp wrote cs_residual 8-222
+BAD_LOBE_SETS = [(0.0056276, 0.0033305), (0.004, 0.015), (0.003, 0.02), (0.01, 0.004)]
+
+
+@pytest.mark.parametrize("d1, d2", BAD_LOBE_SETS)
+def test_long_lobes_positive_and_dhmp_clean(d1, d2, tmp_path):
+    lp = LimitParams(a1=1.0, a2=1.0, b1=1.0, b2=1.0, c1=1.0, c2=1.0,
+                     d1=d1, d2=d2, gamma=1.0)
+    _assert_positive_monotone(solve_unit(lp, 1))
+    cfg = tmp_path / "sym.cfg"
+    cfg.write_text("model.a1 = 1\nmodel.a2 = 1\nmodel.b1 = 1\nmodel.b2 = 1\n"
+                   f"model.c1 = 1\nmodel.c2 = 1\nmodel.d1 = {d1!r}\nmodel.d2 = {d2!r}\n"
+                   "grid.n_cells = 256\nrun.n = 1\n")
+    assert cli_main(["dhmp", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    for variant in ("fg", "gf"):
+        text = (tmp_path / f"dhmp_{variant}.csv").read_text()
+        line = next(s for s in text.splitlines() if s.startswith("# cs_residual: "))
+        assert float(line.split(": ")[1]) <= 0.02
+
+
+def test_patterns_like_sweep(monkeypatch):
+    # the diffusion draws of the patterns benchmark: sqrt(d1) + sqrt(d2) a
+    # fraction f of the n = 3 cutoff 2/(3 pi), sqrt(d1) a share of it
+    calls = _counting_mismatch(monkeypatch)
+    for f in (0.5, 0.72, 0.95):
+        for share in (0.3, 0.5, 0.7):
+            s = f * 2.0 / (3.0 * math.pi)
+            lp = LimitParams(a1=1.0, a2=1.0, b1=1.0, b2=1.0, c1=1.0, c2=1.0,
+                             d1=(share * s) ** 2, d2=((1.0 - share) * s) ** 2,
+                             gamma=1.0)
+            for n in (1, 2, 3):
+                calls.clear()
+                lobe = solve_unit(lp, n)
+                _assert_positive_monotone(lobe)
+                assert lobe.mismatch <= 1e-11 * abs(lobe.flux)
+                assert len(calls) <= 16
