@@ -2,8 +2,8 @@
 
 The constant branch w*(d1) loses invertibility of its linearization when a
 scalar potential crosses a Neumann eigenvalue; this module provides the
-closed-form threshold, its discrete-eigenvalue counterpart found by
-bisection, an inverse-iteration oracle for the critical eigenvalue, and
+closed-form threshold, the same closed form at the discrete eigenvalue,
+an inverse-iteration oracle for the critical eigenvalue, and
 branch switching with amplitude continuation of the emerging nonconstant
 solutions.
 """
@@ -96,6 +96,12 @@ def l21_value(lp: LimitParams, d1: float, psi: GridFn) -> float:
     return float(f_w[0]) * integrate(psi)
 
 
+def _threshold(lp: LimitParams, lam: float) -> float:
+    """The d1 at which potential(d1) = lam: (K/lam - gamma*d2*v*)/u*."""
+    cs = constant_state(lp)
+    return (kinetic_strength(lp) / lam - lp.gamma * lp.d2 * cs.v_star) / cs.u_star
+
+
 def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
     """Closed-form threshold for mode j: (K/lambda_j - gamma*d2*v*)/u*.
 
@@ -104,12 +110,9 @@ def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
     """
     if j < 1:
         raise ValueError("mode index must be >= 1")
-    K = kinetic_strength(lp)
-    if K <= 0.0:
+    if kinetic_strength(lp) <= 0.0:
         raise NoThreshold("K <= 0: no positive threshold for any mode")
-    cs = constant_state(lp)
-    lam = (j * math.pi / length) ** 2
-    d1 = (K / lam - lp.gamma * lp.d2 * cs.v_star) / cs.u_star
+    d1 = _threshold(lp, (j * math.pi / length) ** 2)
     if d1 <= 0.0:
         raise NoThreshold(f"mode {j}: rearranged threshold is nonpositive")
     return d1
@@ -117,39 +120,20 @@ def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
 
 def detect_crossing(lp: LimitParams, j: int, g: Grid,
                     bracket: tuple[float, float]) -> BifurcationPoint:
-    """Bisection on potential(d1) - lambda_j^h with the discrete eigenvalue.
+    """The discrete threshold: the d1 where potential(d1) = lambda_j^h.
 
-    The zero of this scalar is exactly where the discrete linearized field
-    operator, restricted to mean-zero fields, becomes singular in the
-    direction of the j-th cosine mode.
+    The closed form of delta_j with the discrete eigenvalue in place of the
+    continuum one.  There the discrete linearized field operator, restricted
+    to mean-zero fields, becomes singular in the direction of the j-th
+    cosine mode (l11_min_eigenvalue checks this independently).  Raises
+    BracketError when the threshold lies outside bracket.
     """
     if j < 1:
         raise ValueError("mode index must be >= 1 (the constant mode is excluded)")
     lam_h = discrete_eigenvalue(g, j)
-
-    def fn(d1):
-        return potential(lp, d1) - lam_h
-
-    lo, hi = float(bracket[0]), float(bracket[1])
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        root = lo
-    elif fhi == 0.0:
-        root = hi
-    else:
-        if flo * fhi > 0.0:
-            raise BracketError(f"no sign change of potential - lambda_{j}^h on {bracket}")
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fm = fn(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
+    root = _threshold(lp, lam_h)
+    if not bracket[0] <= root <= bracket[1]:
+        raise BracketError(f"potential - lambda_{j}^h has no root on {bracket}")
     _, phi = neumann_eigenpair(g, j)
     return BifurcationPoint(j=j, lambda_j=lam_h, delta_j=root, phi_j=phi)
 

@@ -97,18 +97,23 @@ def _norm_inf(r1: np.ndarray, r2: np.ndarray) -> float:
     return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
 
 
-def _certificate_ok(p: ModelParams, u: np.ndarray, v: np.ndarray) -> bool | None:
+def _levelset_certificate(p: ModelParams):
+    """The level-set sup-bound certificate at eta = min(alpha/beta,
+    beta/alpha, 1), or None when a rate is not positive, the band check
+    fails or only the small-rate certificate applies."""
     if p.alpha <= 0.0 or p.beta <= 0.0:
         return None
     ratio = p.alpha / p.beta
-    eta = min(ratio, 1.0 / ratio, 1.0)
     try:
-        cert = bounds.sup_bound(p.with_rates(p.alpha, p.beta), eta)
+        cert = bounds.sup_bound(p, min(ratio, 1.0 / ratio, 1.0))
     except BandError:
         return None
-    if cert.kind != "levelset":
-        return None
-    return cert.covers(float(np.max(u)), float(np.max(v)))
+    return cert if cert.kind == "levelset" else None
+
+
+def _certificate_ok(p: ModelParams, u: np.ndarray, v: np.ndarray) -> bool | None:
+    cert = _levelset_certificate(p)
+    return None if cert is None else cert.covers(float(np.max(u)), float(np.max(v)))
 
 
 def _banded_step(ab: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -260,16 +265,8 @@ def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
 
 
 def _blowup_cap(p: ModelParams) -> float:
-    if p.alpha > 0.0 and p.beta > 0.0:
-        ratio = p.alpha / p.beta
-        eta = min(ratio, 1.0 / ratio, 1.0)
-        try:
-            cert = bounds.sup_bound(p, eta)
-            if cert.kind == "levelset":
-                return 10.0 * max(cert.u_bound, cert.v_bound)
-        except BandError:
-            pass
-    return 1e8
+    cert = _levelset_certificate(p)
+    return 1e8 if cert is None else 10.0 * max(cert.u_bound, cert.v_bound)
 
 
 def time_march(p: ModelParams, u0: GridFn, v0: GridFn,

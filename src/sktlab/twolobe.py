@@ -113,7 +113,7 @@ def _lobe(d: float, a: float, b: float, ell: float) -> tuple[float, float]:
                         iterations=it + 1)
 
 
-def _lobe_profile(d: float, a: float, b: float, ell: float, y: float, m: int):
+def _lobe_profile(a: float, b: float, ell: float, y: float, m: int):
     """(x nodes, profile) on m intervals of [0, ell]: X(tau) by Simpson's rule,
     inverted by cubic Hermite interpolation with the exact dtau/dX; A*(1 - s^2)
     with s in [0, 1] rising is nonnegative and monotone by construction."""
@@ -131,7 +131,7 @@ def _lobe_profile(d: float, a: float, b: float, ell: float, y: float, m: int):
     return np.linspace(0.0, ell, m + 1), w
 
 
-def _mismatch(lp: LimitParams, n: int, theta: float, m: int):
+def _mismatch(lp: LimitParams, n: int, theta: float):
     """d1*u'(theta) + gamma*d2*v'(theta) and (y_u, y_v, flux_u, flux_v)."""
     y_u, du = _lobe(lp.d1, lp.a1, lp.b1, theta)
     y_v, dv = _lobe(lp.d2, lp.a2, lp.c2, 1.0 / n - theta)
@@ -162,10 +162,10 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
     hi = min(0.98 / n, hi_q - pad)
     if not lo < hi:
         raise NoBracket("admissible theta window is empty")
-    f, amps = _mismatch(lp, n, lo, m)
+    f, amps = _mismatch(lp, n, lo)
     theta, f_lo = lo, f
     if f_lo != 0.0:
-        f, amps = _mismatch(lp, n, hi, m)
+        f, amps = _mismatch(lp, n, hi)
         theta, f_hi = hi, f
         if not (f_lo > 0.0 > f_hi or f_hi == 0.0):
             raise NoBracket("flux mismatch does not change sign on the theta window")
@@ -178,7 +178,7 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
         if not lo < t < hi:       # rounded onto an end: confirm, not bisect
             t = lo + 0.5 * theta_tol if t <= lo else hi - 0.5 * theta_tol
         step, theta = abs(t - theta), t
-        f, amps = _mismatch(lp, n, theta, m)
+        f, amps = _mismatch(lp, n, theta)
         if f > 0.0:
             lo, f_lo = theta, f
             if side > 0:
@@ -192,8 +192,8 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
         if step <= theta_tol:
             break
     y_u, y_v, flux_u, flux_v = amps
-    xu, u = _lobe_profile(lp.d1, lp.a1, lp.b1, theta, y_u, m)
-    xv, v = _lobe_profile(lp.d2, lp.a2, lp.c2, 1.0 / n - theta, y_v, m)
+    xu, u = _lobe_profile(lp.a1, lp.b1, theta, y_u, m)
+    xv, v = _lobe_profile(lp.a2, lp.c2, 1.0 / n - theta, y_v, m)
     # v(x) = w(1/n - x): mirror the canonical lobe onto [theta, 1/n]
     return UnitLobe(n=n, theta=theta, x_u=xu, u_profile=u, x_v=1.0 / n - xv[::-1],
                     v_profile=v[::-1].copy(), flux_u=flux_u, flux_v=flux_v)
@@ -262,7 +262,7 @@ def assemble(lobe: UnitLobe, lp: LimitParams, variant: str, g: Grid) -> DhmpSolu
     zero_count = _count_sign_changes(w)
     if zero_count != n:
         raise AssemblyError(f"tiling produced {zero_count} zeros, expected {n}")
-    res = float(np.max(np.abs(_cs_residual_values(lp, w, 0.0, g.h))))
+    res = float(np.max(np.abs(_cs_residual_values(lp, w, g.h))))
     return DhmpSolution(n=n, variant=variant, w=GridFn(g, w),
                         zero_count=zero_count, cs_residual=res, lobe=lobe)
 
@@ -271,14 +271,3 @@ def _count_sign_changes(w: np.ndarray) -> int:
     s = np.sign(w)
     s = s[s != 0.0]
     return int(np.sum(s[:-1] * s[1:] < 0.0))
-
-
-def validate(sol: DhmpSolution, lp: LimitParams) -> tuple[int, float, float]:
-    """(zero-crossing count, discrete residual sup norm, flux mismatch).
-
-    The flux mismatch is the matching defect of the underlying lobe, which
-    by construction is the defect at every internal zero of the tiling.
-    """
-    w = sol.w.values
-    res = float(np.max(np.abs(_cs_residual_values(lp, w, 0.0, sol.w.grid.h))))
-    return _count_sign_changes(w), res, sol.lobe.mismatch

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from sktlab import limits
+from sktlab import limits, twolobe
+from sktlab.cli import main as cli_main
 from sktlab.errors import DomainError, TauCollapse
 from sktlab.grid import Grid, GridFn, integrate
+from sktlab.linalg import residual_floor
 from sktlab.limits import (CSState, ISState, LimitParams, cs_solve,
                            is_newton, is_residual, uv_from_w_tau,
                            uv_from_w_z, w_z_from_uv)
@@ -138,19 +140,44 @@ def test_cs_solve_from_sign_changing_seed():
     assert np.max(np.abs(u.values * v.values)) == 0.0  # disjoint supports
 
 
-def test_cs_smoothing_consistency():
-    # solution drift between smoothing levels eps and eps/2 shrinks ~ eps
+@pytest.mark.parametrize("d1, d2, n", [(0.003, 0.003, 2), (0.004, 0.015, 1)])
+def test_cs_solve_matches_explicit_construction_at_second_order(d1, d2, n):
+    # the two-lobe construction solves the continuum system, so its gap to
+    # the discrete root cs_solve finds from it is O(h^2)
     lp = LimitParams(a1=1.0, a2=1.0, b1=1.0, b2=1.0, c1=1.0, c2=1.0,
-                     d1=0.01, d2=0.01, gamma=1.0)
-    g = Grid(128)
-    w0 = GridFn(g, 0.3 * np.cos(np.pi * g.x))
-    sols = {eps: cs_solve(lp, w0, eps=eps).w.values
-            for eps in (4e-3, 2e-3, 1e-3)}
-    d1 = np.max(np.abs(sols[4e-3] - sols[2e-3]))
-    d2 = np.max(np.abs(sols[2e-3] - sols[1e-3]))
-    # at least first-order shrinkage (observed closer to second order)
-    assert d2 < d1
-    assert d1 / d2 > 1.8
+                     d1=d1, d2=d2, gamma=1.0)
+    lobe = twolobe.solve_unit(lp, n)
+    gap = {}
+    for n_cells in (256, 512, 1024):
+        start = twolobe.assemble(lobe, lp, "fg", Grid(n_cells))
+        sol = cs_solve(lp, start.w)
+        w = sol.w.values
+        assert sol.residual_inf <= max(1e-10, residual_floor(1.0 / n_cells,
+                                                             float(np.max(np.abs(w)))))
+        gap[n_cells] = float(np.max(np.abs(w - start.w.values)))
+    assert 3.0 < gap[256] / gap[512] < 5.0
+    assert 3.0 < gap[512] / gap[1024] < 5.0
+
+
+def test_cs_solve_cli_three_nodes_on_fine_grid(tmp_path):
+    # three narrow lobes on a fine grid: the two-lobe start is correct and
+    # O(h^2) off the discrete root, so the solve must converge from it
+    d1, d2 = 0.0016164029989705262, 0.004773341266088075
+    cfg = tmp_path / "cs.cfg"
+    cfg.write_text("".join(f"model.{k} = 1\n" for k in ("a1", "a2", "b1", "b2", "c1", "c2"))
+                   + f"model.d1 = {d1!r}\nmodel.d2 = {d2!r}\n"
+                   "grid.n_cells = 1024\nrun.n = 3\n")
+    assert cli_main(["cs-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "cs_state.csv").read_text()
+    meta = dict(line[2:].split(": ", 1) for line in text.splitlines()
+                if line.startswith("# ") and ": " in line)
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    cols = np.genfromtxt(rows, delimiter=",", names=True)
+    assert twolobe._count_sign_changes(cols["w"]) == 3
+    assert np.all(cols["u"] * cols["v"] == 0.0)
+    h = 1.0 / 1024
+    assert float(meta["residual_inf"]) <= max(
+        1e-11, residual_floor(h, float(np.max(np.abs(cols["w"])))))
 
 
 def test_limit_params_validation(p1):

@@ -9,8 +9,7 @@ from sktlab.errors import NoBracket, NoConvergence
 from sktlab.grid import Grid
 from sktlab.limits import LimitParams
 from sktlab.linalg import _damped_newton, residual_floor, solve_tridiag
-from sktlab.twolobe import (_mismatch, assemble, existence_check, solve_unit,
-                            validate)
+from sktlab.twolobe import _mismatch, assemble, existence_check, solve_unit
 
 from conftest import P1
 
@@ -30,7 +29,7 @@ ROOT_SETS = [
 ]
 
 
-def _bisection_secant_theta(lp, n, m=4096, theta_tol=1e-13):
+def _bisection_secant_theta(lp, n, theta_tol=1e-13):
     """Reference root-find: bisection of the flux mismatch down to
     64*theta_tol (or to a midpoint where it is exactly zero), then up to 8
     secant steps clamped to the last bracket."""
@@ -39,12 +38,12 @@ def _bisection_secant_theta(lp, n, m=4096, theta_tol=1e-13):
     pad = 1e-3 * (hi_q - lo_q)
     lo = max(0.02 / n, lo_q + pad)
     hi = min(0.98 / n, hi_q - pad)
-    f_lo, _ = _mismatch(lp, n, lo, m)
-    f_hi, _ = _mismatch(lp, n, hi, m)
+    f_lo, _ = _mismatch(lp, n, lo)
+    f_hi, _ = _mismatch(lp, n, hi)
     assert f_lo > 0.0 > f_hi
     while hi - lo > 64.0 * theta_tol:
         mid = 0.5 * (lo + hi)
-        fm, _ = _mismatch(lp, n, mid, m)
+        fm, _ = _mismatch(lp, n, mid)
         if fm == 0.0:
             return mid
         if f_lo * fm < 0.0:
@@ -56,7 +55,7 @@ def _bisection_secant_theta(lp, n, m=4096, theta_tol=1e-13):
         if f1 == f0 or t1 == t0:
             break
         t2 = min(max(t1 - f1 * (t1 - t0) / (f1 - f0), lo), hi)
-        f2, _ = _mismatch(lp, n, t2, m)
+        f2, _ = _mismatch(lp, n, t2)
         t0, f0, t1, f1 = t1, f1, t2, f2
         if abs(t1 - t0) <= theta_tol:
             break
@@ -68,9 +67,9 @@ def _counting_mismatch(monkeypatch, fake=None):
     if given, instead of the lobe solves)."""
     calls = []
 
-    def counted(lp, n, theta, m):
+    def counted(lp, n, theta):
         calls.append(theta)
-        return (fake or _mismatch)(lp, n, theta, m)
+        return (fake or _mismatch)(lp, n, theta)
 
     monkeypatch.setattr(twolobe, "_mismatch", counted)
     return calls
@@ -127,9 +126,8 @@ def test_cs_residual_quarters_under_refinement():
     res = {}
     for n_cells in (128, 256, 512):
         sol = assemble(lobe, SYM, "fg", Grid(n_cells))
-        zeros, resid, mism = validate(sol, SYM)
-        assert zeros == 1
-        res[n_cells] = resid
+        assert sol.zero_count == 1
+        res[n_cells] = sol.cs_residual
     assert 3.0 < res[128] / res[256] < 5.0
     assert 3.0 < res[256] / res[512] < 5.0
 
@@ -170,8 +168,8 @@ def test_root_find_matches_bisection_secant(lp, n, monkeypatch):
 
 
 def test_exact_root_at_window_end_ends_search(monkeypatch):
-    def zero_at_lo(lp, n, theta, m):
-        return 0.0, _mismatch(lp, n, theta, m)[1]
+    def zero_at_lo(lp, n, theta):
+        return 0.0, _mismatch(lp, n, theta)[1]
 
     calls = _counting_mismatch(monkeypatch, zero_at_lo)
     lobe = solve_unit(SYM, 1)
@@ -181,7 +179,7 @@ def test_exact_root_at_window_end_ends_search(monkeypatch):
 
 
 def test_no_sign_change_raises_no_bracket(monkeypatch):
-    def positive(lp, n, theta, m):
+    def positive(lp, n, theta):
         return 1.0, None
 
     calls = _counting_mismatch(monkeypatch, positive)
@@ -274,7 +272,7 @@ def test_fd_oracle_gap_is_second_order(d, a, b, ell):
     y = twolobe._lobe(d, a, b, ell)[0]
     gap = {}
     for m in (2048, 4096):
-        x, w = twolobe._lobe_profile(d, a, b, ell, y, m)
+        x, w = twolobe._lobe_profile(a, b, ell, y, m)
         x_fd, w_fd = _fd_lobe(d, a, b, ell, m)
         assert np.array_equal(x, x_fd) and w_fd.min() >= 0.0
         gap[m] = float(np.max(np.abs(w - w_fd)))
