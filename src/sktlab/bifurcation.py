@@ -18,10 +18,10 @@ import numpy as np
 from .errors import BracketError, NoConvergence, NoThreshold, TauCollapse
 from .grid import (Grid, GridFn, discrete_eigenvalue, integrate,
                    laplacian_values, neumann_eigenpair)
-from .limits import LimitParams, _is_linearization, _is_residual_values
+from .limits import LimitParams, _is_linearization, _is_residual_values, _uv_root
 from .linalg import (_damped_newton, lap_band, residual_floor, solve_bordered,
                      solve_tridiag)
-from .model import constant_state, kinetic_partials
+from .model import constant_state
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,9 @@ def l21_value(lp: LimitParams, d1: float, psi: GridFn) -> float:
     Equals (scalar) * integrate(psi), so it vanishes identically on
     mean-zero fields; returned in that factored form on purpose.
     """
-    cs = constant_state(lp)
-    w0 = w_star(lp, d1)
-    lp1 = lp.with_d1(d1)
-    _, _, f_w, _, _, _, _ = _is_linearization(lp1, np.array([w0]), cs.tau_star)
+    lp = lp.with_d1(d1)      # ValueError unless d1 > 0
+    root = _uv_root(lp, np.array([w_star(lp, d1)]), constant_state(lp).tau_star, d1)
+    _, _, f_w, _, _ = _is_linearization(lp, root, d1)
     return float(f_w[0]) * integrate(psi)
 
 
@@ -119,14 +118,15 @@ def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
 
 
 def detect_crossing(lp: LimitParams, j: int, g: Grid,
-                    bracket: tuple[float, float]) -> BifurcationPoint:
+                    bracket: tuple[float, float] = (0.0, math.inf)) -> BifurcationPoint:
     """The discrete threshold: the d1 where potential(d1) = lambda_j^h.
 
     The closed form of delta_j with the discrete eigenvalue in place of the
     continuum one.  There the discrete linearized field operator, restricted
     to mean-zero fields, becomes singular in the direction of the j-th
     cosine mode (l11_min_eigenvalue checks this independently).  Raises
-    BracketError when the threshold lies outside bracket.
+    BracketError when the threshold lies outside bracket (by default, when
+    it is not positive).
     """
     if j < 1:
         raise ValueError("mode index must be >= 1 (the constant mode is excluded)")
@@ -175,43 +175,40 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
 
     Unknowns (w, tau, d1), stacked; equations: field residual, integral
     constraint, phase condition fixing the Phi_j-amplitude of w - w*(d1) at
-    s_target.  Trials with tau <= 1e-12 or d1 <= 0 are halved; TauCollapse
-    is raised if no step stays admissible.
+    s_target.  The start needs tau, d1 > 0; trials with tau <= 1e-12 or
+    d1 <= 0 are halved, and TauCollapse is raised if no step stays admissible.
     """
     h = g.h
     cs = constant_state(lp)
-    lap = lap_band(g.n_cells, h)
+    v_off = lp.gamma * lp.d2 * cs.v_star      # w*(d1) = d1*u* - v_off
+    ab = lap_band(g.n_cells, h)
+    lap_diag = ab[1].copy()
+    h_phi = h * phi
     phase_d1 = -cs.u_star * h * float(np.sum(phi))
 
     def residual(x):
         w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
-        lp1 = lp.with_d1(d1)
-        fld, con = _is_residual_values(lp1, w, tau, h)
-        phase = h * float(np.sum(phi * (w - w_star(lp, d1)))) - s_target
+        fld, con, root = _is_residual_values(lp, w, tau, h, d1)
+        phase = h * float(np.sum(phi * (w - (d1 * cs.u_star - v_off)))) - s_target
         return max(float(np.max(np.abs(fld))), abs(con), abs(phase)), \
-            (fld, con, phase, lp1)
+            (fld, con, phase, root, tau, d1)
 
-    def step(x, data):
-        w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
-        fld, con, phase, lp1 = data
+    def step(_x, data):
+        fld, con, phase, root, tau, d1 = data
         # d1 enters through the transform (u, v)(w, tau; d1) and the
         # constant-branch offset in the phase row
-        q_w, q_t, f_w, f_t, u, v, S = _is_linearization(lp1, w, tau)
+        q_w, q_t, f_w, f_t, (q_u, q_v, f_u, f_v) = _is_linearization(lp, root, d1)
+        u, _, S = root
         u_d = lp.gamma * lp.d2 * tau / (d1 * S) - u / d1
         v_d = tau / S
-        fu, fv, gu, gv = kinetic_partials(lp, u, v)
-        q_d = (fu - lp.gamma * gu) * u_d + (fv - lp.gamma * gv) * v_d
-        f_d = fu * u_d + fv * v_d
+        q_d = q_u * u_d + q_v * v_d
+        f_d = f_u * u_d + f_v * v_d
 
-        ab = lap.copy()
-        ab[1, :] += q_w
-        cols = np.column_stack([q_t, q_d])
-        rows = np.vstack([h * f_w, h * phi])
-        corner = np.array([
-            [h * float(np.sum(f_t)), h * float(np.sum(f_d))],
-            [0.0, phase_d1],
-        ])
-        dw, dy = solve_bordered(ab, cols, rows, corner, -fld, np.array([-con, -phase]))
+        np.add(lap_diag, q_w, out=ab[1])
+        corner = np.array([[h * float(np.sum(f_t)), h * float(np.sum(f_d))],
+                           [0.0, phase_d1]])
+        dw, dy = solve_bordered(ab, (q_t, q_d), (h * f_w, h_phi), corner, -fld,
+                                np.array([-con, -phase]))
         return np.concatenate((dw, dy))
 
     def done(x, rnorm):
@@ -234,7 +231,8 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     The predictor is linear at the first step (constant state plus s times
     the eigenfunction) and secant afterwards; the amplitude step adapts to
     the corrector's iteration count.  A failing step truncates the branch
-    on that side and sets the flag rather than raising.
+    on that side and sets the flag rather than raising; a predictor with
+    d1 <= 0 or tau <= 0 raises NoConvergence.
     """
     if g is None:
         g = bp.phi_j.grid
@@ -264,6 +262,9 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
                 w_pred = prev[0] + frac * (prev[0] - prev2[0])
                 tau_pred = prev[1] + frac * (prev[1] - prev2[1])
                 d1_pred = prev[2] + frac * (prev[2] - prev2[2])
+            if d1_pred <= 0.0 or tau_pred <= 0.0:
+                raise NoConvergence("branch predictor left d1 > 0 / tau > 0 "
+                                    f"at s = {s_next:.6g}")
             try:
                 w, tau, d1, iters = _branch_newton(
                     lp, w_pred.copy(), tau_pred, d1_pred, phi, s_next, g, tol=tol)

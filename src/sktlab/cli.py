@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 solver non-convergence (a stalled or exhausted
 Newton, or one that found no step inside the nonnegative cone), tau collapse,
+a branch predictor that left d1 > 0 / tau > 0,
 a singular tridiagonal or bordered linear system, a time march that blew up
 or a pattern tiling that failed, 3 configuration error
-(including non-finite values and grids below 8 cells), 4 regime or
+(including non-finite values, grids below 8 cells, run.mode >= grid.n_cells
+and a rate schedule that overflows or does not increase), 4 regime or
 threshold error (the requested object provably does not exist for the given
 parameters).
 """
@@ -125,6 +127,14 @@ def _grid(cfg: dict) -> Grid:
     return Grid(n_cells=cfg["grid.n_cells"], length=cfg["grid.length"])
 
 
+def _mode(cfg: dict, g: Grid) -> int:
+    """run.mode, which indexes a Neumann eigenpair of g: below its n_cells."""
+    if cfg["run.mode"] >= g.n_cells:
+        raise ValidationError(f"run.mode must be below grid.n_cells = {g.n_cells}, "
+                              f"got {cfg['run.mode']}", key="run.mode")
+    return cfg["run.mode"]
+
+
 def _seeded_fields(p: ModelParams, g: Grid, seed: int, amplitude: float):
     """Constant coexistence state plus a seeded low-mode cosine perturbation."""
     cs = constant_state(p)
@@ -220,7 +230,7 @@ def _cmd_is_solve(cfg, args) -> int:
     g = _grid(cfg)
     cs = constant_state(lp)
     w0c = bifurcation.w_star(lp, lp.d1)
-    _, phi = neumann_eigenpair(g, cfg["run.mode"])
+    _, phi = neumann_eigenpair(g, _mode(cfg, g))
     w0 = GridFn(g, w0c + cfg["run.amplitude"] * phi.values)
     sol = limits.is_newton(lp, w0, cs.tau_star, tol=cfg["run.tol"])
     u, v = sol.densities(lp)
@@ -252,9 +262,10 @@ def _cmd_cs_solve(cfg, args) -> int:
 def _cmd_bifurcate(cfg, args) -> int:
     lp = _limit_params(cfg)
     g = _grid(cfg)
-    j = cfg["run.mode"]
+    j = _mode(cfg, g)
     d1c = bifurcation.delta_j(lp, j, g.length)
-    bp = bifurcation.detect_crossing(lp, j, g, (0.5 * d1c, 2.0 * d1c))
+    # the discrete threshold lies above d1c (lambda_j^h < lambda_j), at any mode
+    bp = bifurcation.detect_crossing(lp, j, g)
     branch = bifurcation.switch_and_continue(lp, bp, s_max=cfg["run.s_max"],
                                              ds=cfg["run.ds"], g=g,
                                              tol=cfg["run.tol"])

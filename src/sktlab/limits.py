@@ -80,7 +80,7 @@ class CSState:
     def densities(self, lp: LimitParams) -> tuple[GridFn, GridFn]:
         """u = w_+/d1 and v = w_-/(gamma d2), the tau = 0 root."""
         w = self.w.values
-        u, v = _uv_of_root(lp, w, np.abs(w))
+        u, v = _uv_of_root(lp, w, np.abs(w), lp.d1)
         return GridFn(self.w.grid, u), GridFn(self.w.grid, v)
 
 
@@ -89,22 +89,22 @@ def uv_from_w_tau(lp: LimitParams, w, tau):
     u v = tau.  At tau = 0 this degenerates to the positive/negative parts."""
     if np.any(np.asarray(tau) < 0.0):
         raise ValueError("tau must be nonnegative")
-    u, v, _ = _uv_root(lp, np.asarray(w, dtype=float), tau)
+    u, v, _ = _uv_root(lp, np.asarray(w, dtype=float), tau, lp.d1)
     return u, v
 
 
-def _uv_root(lp: LimitParams, w: np.ndarray, tau):
-    """(u, v, S) for float w and tau >= 0, where S = sqrt(w^2 + 4 gamma d1
-    d2 tau) is the root both densities share."""
-    s = np.sqrt(w * w + 4.0 * lp.gamma * lp.d1 * lp.d2 * tau)
-    return (*_uv_of_root(lp, w, s), s)
+def _uv_root(lp: LimitParams, w: np.ndarray, tau, d1: float):
+    """(u, v, S) for float w, tau >= 0 and diffusion d1, where S = sqrt(w^2
+    + 4 gamma d1 d2 tau) is the root both densities share."""
+    s = np.sqrt(w * w + 4.0 * lp.gamma * d1 * lp.d2 * tau)
+    return (*_uv_of_root(lp, w, s, d1), s)
 
 
-def _uv_of_root(lp: LimitParams, w, s):
+def _uv_of_root(lp: LimitParams, w, s, d1: float):
     """u = (S + w)/(2 d1), v = (S - w)/(2 gamma d2): the (u, v) of w and the
     root S >= |w| (S = |w| gives w_+/d1 and w_-/(gamma d2) exactly, signed
     zeros included)."""
-    return (s + w) / (2.0 * lp.d1), (s - w) / (2.0 * lp.gamma * lp.d2)
+    return (s + w) / (2.0 * d1), (s - w) / (2.0 * lp.gamma * lp.d2)
 
 
 def w_z_from_uv(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
@@ -149,36 +149,39 @@ def uv_from_w_z(p: ModelParams, w: GridFn, z: GridFn) -> tuple[GridFn, GridFn]:
     return GridFn(w.grid, u), GridFn(w.grid, v)
 
 
-def _is_residual_values(lp: LimitParams, w: np.ndarray, tau: float, h: float):
-    u, v = uv_from_w_tau(lp, w, tau)
+def _is_residual_values(lp: LimitParams, w, tau: float, h: float, d1: float):
+    """(field residual, constraint, root (u, v, S) of _uv_root) at d1."""
+    u, v, _ = root = _uv_root(lp, w, tau, d1)
     fval = reaction_f(lp, u, v)
     gval = reaction_g(lp, u, v)
     fld = laplacian_values(w, h) + fval - lp.gamma * gval
-    return fld, h * float(np.sum(fval))
+    return fld, h * float(np.sum(fval)), root
 
 
 def is_residual(lp: LimitParams, s: ISState) -> tuple[GridFn, float]:
     """(field residual, integral constraint value) of the incomplete system."""
     if s.tau <= 0.0:
         raise ValueError("incomplete-segregation residual needs tau > 0")
-    fld, constraint = _is_residual_values(lp, s.w.values, s.tau, s.w.grid.h)
-    return GridFn(s.w.grid, fld), constraint
+    fld, con, _ = _is_residual_values(lp, s.w.values, s.tau, s.w.grid.h, lp.d1)
+    return GridFn(s.w.grid, fld), con
 
 
-def _is_linearization(lp: LimitParams, w: np.ndarray, tau: float):
-    """Nodewise partials of q = f - gamma g and of f wrt (w, tau), followed
-    by the (u, v, S) of _uv_root they were computed from."""
-    u, v, s = _uv_root(lp, w, tau)
+def _is_linearization(lp: LimitParams, root, d1: float):
+    """Nodewise partials of q = f - gamma g and of f wrt (w, tau) at the root
+    (u, v, S) that _is_residual_values computed for (w, tau) at diffusion
+    d1, followed by those of q and f wrt (u, v): (q_u, q_v, f_u, f_v)."""
+    u, v, s = root
     u_w = u / s
     v_w = -v / s
     u_t = lp.gamma * lp.d2 / s
-    v_t = lp.d1 / s
+    v_t = d1 / s
     fu, fv, gu, gv = kinetic_partials(lp, u, v)
-    q_w = (fu - lp.gamma * gu) * u_w + (fv - lp.gamma * gv) * v_w
-    q_t = (fu - lp.gamma * gu) * u_t + (fv - lp.gamma * gv) * v_t
+    q_u, q_v = fu - lp.gamma * gu, fv - lp.gamma * gv
+    q_w = q_u * u_w + q_v * v_w
+    q_t = q_u * u_t + q_v * v_t
     f_w = fu * u_w + fv * v_w
     f_t = fu * u_t + fv * v_t
-    return q_w, q_t, f_w, f_t, u, v, s
+    return q_w, q_t, f_w, f_t, (q_u, q_v, fu, fv)
 
 
 def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
@@ -196,17 +199,17 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
         raise ValueError("tau0 must be positive")
     g = w0.grid
     h = g.h
-    lap = lap_band(g.n_cells, h)
+    ab = lap_band(g.n_cells, h)
+    lap_diag = ab[1].copy()
 
     def residual(x):
-        fld, con = _is_residual_values(lp, x[:-1], float(x[-1]), h)
-        return max(float(np.max(np.abs(fld))), abs(con)), (fld, con)
+        fld, con, root = _is_residual_values(lp, x[:-1], float(x[-1]), h, lp.d1)
+        return max(float(np.max(np.abs(fld))), abs(con)), (fld, con, root)
 
-    def step(x, data):
-        fld, con = data
-        q_w, q_t, f_w, f_t, _, _, _ = _is_linearization(lp, x[:-1], float(x[-1]))
-        ab = lap.copy()
-        ab[1, :] += q_w
+    def step(_x, data):
+        fld, con, root = data
+        q_w, q_t, f_w, f_t, _ = _is_linearization(lp, root, lp.d1)
+        np.add(lap_diag, q_w, out=ab[1])
         corner = h * float(np.sum(f_t))
         dw, dtau = solve_bordered(ab, q_t, (h * f_w)[None, :], corner, -fld, -con)
         return np.concatenate((dw, dtau))
@@ -218,7 +221,7 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
         if x[-1] < _TAU_FLOOR:
             raise TauCollapse("tau fell below the collapse floor", tau=float(x[-1]))
 
-    x, (fld, con), _, _, _ = _damped_newton(
+    x, (fld, con, _), _, _, _ = _damped_newton(
         residual, step, np.concatenate((w0.values, [float(tau0)])), done, max_iter,
         "bordered Newton", feasible)
     return ISState(w=GridFn(g, x[:-1]), tau=float(x[-1]),
@@ -226,7 +229,7 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
 
 
 def _cs_residual_values(lp: LimitParams, w: np.ndarray, h: float):
-    u, v = _uv_of_root(lp, w, np.abs(w))
+    u, v = _uv_of_root(lp, w, np.abs(w), lp.d1)
     q = reaction_f(lp, u, v) - lp.gamma * reaction_g(lp, u, v)
     return laplacian_values(w, h) + q
 
@@ -237,7 +240,7 @@ def _cs_q_w(lp: LimitParams, w: np.ndarray):
     pos = w >= 0.0
     u_w = np.where(pos, 1.0 / lp.d1, 0.0)
     v_w = np.where(pos, 0.0, -1.0 / (lp.gamma * lp.d2))
-    fu, fv, gu, gv = kinetic_partials(lp, *_uv_of_root(lp, w, np.abs(w)))
+    fu, fv, gu, gv = kinetic_partials(lp, *_uv_of_root(lp, w, np.abs(w), lp.d1))
     return (fu - lp.gamma * gu) * u_w + (fv - lp.gamma * gv) * v_w
 
 

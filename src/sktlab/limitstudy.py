@@ -9,12 +9,13 @@ well the final member of the sequence is explained by its limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import limits, steady
-from .errors import NoConvergence
+from .errors import NoConvergence, ValidationError
 from .grid import GridFn, integrate
 from .limits import LimitParams
 from .model import ModelParams, constant_state
@@ -47,7 +48,18 @@ class LimitRunReport:
 def geometric_schedule(alpha0: float, gamma: float, n_steps: int,
                        ratio: float = 10.0) -> list[tuple[float, float]]:
     """Rate pairs (alpha_k, beta_k) with alpha growing geometrically and
-    alpha/beta held at gamma."""
+    alpha/beta held at gamma.  ValidationError unless the rates increase
+    (ratio > 1) and the last pair is finite."""
+    if n_steps > 1 and not ratio > 1.0:
+        raise ValidationError(f"run.ratio must exceed 1, got {ratio}",
+                              key="run.ratio")
+    try:
+        last = alpha0 * ratio ** (n_steps - 1)
+    except OverflowError:
+        last = math.inf
+    if not (math.isfinite(last) and math.isfinite(last / gamma)):
+        raise ValidationError(f"the last rate pair overflows: alpha0 = {alpha0}, "
+                              f"ratio = {ratio}, {n_steps} steps", key="run.steps")
     return [(alpha0 * ratio ** k, alpha0 * ratio ** k / gamma)
             for k in range(n_steps)]
 

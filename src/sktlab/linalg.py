@@ -17,6 +17,7 @@ from .errors import NoConvergence
 
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0 ** -20
+_EPS = float(np.finfo(float).eps)
 
 
 def _damped_newton(residual, step, x, done, max_iter, what, feasible=None):
@@ -26,7 +27,7 @@ def _damped_newton(residual, step, x, done, max_iter, what, feasible=None):
     done(x, norm) -> True once x is converged.  From each iterate the
     trials x + lam*dx, lam = 1, 1/2, 1/4, ..., are tried in turn, and the
     first that meets the Armijo test norm <= (1 - 1e-4*lam) * old norm or
-    already meets done is accepted; its residual data is carried over.  If
+    already meets done is accepted; step then gets that trial's residual data.  If
     feasible is given, a trial for which it returns an exception is halved
     without evaluating its residual, and that exception is raised if the
     step then falls below 2**-20 (feasible may also raise itself).  A
@@ -64,7 +65,7 @@ def residual_floor(h: float, *scales: float) -> float:
     smaller than a few ulps of scale/h^2, so no tolerance below this value
     is achievable."""
     scale = max(1.0, *scales) if scales else 1.0
-    return 4.0 * np.finfo(float).eps * scale / (h * h)
+    return 4.0 * _EPS * scale / (h * h)
 
 
 def lap_stencil_diag(n: int, h: float) -> np.ndarray:
@@ -95,17 +96,17 @@ def lap_of_diag_band(m: np.ndarray, h: float) -> np.ndarray:
     return ab
 
 
-def solve_tridiag(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_tridiag(ab: np.ndarray, rhs: np.ndarray, overwrite_rhs=False) -> np.ndarray:
     """Solve a tridiagonal system given in solve_banded's (1, 1) layout.
 
-    Calls LAPACK gtsv directly, which is what solve_banded((1, 1), ...)
-    does after its generic validation, so the result is bit-identical at a
-    fraction of the call overhead.  The same checks are kept: ValueError on
-    non-finite input, LinAlgError on a singular matrix.
+    Calls LAPACK gtsv directly, as solve_banded((1, 1), ...) does after its
+    generic validation: bit-identical at a fraction of the call overhead,
+    with the same checks (ValueError on non-finite input, LinAlgError on a
+    singular matrix).  overwrite_rhs solves a Fortran-ordered rhs in place.
     """
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=overwrite_rhs)
     if info > 0:
         raise LinAlgError("singular matrix")
     return x
@@ -114,20 +115,20 @@ def solve_tridiag(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_bordered(ab, border_cols, border_rows, corner, rhs_top, rhs_bot):
     """Solve [[A, B], [C, D]] [x; y] = [rhs_top; rhs_bot] with tridiagonal A.
 
-    ab is A in solve_banded's (1, 1) layout, border_cols (n, k),
-    border_rows (k, n), corner (k, k).  A is solved once for the stacked
-    right-hand side [rhs_top, B] by solve_tridiag (gtsv takes several
-    right-hand sides) and the k x k Schur complement closed densely.
+    ab is A in solve_banded's (1, 1) layout, B (n, k) or its k columns, C
+    (k, n) or its k rows, corner (k, k).  A is solved once by solve_tridiag
+    for [rhs_top, B], stacked in one Fortran-ordered array that gtsv solves
+    in place, and the k x k Schur complement closed densely.
     """
     border_cols = np.atleast_2d(border_cols)
-    if border_cols.shape[0] != rhs_top.size:
+    if border_cols.shape[1] != rhs_top.size:
         border_cols = border_cols.T
     border_rows = np.atleast_2d(border_rows)
     corner = np.atleast_2d(corner)
     rhs_bot = np.atleast_1d(rhs_bot)
 
-    stacked = np.column_stack([rhs_top, border_cols])
-    X = solve_tridiag(ab, stacked)
+    stacked = np.concatenate((rhs_top[None, :], border_cols)).T
+    X = solve_tridiag(ab, stacked, overwrite_rhs=True)
     x_f, X_b = X[:, 0], X[:, 1:]
     schur = corner - border_rows @ X_b
     y = np.linalg.solve(schur, rhs_bot - border_rows @ x_f)

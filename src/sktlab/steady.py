@@ -181,31 +181,31 @@ def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float,
     Equivalent to the (w, z) form through z = d1*u/alpha + tau, but both
     densities recovered from (w, tau) are nonnegative by construction, so
     Newton cannot wander onto the spurious sign-flipped branches that exist
-    when the segregated regions carry only O(1/rate) density.  lp is
-    LimitParams.from_model(p), built here if not given.
+    when the segregated regions carry only O(1/rate) density.  lp defaults
+    to LimitParams.from_model(p).  Returns (r1, r2, (u, v, S), tau).
     """
     if lp is None:
         lp = LimitParams.from_model(p)
     tau = np.exp(q)
-    u, v, _ = _uv_root(lp, w, tau)
+    u, v, _ = root = _uv_root(lp, w, tau, lp.d1)
     fval = reaction_f(p, u, v)
     gval = reaction_g(p, u, v)
     r1 = laplacian_values(w, h) + fval - lp.gamma * gval
     y = p.d1 * u / p.alpha + tau
     r2 = laplacian_values(y, h) + fval / p.alpha
-    return r1, r2, u, v
+    return r1, r2, root, tau
 
 
-def _wq_jacobian_banded(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float,
+def _wq_jacobian_banded(p: ModelParams, root, tau: np.ndarray, h: float,
                         lp: LimitParams | None = None):
-    """Banded Jacobian of the (w, log tau) residual, interleaved ordering,
-    bandwidth (3, 3); the partials are those of the incomplete-segregation
-    system at tau = exp(q); lp as in _wq_residual."""
+    """Banded Jacobian of the (w, log tau) residual at the (root, tau) of
+    _wq_residual, interleaved ordering, bandwidth (3, 3); the partials are
+    those of the incomplete-segregation system; lp as in _wq_residual."""
     if lp is None:
         lp = LimitParams.from_model(p)
-    n = w.size
-    tau = np.exp(q)
-    q_w, q_t, f_w, f_t, u, v, S = _is_linearization(lp, w, tau)
+    u, _, S = root
+    n = u.size
+    q_w, q_t, f_w, f_t, _ = _is_linearization(lp, root, lp.d1)
     m1 = p.d1 * (u / S) / p.alpha                  # dy/dw
     m2 = (p.d1 * (lp.gamma * lp.d2 / S) / p.alpha + 1.0) * tau   # dy/dq
     inv = 1.0 / (h * h)
@@ -243,11 +243,11 @@ def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
     lp = LimitParams.from_model(p)
 
     def residual(x):
-        r1, r2, u, v = _wq_residual(p, x[:n], x[n:], h, lp)
-        return _norm_inf(r1, r2), (r1, r2, u, v)
+        r = _wq_residual(p, x[:n], x[n:], h, lp)
+        return _norm_inf(r[0], r[1]), r
 
-    def step(x, r):
-        dx = _banded_step(_wq_jacobian_banded(p, x[:n], x[n:], h, lp), r[0], r[1])
+    def step(_x, r):
+        dx = _banded_step(_wq_jacobian_banded(p, r[2], r[3], h, lp), r[0], r[1])
         # cap the log-step so tau cannot jump by more than e^8 per sweep
         mx = float(np.max(np.abs(dx[n:])))
         if mx > 8.0:
@@ -258,7 +258,7 @@ def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
         scale = max(float(np.max(np.abs(x[:n]))), float(np.max(np.exp(x[n:]))))
         return rnorm <= max(tol, residual_floor(h, scale))
 
-    x, (_, _, u, v), rnorm, it, history = _damped_newton(
+    x, (_, _, (u, v, _), _), rnorm, it, history = _damped_newton(
         residual, step, np.concatenate((w0.values, np.log(tau0))), done, max_iter,
         "log-product Newton")
     return _steady_state(p, g, u, v, rnorm, it, history)

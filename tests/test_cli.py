@@ -205,3 +205,46 @@ def test_cached_parser_leaks_no_state(tmp_path):
     for name, _, fname in calls:
         assert (tmp_path / "inproc" / name / fname).read_bytes() \
             == (tmp_path / "fresh" / name / fname).read_bytes()
+
+
+def _metadata(path):
+    return dict(line[2:].split(": ", 1) for line in path.read_text().splitlines()
+                if line.startswith("# ") and ": " in line)
+
+
+def test_bifurcate_predictor_leaving_the_cone_exits_2(tmp_path, capsys):
+    # on P1 the mode-2 branch runs d1 -> 0 near s = 0.49; the secant
+    # predictor crosses d1 = 0 before s_max = 0.8 is reached
+    cfg = tmp_path / "m2.cfg"
+    cfg.write_text("run.mode = 2\nrun.s_max = 0.8\ngrid.n_cells = 256\n")
+    assert main(["bifurcate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "branch predictor left d1 > 0 / tau > 0" in capsys.readouterr().err
+    assert not (tmp_path / "branch.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["is-solve", "bifurcate"])
+def test_mode_outside_the_grid_is_config_error(command, tmp_path, capsys):
+    for mode in ("400", "256"):
+        argv = [command, "--mode", mode, "--grid", "256", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert "run.mode must be below grid.n_cells" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("line", ["run.steps = 400", "run.ratio = 1e200",
+                                  "run.ratio = 0.5"])
+def test_limit_study_bad_schedule_is_config_error(line, tmp_path):
+    cfg = tmp_path / "ls.cfg"
+    cfg.write_text(line + "\ngrid.n_cells = 64\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "limit_study.csv").exists()
+
+
+def test_bifurcate_threshold_far_from_the_continuum_one(tmp_path):
+    # at mode 250 of 256 cells the discrete threshold is ~2.4x the continuum
+    # one, outside the old (0.5, 2) * delta_j window; the branch is traced
+    cfg = tmp_path / "hi.cfg"
+    cfg.write_text("model.d2 = 1e-9\nrun.mode = 250\ngrid.n_cells = 256\n")
+    assert main(["bifurcate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "branch.csv")
+    assert float(meta["delta_j_discrete"]) > 2.0 * float(meta["delta_j_closed"])

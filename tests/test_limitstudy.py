@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sktlab import limitstudy, steady
+from sktlab.errors import ValidationError
 from sktlab.grid import Grid, GridFn
 from sktlab.limitstudy import (geometric_schedule, match_limit, run_sequence,
                                segregation_diagnostics)
@@ -23,6 +24,18 @@ def test_geometric_schedule():
     assert sched == [(10.0, 20.0), (100.0, 200.0), (1000.0, 2000.0)]
     for a, b in sched:
         assert a / b == 0.5
+
+
+@pytest.mark.parametrize("alpha0, gamma, n_steps, ratio", [
+    (10.0, 1.0, 400, 10.0),      # ratio**k itself overflows
+    (10.0, 1.0, 4, 1e200),
+    (1e300, 1.0, 2, 1e10),       # the last alpha is inf
+    (1e300, 1e-10, 1, 10.0),     # the last beta = alpha/gamma is inf
+    (10.0, 1.0, 3, 1.0),         # not increasing
+])
+def test_geometric_schedule_rejects_bad_rates(alpha0, gamma, n_steps, ratio):
+    with pytest.raises(ValidationError):
+        geometric_schedule(alpha0, gamma, n_steps, ratio)
 
 
 def test_schedule_validation(grid64, p1):

@@ -137,12 +137,23 @@ def test_solve_bordered_bit_identical_to_stacked_solve_banded(rng, n, k):
     D = rng.normal(size=(k, k)) + 5.0 * np.eye(k)
     rt = rng.normal(size=n)
     rb = rng.normal(size=k)
+    ab_in, B_in, rt_in = ab.copy(), B.copy(), rt.copy()
     # the formulation on scipy's solve_banded that solve_bordered replaces
     X = solve_banded((1, 1), ab, np.column_stack([rt, B]))
     y_ref = np.linalg.solve(D - C @ X[:, 1:], rb - C @ X[:, 0])
     x_ref = X[:, 0] - X[:, 1:] @ y_ref
     x, y = solve_bordered(ab, B, C, D, rt, rb)
     assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+    # the border as tuples of its k columns and k rows, as the branch
+    # corrector passes it, and with one border a 1-D column
+    x, y = solve_bordered(ab, tuple(B.T), tuple(C), D, rt, rb)
+    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+    if k == 1:
+        x, y = solve_bordered(ab, B[:, 0], C, D, rt, rb)
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+    # gtsv overwrites only the stacked copy, never the caller's arrays
+    assert np.array_equal(rt, rt_in) and np.array_equal(B, B_in)
+    assert np.array_equal(ab, ab_in)
 
 
 def test_solve_bordered_keeps_checks(rng):

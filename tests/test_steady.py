@@ -79,7 +79,8 @@ def test_wq_jacobian_matches_fd(p1r, rng):
     x0[0::2] = w
     x0[1::2] = q
     J_fd, _ = _fd_jacobian(res, x0, 2 * n)
-    J = _dense_from_band(steady._wq_jacobian_banded(p1r, w, q, h), (3, 3))
+    _, _, root, tau = steady._wq_residual(p1r, w, q, h)
+    J = _dense_from_band(steady._wq_jacobian_banded(p1r, root, tau, h), (3, 3))
     assert np.max(np.abs(J - J_fd)) < 1e-4 * np.max(np.abs(J_fd))
 
 
