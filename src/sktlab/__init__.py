@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (AssemblyError, BandError, BlowUp, BracketError,
                      DegenerateError, DomainError, NegativeState, NoBracket,
-                     NoConvergence, NoThreshold, ParseError, RegimeError,
-                     SktlabError, TauCollapse, ValidationError)
+                     NoConvergence, NonFiniteSystem, NoThreshold, ParseError,
+                     RegimeError, SktlabError, TauCollapse, ValidationError)
 from .grid import Grid, GridFn
 from .limits import CSState, ISState, LimitParams
 from .model import CompetitionRegime, ConstantState, ModelParams
@@ -21,7 +21,7 @@ __all__ = [
     "AssemblyError", "BandError", "BlowUp", "BracketError",
     "CompetitionRegime", "ConstantState", "CSState", "DegenerateError",
     "DomainError", "Grid", "GridFn", "ISState", "LimitParams", "ModelParams",
-    "NegativeState", "NoBracket", "NoConvergence", "NoThreshold",
-    "ParseError", "RegimeError", "SktlabError", "TauCollapse",
+    "NegativeState", "NoBracket", "NoConvergence", "NonFiniteSystem",
+    "NoThreshold", "ParseError", "RegimeError", "SktlabError", "TauCollapse",
     "ValidationError", "__version__",
 ]

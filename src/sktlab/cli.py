@@ -3,12 +3,12 @@
 Exit codes: 0 success, 2 solver non-convergence (a stalled or exhausted
 Newton, or one that found no step inside the nonnegative cone), tau collapse,
 a branch predictor that left d1 > 0 / tau > 0,
-a singular tridiagonal or bordered linear system, a time march that blew up
-or a pattern tiling that failed, 3 configuration error
-(including non-finite values, grids below 8 cells, run.mode >= grid.n_cells
-and a rate schedule that overflows or does not increase), 4 regime or
-threshold error (the requested object provably does not exist for the given
-parameters).
+a singular or non-finite tridiagonal or bordered linear system, a time march
+that blew up or a pattern tiling that failed, 3 configuration error
+(including non-finite values, grids below 8 cells, run.mode >= grid.n_cells,
+run.eta > 1 and a rate schedule that overflows or does not increase), 4
+regime or threshold error (the requested object provably does not exist for
+the given parameters).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
 from .errors import (AssemblyError, BandError, BlowUp, NegativeState, NoBracket,
-                     NoConvergence, NoThreshold, ParseError, RegimeError, TauCollapse,
-                     ValidationError)
+                     NoConvergence, NonFiniteSystem, NoThreshold, ParseError,
+                     RegimeError, TauCollapse, ValidationError)
 from .grid import MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair
 from .limits import LimitParams
 from .model import ModelParams, constant_state
@@ -72,6 +72,8 @@ def _checked(key: str, value):
         raise ValidationError(f"{key} must be positive, got {value}", key=key)
     if constraint == _NONNEG and value < 0:
         raise ValidationError(f"{key} must be nonnegative, got {value}", key=key)
+    if key == "run.eta" and value > 1.0:
+        raise ValidationError(f"{key} must be at most 1, got {value}", key=key)
     if key == "grid.n_cells" and value < MIN_CELLS:
         raise ValidationError(f"{key} must be at least {MIN_CELLS}, got {value}", key=key)
     return value
@@ -412,6 +414,9 @@ def main(argv=None) -> int:
         # scipy.linalg.LinAlgError is this class; ValueError is not caught,
         # since it would relabel solver faults
         print(f"no convergence: singular linear system: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteSystem as exc:
+        print(f"no convergence: non-finite linear system: {exc}", file=sys.stderr)
         return 2
 
 

@@ -34,6 +34,10 @@ class NegativeState(SktlabError):
     """An accepted Newton iterate left the nonnegative cone."""
 
 
+class NonFiniteSystem(SktlabError, ValueError):
+    """A linear system reached the solver with an infinite or NaN entry."""
+
+
 class BlowUp(SktlabError):
     """Time marching exceeded ten times the a priori bound certificate."""
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NonFiniteSystem
 
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0 ** -20
@@ -101,11 +101,12 @@ def solve_tridiag(ab: np.ndarray, rhs: np.ndarray, overwrite_rhs=False) -> np.nd
 
     Calls LAPACK gtsv directly, as solve_banded((1, 1), ...) does after its
     generic validation: bit-identical at a fraction of the call overhead,
-    with the same checks (ValueError on non-finite input, LinAlgError on a
-    singular matrix).  overwrite_rhs solves a Fortran-ordered rhs in place.
+    with the same checks (NonFiniteSystem, a ValueError, on non-finite
+    input; LinAlgError on a singular matrix).  overwrite_rhs solves a
+    Fortran-ordered rhs in place.
     """
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteSystem("array must not contain infs or NaNs")
     _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=overwrite_rhs)
     if info > 0:
         raise LinAlgError("singular matrix")

@@ -7,13 +7,15 @@ unit across [0, 1] produces solutions with exactly n interior zeros.  Each
 lobe solves d*w'' + w*(a - b*w) = 0, w'(0) = 0, w(ell) = 0; the time map, a
 quadrature monotone in the peak, gives the peak from ell, so lobes are
 positive and monotone by construction.  theta is found by an outer scalar
-root-find on the flux mismatch.
+root-find on the flux mismatch, and the tiled pattern evaluates the two lobe
+profiles, functions of x, directly at the grid nodes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +24,21 @@ from .errors import AssemblyError, NoBracket, NoConvergence
 from .grid import Grid, GridFn
 from .limits import LimitParams, _cs_residual_values
 
+_THETA_TOL = 1e-13          # interface root-find tolerance on theta
+_PROFILE_INTERVALS = 4096   # Simpson intervals of the lobe profile's X(tau)
+
 
 @dataclass(frozen=True)
 class UnitLobe:
     """Matched two-lobe unit on [0, 1/n]: u-lobe on [0, theta], v-lobe on
-    [theta, 1/n], with d1*u'(theta) = -gamma*d2*v'(theta)."""
+    [theta, 1/n], with d1*u'(theta) = -gamma*d2*v'(theta).  u_of and v_of
+    map node coordinates in [0, 1/n] to the lobe profiles, each zero off its
+    own piece."""
 
     n: int
     theta: float
-    x_u: np.ndarray
-    u_profile: np.ndarray
-    x_v: np.ndarray
-    v_profile: np.ndarray
+    u_of: Callable[[np.ndarray], np.ndarray]
+    v_of: Callable[[np.ndarray], np.ndarray]
     flux_u: float        # d1 * u'(theta), negative
     flux_v: float        # gamma * d2 * v'(theta), positive
 
@@ -48,12 +53,10 @@ class UnitLobe:
 
 @dataclass(frozen=True)
 class DhmpSolution:
-    n: int
     variant: str
     w: GridFn
     zero_count: int
     cs_residual: float
-    lobe: UnitLobe
 
 
 def existence_check(lp: LimitParams, n: int) -> bool:
@@ -114,21 +117,27 @@ def _lobe(d: float, a: float, b: float, ell: float) -> tuple[float, float]:
 
 
 def _lobe_profile(a: float, b: float, ell: float, y: float, m: int):
-    """(x nodes, profile) on m intervals of [0, ell]: X(tau) by Simpson's rule,
-    inverted by cubic Hermite interpolation with the exact dtau/dX; A*(1 - s^2)
-    with s in [0, 1] rising is nonnegative and monotone by construction."""
-    from scipy.interpolate import CubicHermiteSpline   # as in _phi_splines
+    """x -> w(x) on [0, ell], zero from ell on: X(tau) by Simpson's rule on m
+    intervals, inverted by cubic Hermite interpolation with the exact
+    dtau/dX; A*(1 - s^2) with s in [0, 1] rising is nonnegative and
+    monotone by construction."""
+    # imported here: scipy.interpolate costs a quarter second of import
+    # time and only the pattern commands need it
+    from scipy.interpolate import CubicHermiteSpline
     dh = math.exp(y)
     tau = np.linspace(0.0, math.asinh(1.0 / math.sqrt(2.0 * dh)), 2 * (m // 2) + 1)
     q = _time_map_integrand(tau, dh)[0]
     big_x = np.concatenate(([0.0], np.cumsum(
         (tau[1] / 3.0) * (q[:-2:2] + 4.0 * q[1::2] + q[2::2]))))
-    # the targets span the accumulated X, so x = ell lands on the zero
-    tau_x = CubicHermiteSpline(big_x, tau[::2], 1.0 / q[::2])(
-        np.linspace(0.0, big_x[-1], m + 1))
-    w = np.maximum((a / b) * -math.expm1(y) * (1.0 - 2.0 * dh * np.sinh(tau_x) ** 2), 0.0)
-    w[-1] = 0.0
-    return np.linspace(0.0, ell, m + 1), w
+    tau_of = CubicHermiteSpline(big_x, tau[::2], 1.0 / q[::2])
+    # x scales onto the accumulated X, so x = ell lands on the zero
+    amp, scale = (a / b) * -math.expm1(y), big_x[-1] / ell
+
+    def w(x):
+        s2 = 2.0 * dh * np.sinh(tau_of(np.minimum(x, ell) * scale)) ** 2
+        return np.where(x < ell, np.maximum(amp * (1.0 - s2), 0.0), 0.0)
+
+    return w
 
 
 def _mismatch(lp: LimitParams, n: int, theta: float):
@@ -139,8 +148,7 @@ def _mismatch(lp: LimitParams, n: int, theta: float):
     return flux_u + flux_v, (y_u, y_v, flux_u, flux_v)
 
 
-def solve_unit(lp: LimitParams, n: int, m: int = 4096,
-               theta_tol: float = 1e-13) -> UnitLobe:
+def solve_unit(lp: LimitParams, n: int) -> UnitLobe:
     """Nested shooting for the matched lobe pair.
 
     The flux mismatch M(theta) = d1*u'(theta) + gamma*d2*v'(theta) is
@@ -148,10 +156,10 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
     exceed their quarter-period thresholds) and must fall from positive to
     negative across it; each evaluation is two time-map root-finds.  Its
     root is then found by Illinois false position on the sign bracket:
-    every trial lies strictly inside the bracket (theta_tol/2 inside an end
+    every trial lies strictly inside the bracket (_THETA_TOL/2 inside an end
     the false-position point rounds onto), and the search stops when the
-    bracket or the last step is within theta_tol, or M is exactly zero.
-    The m-interval lobe profiles are built once, at the returned theta.
+    bracket or the last step is within _THETA_TOL, or M is exactly zero.
+    The lobe profiles are built once, at the returned theta.
     """
     if not existence_check(lp, n):
         raise NoBracket(f"no n = {n} solution: the diffusion lengths are too large")
@@ -173,10 +181,10 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
     # than scipy.optimize.brentq: brentq leaks the frame of a callback that
     # raises, and the amplitude root-find raises NoConvergence through it.
     side = 0
-    while f != 0.0 and hi - lo > theta_tol:
+    while f != 0.0 and hi - lo > _THETA_TOL:
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < t < hi:       # rounded onto an end: confirm, not bisect
-            t = lo + 0.5 * theta_tol if t <= lo else hi - 0.5 * theta_tol
+            t = lo + 0.5 * _THETA_TOL if t <= lo else hi - 0.5 * _THETA_TOL
         step, theta = abs(t - theta), t
         f, amps = _mismatch(lp, n, theta)
         if f > 0.0:
@@ -189,46 +197,14 @@ def solve_unit(lp: LimitParams, n: int, m: int = 4096,
             if side < 0:
                 f_lo *= 0.5
             side = -1
-        if step <= theta_tol:
+        if step <= _THETA_TOL:
             break
     y_u, y_v, flux_u, flux_v = amps
-    xu, u = _lobe_profile(lp.a1, lp.b1, theta, y_u, m)
-    xv, v = _lobe_profile(lp.a2, lp.c2, 1.0 / n - theta, y_v, m)
+    u_of = _lobe_profile(lp.a1, lp.b1, theta, y_u, _PROFILE_INTERVALS)
+    w_v = _lobe_profile(lp.a2, lp.c2, 1.0 / n - theta, y_v, _PROFILE_INTERVALS)
     # v(x) = w(1/n - x): mirror the canonical lobe onto [theta, 1/n]
-    return UnitLobe(n=n, theta=theta, x_u=xu, u_profile=u, x_v=1.0 / n - xv[::-1],
-                    v_profile=v[::-1].copy(), flux_u=flux_u, flux_v=flux_v)
-
-
-def _edge_slope(x: np.ndarray, f: np.ndarray, left: bool) -> float:
-    """One-sided fourth-order slope of uniformly sampled data at an end.
-
-    The analytic energy flux is what the theta matching equates, but the
-    spline must be clamped with a slope consistent with the discrete
-    profile itself; clamping with the analytic value instead leaves an
-    O(h^2) kink at the interface that dominates the assembled residual.
-    """
-    h = x[1] - x[0]
-    if left:
-        return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2]
-                + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    return (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3]
-            - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-
-
-def _phi_splines(lobe: UnitLobe, lp: LimitParams):
-    """Clamped cubic splines of the two smooth pieces of the unit part
-    phi = d1*u on [0, theta], -gamma*d2*v on [theta, 1/n]."""
-    # imported here: scipy.interpolate costs a quarter second of import
-    # time and only the pattern commands need it
-    from scipy.interpolate import CubicSpline
-    fu = lp.d1 * lobe.u_profile
-    su = CubicSpline(lobe.x_u, fu,
-                     bc_type=((1, 0.0), (1, _edge_slope(lobe.x_u, fu, False))))
-    gd2 = lp.gamma * lp.d2
-    fv = -gd2 * lobe.v_profile
-    sv = CubicSpline(lobe.x_v, fv,
-                     bc_type=((1, _edge_slope(lobe.x_v, fv, True)), (1, 0.0)))
-    return su, sv
+    return UnitLobe(n=n, theta=theta, u_of=u_of, v_of=lambda x: w_v(1.0 / n - x),
+                    flux_u=flux_u, flux_v=flux_v)
 
 
 def assemble(lobe: UnitLobe, lp: LimitParams, variant: str, g: Grid) -> DhmpSolution:
@@ -242,14 +218,7 @@ def assemble(lobe: UnitLobe, lp: LimitParams, variant: str, g: Grid) -> DhmpSolu
     if variant not in ("fg", "gf"):
         raise ValueError("variant must be 'fg' or 'gf'")
     n = lobe.n
-    su, sv = _phi_splines(lobe, lp)
     unit = 1.0 / n
-
-    def phi(t):
-        t = np.asarray(t)
-        return np.where(t <= lobe.theta, su(np.minimum(t, lobe.theta)),
-                        sv(np.maximum(t, lobe.theta)))
-
     x = g.x
     k = np.minimum((x * n).astype(int), n - 1)
     t_fwd = x - k * unit
@@ -258,13 +227,14 @@ def assemble(lobe: UnitLobe, lp: LimitParams, variant: str, g: Grid) -> DhmpSolu
     t = np.where(fwd, t_fwd, t_bwd)
     if np.any(t < -1e-12) or np.any(t > unit + 1e-12):
         raise AssemblyError("tiling sent a node outside its unit cell")
-    w = phi(np.clip(t, 0.0, unit))
+    t = np.clip(t, 0.0, unit)
+    w = lp.d1 * lobe.u_of(t) - lp.gamma * lp.d2 * lobe.v_of(t)
     zero_count = _count_sign_changes(w)
     if zero_count != n:
         raise AssemblyError(f"tiling produced {zero_count} zeros, expected {n}")
     res = float(np.max(np.abs(_cs_residual_values(lp, w, g.h))))
-    return DhmpSolution(n=n, variant=variant, w=GridFn(g, w),
-                        zero_count=zero_count, cs_residual=res, lobe=lobe)
+    return DhmpSolution(variant=variant, w=GridFn(g, w),
+                        zero_count=zero_count, cs_residual=res)
 
 
 def _count_sign_changes(w: np.ndarray) -> int:

@@ -12,14 +12,18 @@ from sktlab.errors import (AssemblyError, BlowUp, NegativeState, ParseError,
                            ValidationError)
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     # the child runs in cwd, where a relative PYTHONPATH (such as "src")
     # does not resolve; put the directory of the imported package first
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(sktlab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "sktlab.cli"] + args,
+    return subprocess.run([sys.executable] + args,
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "sktlab.cli"] + args, cwd)
 
 
 # in-process invocations for speed; subprocess only where the exit code
@@ -248,3 +252,35 @@ def test_bifurcate_threshold_far_from_the_continuum_one(tmp_path):
     assert main(["bifurcate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     meta = _metadata(tmp_path / "branch.csv")
     assert float(meta["delta_j_discrete"]) > 2.0 * float(meta["delta_j_closed"])
+
+
+def test_eta_above_one_is_config_error(tmp_path, capsys):
+    assert main(["bounds", "--eta", "5", "--out", str(tmp_path / "five")]) == 3
+    assert "run.eta must be at most 1" in capsys.readouterr().err
+    assert not (tmp_path / "five").exists()
+    assert main(["bounds", "--eta", "1", "--out", str(tmp_path / "one")]) == 0
+
+
+@pytest.mark.parametrize("command, line", [("is-solve", "run.amplitude = 1e200"),
+                                           ("is-solve", "run.amplitude = 1e300"),
+                                           ("solve", "model.alpha = 1e308")])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_linear_system_exits_2(command, line, tmp_path, capsys):
+    # the start or the first march step overflows to inf before a
+    # tridiagonal solve, which rejects it
+    cfg = tmp_path / "nf.cfg"
+    cfg.write_text(line + "\ngrid.n_cells = 64\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "no convergence: non-finite linear system" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
+    # only the pattern commands need scipy.interpolate, which costs a
+    # quarter second of import time; twolobe imports it lazily
+    r = run_python(["-c", "import sys, sktlab.cli; "
+                    "print('scipy.interpolate' in sys.modules)"], cwd=str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

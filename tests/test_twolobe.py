@@ -62,6 +62,12 @@ def _bisection_secant_theta(lp, n, theta_tol=1e-13):
     return t1
 
 
+def _sampled(lobe):
+    """u on 4097 uniform points of [0, theta], v on 4097 of [theta, 1/n]."""
+    return (lobe.u_of(np.linspace(0.0, lobe.theta, 4097)),
+            lobe.v_of(np.linspace(lobe.theta, 1.0 / lobe.n, 4097)))
+
+
 def _counting_mismatch(monkeypatch, fake=None):
     """Route twolobe._mismatch through a call counter (and through fake,
     if given, instead of the lobe solves)."""
@@ -132,6 +138,20 @@ def test_cs_residual_quarters_under_refinement():
     assert 3.0 < res[256] / res[512] < 5.0
 
 
+@pytest.mark.parametrize("lp, n", ROOT_SETS[:4])
+def test_interface_is_c1(lp, n):
+    # second-order one-sided slopes of the unit part d1*u | -gamma*d2*v on
+    # either side of theta both equal the matched flux
+    lobe = solve_unit(lp, n)
+    h = 1e-4 * lobe.theta
+    left = lp.d1 * lobe.u_of(lobe.theta - np.array([0.0, h, 2.0 * h]))
+    right = -lp.gamma * lp.d2 * lobe.v_of(lobe.theta + np.array([0.0, h, 2.0 * h]))
+    slopes = ((3.0 * left[0] - 4.0 * left[1] + left[2]) / (2.0 * h),
+              (-3.0 * right[0] + 4.0 * right[1] - right[2]) / (2.0 * h))
+    for slope in slopes:
+        assert slope == pytest.approx(lobe.flux_u, rel=1e-6)
+
+
 def test_no_bracket_beyond_threshold():
     with pytest.raises(NoBracket):
         solve_unit(SYM, 4)
@@ -163,8 +183,9 @@ def test_root_find_matches_bisection_secant(lp, n, monkeypatch):
     # the lobes returned are those evaluated at the returned theta
     assert calls[-1] == lobe.theta
     assert abs(lobe.flux_u + lobe.flux_v) <= 1e-11 * abs(lobe.flux_u)
-    assert lobe.x_u[-1] == lobe.theta and lobe.x_v[0] == pytest.approx(lobe.theta)
-    assert min(lobe.u_profile.min(), lobe.v_profile.min()) >= 0.0
+    u, v = _sampled(lobe)
+    assert u[-1] == 0.0 == v[0]
+    assert min(u.min(), v.min()) >= 0.0
 
 
 def test_exact_root_at_window_end_ends_search(monkeypatch):
@@ -272,18 +293,19 @@ def test_fd_oracle_gap_is_second_order(d, a, b, ell):
     y = twolobe._lobe(d, a, b, ell)[0]
     gap = {}
     for m in (2048, 4096):
-        x, w = twolobe._lobe_profile(a, b, ell, y, m)
         x_fd, w_fd = _fd_lobe(d, a, b, ell, m)
-        assert np.array_equal(x, x_fd) and w_fd.min() >= 0.0
+        w = twolobe._lobe_profile(a, b, ell, y, m)(x_fd)
+        assert w_fd.min() >= 0.0 and w[-1] == 0.0
         gap[m] = float(np.max(np.abs(w - w_fd)))
     assert 3.0 < gap[2048] / gap[4096] < 5.0
 
 
 def _assert_positive_monotone(lobe):
-    assert lobe.u_profile.min() >= 0.0 and lobe.v_profile.min() >= 0.0
-    assert np.all(np.diff(lobe.u_profile) <= 0.0)
-    assert np.all(np.diff(lobe.v_profile) >= 0.0)
-    assert lobe.u_profile[-1] == 0.0 == lobe.v_profile[0]
+    u, v = _sampled(lobe)
+    assert u.min() >= 0.0 and v.min() >= 0.0
+    assert np.all(np.diff(u) <= 0.0)
+    assert np.all(np.diff(v) >= 0.0)
+    assert u[-1] == 0.0 == v[0]
 
 
 # SYM kinetics at n = 1 on which the finite-difference lobe Newton converged
