@@ -224,9 +224,9 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
 
 
 def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
-                        ds: float, g: Grid | None = None,
-                        tol: float = 1e-11) -> Branch:
-    """Continue the branch emerging at bp in its amplitude s, both ways.
+                        ds: float, tol: float = 1e-11) -> Branch:
+    """Continue the branch emerging at bp in its amplitude s, both ways,
+    on the grid of bp.phi_j.
 
     The predictor is linear at the first step (constant state plus s times
     the eigenfunction) and secant afterwards; the amplitude step adapts to
@@ -234,8 +234,7 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     on that side and sets the flag rather than raising; a predictor with
     d1 <= 0 or tau <= 0 raises NoConvergence.
     """
-    if g is None:
-        g = bp.phi_j.grid
+    g = bp.phi_j.grid
     cs = constant_state(lp)
     phi = bp.phi_j.values
     base = BranchPoint(s=0.0, d1=bp.delta_j, tau=cs.tau_star,

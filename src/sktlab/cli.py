@@ -1,14 +1,9 @@
 """Batch front end: flat key=value configs, subcommands, CSV output.
 
-Exit codes: 0 success, 2 solver non-convergence (a stalled or exhausted
-Newton, or one that found no step inside the nonnegative cone), tau collapse,
-a branch predictor that left d1 > 0 / tau > 0,
-a singular or non-finite tridiagonal or bordered linear system, a time march
-that blew up or a pattern tiling that failed, 3 configuration error
-(including non-finite values, grids below 8 cells, run.mode >= grid.n_cells,
-run.eta > 1 and a rate schedule that overflows or does not increase), 4
-regime or threshold error (the requested object provably does not exist for
-the given parameters).
+Exit codes: 0 success, 2 no convergence or no solution built, 3
+configuration error, 4 not applicable (the requested object provably does
+not exist for the given parameters).  `_EXITS` maps every package error to
+its code and stderr prefix; the README lists the cases behind each code.
 """
 
 from __future__ import annotations
@@ -22,9 +17,10 @@ import sys
 import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
-from .errors import (AssemblyError, BandError, BlowUp, NegativeState, NoBracket,
+from .errors import (AssemblyError, BandError, BlowUp, BracketError,
+                     DegenerateError, DomainError, NegativeState, NoBracket,
                      NoConvergence, NonFiniteSystem, NoThreshold, ParseError,
-                     RegimeError, TauCollapse, ValidationError)
+                     RegimeError, SktlabError, TauCollapse, ValidationError)
 from .grid import MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair
 from .limits import LimitParams
 from .model import ModelParams, constant_state
@@ -60,6 +56,32 @@ _KNOWN_KEYS = {
     "run.amplitude": (float, _POS, 0.1),
     "run.t_march": (float, _NONNEG, 20.0),
     "run.dt": (float, _POS, 0.1),
+}
+
+# command-line flag -> the config key it overrides, typed as in _KNOWN_KEYS
+_FLAGS = {
+    "--grid": "grid.n_cells",
+    "--seed": "run.seed",
+    "--alpha": "model.alpha",
+    "--beta": "model.beta",
+    "--gamma": "model.gamma",
+    "--eta": "run.eta",
+    "--mode": "run.mode",
+    "--n": "run.n",
+}
+
+# error types -> (exit code, stderr prefix).  A collapsed tau does not prove
+# that no state exists, so it exits 2, not 4.  LinAlgError is also scipy's;
+# ValueError is not caught, since it would relabel solver faults.
+_EXITS = {
+    (ParseError, ValidationError, OSError): (3, "config error"),
+    (RegimeError, DegenerateError, DomainError, NoThreshold, BracketError,
+     NoBracket, BandError): (4, "not applicable"),
+    (NoConvergence, NegativeState): (2, "no convergence"),
+    (TauCollapse,): (2, "no convergence: tau collapse"),
+    (AssemblyError, BlowUp): (2, "no solution built"),
+    (np.linalg.LinAlgError,): (2, "no convergence: singular linear system"),
+    (NonFiniteSystem,): (2, "no convergence: non-finite linear system"),
 }
 
 
@@ -98,18 +120,6 @@ def parse_config(text: str) -> dict:
             raise ParseError(f"line {lineno}: cannot parse {val!r} for {key}",
                              line=lineno) from None
         cfg[key] = _checked(key, value)
-    return cfg
-
-
-def _apply_overrides(cfg: dict, args) -> dict:
-    pairs = [("alpha", "model.alpha"), ("beta", "model.beta"),
-             ("gamma", "model.gamma"), ("grid", "grid.n_cells"),
-             ("seed", "run.seed"), ("eta", "run.eta"),
-             ("mode", "run.mode"), ("n", "run.n")]
-    for attr, key in pairs:
-        v = getattr(args, attr, None)
-        if v is not None:
-            cfg[key] = _checked(key, _KNOWN_KEYS[key][0](v))
     return cfg
 
 
@@ -152,42 +162,31 @@ def _seeded_fields(p: ModelParams, g: Grid, seed: int, amplitude: float):
     return GridFn(g, u), GridFn(g, v)
 
 
-def _outdir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+# Each command returns {file name: (columns, metadata)}; columns None means
+# a key = value metadata file.  main writes them once all are computed.
 
-
-def _cmd_solve(cfg, args) -> int:
+def _cmd_solve(cfg) -> dict:
     p = _model(cfg)
     g = _grid(cfg)
     u0, v0 = _seeded_fields(p, g, cfg["run.seed"], cfg["run.amplitude"])
     state = steady.march_then_newton(p, u0, v0, dt=cfg["run.dt"],
                                      t_end=cfg["run.t_march"], tol=cfg["run.tol"])
-    out = _outdir(args)
-    io.write_csv(os.path.join(out, "state.csv"),
-                 {"x": g.x, "u": state.u.values, "v": state.v.values},
-                 "solve", cfg,
-                 metadata={"residual_inf": state.residual_inf,
+    return {"state.csv": ({"x": g.x, "u": state.u.values, "v": state.v.values},
+                          {"residual_inf": state.residual_inf,
                            "newton_iters": state.newton_iters,
                            "u_max": state.u_max, "v_max": state.v_max,
-                           "certificate_ok": state.certificate_ok})
-    return 0
+                           "certificate_ok": state.certificate_ok})}
 
 
-def _cmd_bounds(cfg, args) -> int:
-    p = _model(cfg)
-    cert = bounds.sup_bound(p, cfg["run.eta"])
-    out = _outdir(args)
-    io.write_metadata(os.path.join(out, "bounds.txt"), "bounds", cfg,
-                      {"eta": cert.eta, "alpha": cert.alpha, "beta": cert.beta,
-                       "kind": cert.kind, "u_bound": cert.u_bound,
-                       "v_bound": cert.v_bound, "u_shape": cert.u_shape,
-                       "v_shape": cert.v_shape})
-    return 0
+def _cmd_bounds(cfg) -> dict:
+    cert = bounds.sup_bound(_model(cfg), cfg["run.eta"])
+    return {"bounds.txt": (None, {"eta": cert.eta, "alpha": cert.alpha,
+                                  "beta": cert.beta, "kind": cert.kind,
+                                  "u_bound": cert.u_bound, "v_bound": cert.v_bound,
+                                  "u_shape": cert.u_shape, "v_shape": cert.v_shape})}
 
 
-def _cmd_limit_study(cfg, args) -> int:
+def _cmd_limit_study(cfg) -> dict:
     base = _model(cfg)
     g = _grid(cfg)
     gamma = cfg["model.gamma"]
@@ -214,20 +213,18 @@ def _cmd_limit_study(cfg, args) -> int:
             "complete_tol": report.complete_tol}
     if report.classification != "Undetermined":
         meta["limit_comparison"] = limitstudy.match_limit(report)
-    out = _outdir(args)
-    io.write_csv(os.path.join(out, "limit_study.csv"),
-                 {"alpha": [r.alpha for r in report.steps],
-                  "beta": [r.beta for r in report.steps],
-                  "gamma": [r.gamma for r in report.steps],
-                  "tau_hat": [r.tau_hat for r in report.steps],
-                  "uv_defect": [r.uv_defect for r in report.steps],
-                  "w_drift": [r.w_drift for r in report.steps],
-                  "residual_inf": [r.residual_inf for r in report.steps]},
-                 "limit-study", cfg, metadata=meta)
-    return 0
+    steps = report.steps
+    return {"limit_study.csv": ({"alpha": [r.alpha for r in steps],
+                                 "beta": [r.beta for r in steps],
+                                 "gamma": [r.gamma for r in steps],
+                                 "tau_hat": [r.tau_hat for r in steps],
+                                 "uv_defect": [r.uv_defect for r in steps],
+                                 "w_drift": [r.w_drift for r in steps],
+                                 "residual_inf": [r.residual_inf for r in steps]},
+                                meta)}
 
 
-def _cmd_is_solve(cfg, args) -> int:
+def _cmd_is_solve(cfg) -> dict:
     lp = _limit_params(cfg)
     g = _grid(cfg)
     cs = constant_state(lp)
@@ -236,16 +233,12 @@ def _cmd_is_solve(cfg, args) -> int:
     w0 = GridFn(g, w0c + cfg["run.amplitude"] * phi.values)
     sol = limits.is_newton(lp, w0, cs.tau_star, tol=cfg["run.tol"])
     u, v = sol.densities(lp)
-    out = _outdir(args)
-    io.write_csv(os.path.join(out, "is_state.csv"),
-                 {"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
-                 "is-solve", cfg,
-                 metadata={"tau": sol.tau, "residual_inf": sol.residual_inf,
-                           "constraint": sol.constraint})
-    return 0
+    return {"is_state.csv": ({"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
+                             {"tau": sol.tau, "residual_inf": sol.residual_inf,
+                              "constraint": sol.constraint})}
 
 
-def _cmd_cs_solve(cfg, args) -> int:
+def _cmd_cs_solve(cfg) -> dict:
     lp = _limit_params(cfg)
     g = _grid(cfg)
     n = cfg["run.n"]
@@ -253,15 +246,11 @@ def _cmd_cs_solve(cfg, args) -> int:
     start = twolobe.assemble(lobe, lp, "fg", g)
     sol = limits.cs_solve(lp, start.w, tol=cfg["run.tol"])
     u, v = sol.densities(lp)
-    out = _outdir(args)
-    io.write_csv(os.path.join(out, "cs_state.csv"),
-                 {"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
-                 "cs-solve", cfg,
-                 metadata={"residual_inf": sol.residual_inf, "n": n})
-    return 0
+    return {"cs_state.csv": ({"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
+                             {"residual_inf": sol.residual_inf, "n": n})}
 
 
-def _cmd_bifurcate(cfg, args) -> int:
+def _cmd_bifurcate(cfg) -> dict:
     lp = _limit_params(cfg)
     g = _grid(cfg)
     j = _mode(cfg, g)
@@ -269,48 +258,38 @@ def _cmd_bifurcate(cfg, args) -> int:
     # the discrete threshold lies above d1c (lambda_j^h < lambda_j), at any mode
     bp = bifurcation.detect_crossing(lp, j, g)
     branch = bifurcation.switch_and_continue(lp, bp, s_max=cfg["run.s_max"],
-                                             ds=cfg["run.ds"], g=g,
-                                             tol=cfg["run.tol"])
-    out = _outdir(args)
-    io.write_csv(os.path.join(out, "branch.csv"),
-                 {"s": [pt.s for pt in branch.points],
-                  "d1": [pt.d1 for pt in branch.points],
-                  "tau": [pt.tau for pt in branch.points],
-                  "w_min": [float(np.min(pt.w.values)) for pt in branch.points],
-                  "w_max": [float(np.max(pt.w.values)) for pt in branch.points],
-                  "arclength": [pt.arclength for pt in branch.points]},
-                 "bifurcate", cfg,
-                 metadata={"mode": j, "delta_j_closed": d1c,
-                           "delta_j_discrete": bp.delta_j,
-                           "lambda_j_discrete": bp.lambda_j,
-                           "truncated": branch.truncated})
-    return 0
+                                             ds=cfg["run.ds"], tol=cfg["run.tol"])
+    pts = branch.points
+    return {"branch.csv": ({"s": [pt.s for pt in pts],
+                            "d1": [pt.d1 for pt in pts],
+                            "tau": [pt.tau for pt in pts],
+                            "w_min": [float(np.min(pt.w.values)) for pt in pts],
+                            "w_max": [float(np.max(pt.w.values)) for pt in pts],
+                            "arclength": [pt.arclength for pt in pts]},
+                           {"mode": j, "delta_j_closed": d1c,
+                            "delta_j_discrete": bp.delta_j,
+                            "lambda_j_discrete": bp.lambda_j,
+                            "truncated": branch.truncated})}
 
 
-def _cmd_dhmp(cfg, args) -> int:
+def _cmd_dhmp(cfg) -> dict:
     lp = _limit_params(cfg)
     g = _grid(cfg)
     n = cfg["run.n"]
-    if not twolobe.existence_check(lp, n):
-        raise NoBracket(
-            f"no {n}-node solution exists: sqrt(d1/a1) + sqrt(d2/a2) >= 2/({n}*pi)")
     lobe = twolobe.solve_unit(lp, n)
-    # both variants are assembled before either file is written
-    sols = [twolobe.assemble(lobe, lp, variant, g) for variant in ("fg", "gf")]
-    out = _outdir(args)
-    for sol in sols:
+    files = {}
+    for variant in ("fg", "gf"):
+        sol = twolobe.assemble(lobe, lp, variant, g)
         u, v = limits.CSState(sol.w).densities(lp)
-        io.write_csv(os.path.join(out, f"dhmp_{sol.variant}.csv"),
-                     {"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
-                     "dhmp", cfg,
-                     metadata={"n": n, "variant": sol.variant,
-                               "theta_n": lobe.theta, "flux": lobe.flux,
-                               "zero_count": sol.zero_count,
-                               "cs_residual": sol.cs_residual})
-    return 0
+        files[f"dhmp_{variant}.csv"] = (
+            {"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
+            {"n": n, "variant": sol.variant, "theta_n": lobe.theta,
+             "flux": lobe.flux, "zero_count": sol.zero_count,
+             "cs_residual": sol.cs_residual})
+    return files
 
 
-def _cmd_selftest(cfg, args) -> int:
+def _cmd_selftest(cfg) -> dict:
     g = Grid(64)
     lam, phi = neumann_eigenpair(g, 3)
     from .grid import neumann_laplacian
@@ -332,14 +311,12 @@ def _cmd_selftest(cfg, args) -> int:
     prod_err = float(np.max(np.abs(u * v - tau)))
     assert prod_err < 1e-12, "product identity failed"
 
-    out = _outdir(args)
-    io.write_csv(os.path.join(out, "selftest.csv"),
-                 {"check": ["eigenpair_identity", "eigenfunction_mean",
-                            "constant_state_residual", "product_identity"],
-                  "value": [eig_err, float(abs(integrate(phi))), res, prod_err]},
-                 "selftest", cfg)
     print("selftest: ok")
-    return 0
+    return {"selftest.csv": ({"check": ["eigenpair_identity", "eigenfunction_mean",
+                                        "constant_state_residual", "product_identity"],
+                              "value": [eig_err, float(abs(integrate(phi))), res,
+                                        prod_err]},
+                             None)}
 
 
 _COMMANDS = {
@@ -371,53 +348,37 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="path to key=value config")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--grid", type=int, default=None, help="n_cells override")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
-        sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--eta", type=float, default=None)
-        sp.add_argument("--mode", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None)
+        for flag, key in _FLAGS.items():
+            sp.add_argument(flag, type=_KNOWN_KEYS[key][0], help=f"overrides {key}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.config is not None:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
         else:
             cfg = parse_config("")
-        cfg = _apply_overrides(cfg, args)
-        return _COMMANDS[args.command](cfg, args)
-    except (ParseError, ValidationError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except (RegimeError, NoThreshold, NoBracket, BandError) as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return 4
-    except (NoConvergence, NegativeState) as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return 2
-    except TauCollapse as exc:
-        # a collapsed iterate does not prove that no state exists: exit 2, not 4
-        print(f"no convergence: tau collapse: {exc} (last tau = {exc.tau!r})",
-              file=sys.stderr)
-        return 2
-    except (AssemblyError, BlowUp) as exc:
-        print(f"no solution built: {exc}", file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
-        # scipy.linalg.LinAlgError is this class; ValueError is not caught,
-        # since it would relabel solver faults
-        print(f"no convergence: singular linear system: {exc}", file=sys.stderr)
-        return 2
-    except NonFiniteSystem as exc:
-        print(f"no convergence: non-finite linear system: {exc}", file=sys.stderr)
-        return 2
+        for flag, key in _FLAGS.items():
+            if (value := getattr(args, flag[2:])) is not None:
+                cfg[key] = _checked(key, value)
+        files = _COMMANDS[args.command](cfg)
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        for name, (columns, meta) in files.items():
+            path = os.path.join(out, name)
+            if columns is None:
+                io.write_metadata(path, args.command, cfg, meta)
+            else:
+                io.write_csv(path, columns, args.command, cfg, metadata=meta)
+        return 0
+    except (SktlabError, OSError, np.linalg.LinAlgError) as exc:
+        code, prefix = next(v for types, v in _EXITS.items() if isinstance(exc, types))
+        tail = f" (last tau = {exc.tau!r})" if isinstance(exc, TauCollapse) else ""
+        print(f"{prefix}: {exc}{tail}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

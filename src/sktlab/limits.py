@@ -11,7 +11,7 @@ Newton solvers for the two reduced systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,9 +51,7 @@ class LimitParams:
                    d1=p.d1, d2=p.d2, gamma=gamma)
 
     def with_d1(self, d1: float) -> "LimitParams":
-        return LimitParams(a1=self.a1, a2=self.a2, b1=self.b1, b2=self.b2,
-                           c1=self.c1, c2=self.c2, d1=d1, d2=self.d2,
-                           gamma=self.gamma)
+        return replace(self, d1=d1)
 
 
 @dataclass(frozen=True)

@@ -65,14 +65,12 @@ def geometric_schedule(alpha0: float, gamma: float, n_steps: int,
 
 
 def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
-                 gamma_target: float | None = None,
-                 complete_tol: float | None = None,
-                 newton_tol: float = 1e-11) -> LimitRunReport:
+                 gamma_target: float, newton_tol: float = 1e-11) -> LimitRunReport:
     """Warm-start continuation in the rates along a strictly increasing
     schedule; per step computes (w_n, z_n) and the segregation diagnostics.
 
     Classification at the final step: Complete if the mean of z fell below
-    complete_tol (default 1e-3 of tau*) and w changes sign; Incomplete if it
+    complete_tol = 1e-3 * tau* and w changes sign; Incomplete if it
     stabilized above the threshold; Undetermined otherwise.
     """
     pairs = [(float(a), float(b)) for a, b in schedule]
@@ -81,11 +79,8 @@ def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
     for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
         if not (a1 > a0 and b1 > b0):
             raise ValueError("schedule must be strictly increasing in both rates")
-    if gamma_target is None:
-        gamma_target = pairs[-1][0] / pairs[-1][1]
     cs = constant_state(base)
-    if complete_tol is None:
-        complete_tol = 1e-3 * cs.tau_star
+    complete_tol = 1e-3 * cs.tau_star
 
     state = seed_state
     p0 = base.with_rates(*pairs[0])
@@ -152,13 +147,12 @@ def _tau_stabilized(records) -> bool:
     return abs(t1 - t0) <= 0.2 * max(abs(t1), 1e-30)
 
 
-def match_limit(report: LimitRunReport, lp: LimitParams | None = None) -> float:
+def match_limit(report: LimitRunReport) -> float:
     """Solve the matched limiting system warm-started from the final step
     and return sup|w_N - w_limit|."""
     if report.classification == "Undetermined":
         raise ValueError("cannot match an Undetermined run")
-    if lp is None:
-        lp = LimitParams.from_model(report.final_state.params, gamma=report.gamma_target)
+    lp = LimitParams.from_model(report.final_state.params, gamma=report.gamma_target)
     w_n = report.final_w
     if report.classification == "Incomplete":
         sol = limits.is_newton(lp, w_n, max(report.steps[-1].tau_hat, 1e-8))

@@ -175,17 +175,15 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
 
 
 def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float,
-                 lp: LimitParams | None = None):
+                 lp: LimitParams):
     """Residual in the (w, log tau) parametrization, tau = u*v.
 
     Equivalent to the (w, z) form through z = d1*u/alpha + tau, but both
     densities recovered from (w, tau) are nonnegative by construction, so
     Newton cannot wander onto the spurious sign-flipped branches that exist
-    when the segregated regions carry only O(1/rate) density.  lp defaults
-    to LimitParams.from_model(p).  Returns (r1, r2, (u, v, S), tau).
+    when the segregated regions carry only O(1/rate) density.  lp is
+    LimitParams.from_model(p), built once by the caller.  Returns (r1, r2, (u, v, S), tau).
     """
-    if lp is None:
-        lp = LimitParams.from_model(p)
     tau = np.exp(q)
     u, v, _ = root = _uv_root(lp, w, tau, lp.d1)
     fval = reaction_f(p, u, v)
@@ -197,12 +195,10 @@ def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float,
 
 
 def _wq_jacobian_banded(p: ModelParams, root, tau: np.ndarray, h: float,
-                        lp: LimitParams | None = None):
+                        lp: LimitParams):
     """Banded Jacobian of the (w, log tau) residual at the (root, tau) of
     _wq_residual, interleaved ordering, bandwidth (3, 3); the partials are
     those of the incomplete-segregation system; lp as in _wq_residual."""
-    if lp is None:
-        lp = LimitParams.from_model(p)
     u, _, S = root
     n = u.size
     q_w, q_t, f_w, f_t, _ = _is_linearization(lp, root, lp.d1)

@@ -162,7 +162,8 @@ def solve_unit(lp: LimitParams, n: int) -> UnitLobe:
     The lobe profiles are built once, at the returned theta.
     """
     if not existence_check(lp, n):
-        raise NoBracket(f"no n = {n} solution: the diffusion lengths are too large")
+        raise NoBracket(f"no {n}-node solution exists: "
+                        f"sqrt(d1/a1) + sqrt(d2/a2) >= 2/({n}*pi)")
     lo_q = (math.pi / 2.0) * math.sqrt(lp.d1 / lp.a1)
     hi_q = 1.0 / n - (math.pi / 2.0) * math.sqrt(lp.d2 / lp.a2)
     pad = 1e-3 * (hi_q - lo_q)

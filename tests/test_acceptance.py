@@ -243,7 +243,7 @@ def test_criterion_09_branch_tangency():
     lp = LimitParams(gamma=1.0, **P1)
     g = Grid(256)
     bp = bifurcation.detect_crossing(lp, 1, g, (0.3, 1.0))
-    br = bifurcation.switch_and_continue(lp, bp, s_max=0.1, ds=0.002, g=g)
+    br = bifurcation.switch_and_continue(lp, bp, s_max=0.1, ds=0.002)
     pts = [pt for pt in br.points if 1e-3 <= pt.s <= 0.1]
     s = np.array([pt.s for pt in pts])
     dt = np.array([abs(pt.tau - TAU_STAR) for pt in pts])

@@ -94,7 +94,7 @@ def test_l11_singular_at_discrete_threshold(p1_limit):
 def test_branch_tangency_and_symmetry(p1_limit):
     g = Grid(128)
     bp = detect_crossing(p1_limit, 1, g, (0.3, 1.0))
-    br = switch_and_continue(p1_limit, bp, s_max=0.08, ds=0.005, g=g)
+    br = switch_and_continue(p1_limit, bp, s_max=0.08, ds=0.005)
     assert isinstance(br, Branch)
     assert not br.truncated
     assert abs(br.origin.delta_j - bp.delta_j) < 1e-14
@@ -126,7 +126,7 @@ def test_branch_points_solve_field_equation(p1_limit):
     from sktlab.limits import ISState, is_residual
     g = Grid(128)
     bp = detect_crossing(p1_limit, 1, g, (0.3, 1.0))
-    br = switch_and_continue(p1_limit, bp, s_max=0.05, ds=0.01, g=g)
+    br = switch_and_continue(p1_limit, bp, s_max=0.05, ds=0.01)
     pt = max(br.points, key=lambda q: q.s)
     lp = p1_limit.with_d1(pt.d1)
     _, sup = is_residual(lp, ISState(w=pt.w, tau=pt.tau))

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import sktlab
-from sktlab import steady, twolobe
+from sktlab import cli, errors, steady, twolobe
 from sktlab.cli import main, parse_config
 from sktlab.errors import (AssemblyError, BlowUp, NegativeState, ParseError,
                            ValidationError)
@@ -284,3 +285,59 @@ def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
                     "print('scipy.interpolate' in sys.modules)"], cwd=str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+DEGENERATE = {
+    # b2*c1 - b1*c2 = -6.7e-16: the nullclines are parallel to rounding
+    "parallel": ("model.a1 = 1\nmodel.a2 = 1\nmodel.b1 = 1.0000000000000004\n"
+                 "model.b2 = 1\nmodel.c1 = 1\nmodel.c2 = 1.0000000000000002\n"
+                 "model.d1 = 1\nmodel.d2 = 1\nmodel.alpha = 1\nmodel.beta = 1\n"
+                 "grid.n_cells = 64\n"),
+    # cancellation in v_tilde0's tangency window on the swapped set leaves
+    # alpha outside it, so v_tilde0 takes the root of a quadratic with no
+    # real root and bounds.sup_bound raises DomainError
+    "level-set": ("model.a1 = 0.0011336076111554253\nmodel.a2 = 45.939996170618436\n"
+                  "model.b1 = 416.3479202690309\nmodel.b2 = 0.41855300174574384\n"
+                  "model.c1 = 0.001480945066304099\nmodel.c2 = 0.17898321351710422\n"
+                  "model.d1 = 156.98668958608022\nmodel.d2 = 0.02608702527156015\n"
+                  "model.alpha = 0.21574698291965352\n"
+                  "model.beta = 0.001160899077124013\nrun.eta = 1e-5\n"),
+}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", "parallel"), ("is-solve", "parallel"), ("bifurcate", "parallel"),
+    ("limit-study", "parallel"), ("selftest", "parallel"), ("bounds", "level-set")])
+def test_degenerate_parameters_are_not_applicable(command, config, tmp_path, capsys):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(DEGENERATE[config])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("not applicable: ")
+    assert not out.exists()
+
+
+PACKAGE_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, errors.SktlabError) and cls is not errors.SktlabError]
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_package_error_has_one_exit_code(cls, tmp_path, monkeypatch, capsys):
+    # exactly one row of the table matches, so its order decides nothing
+    rows = [row for types, row in cli._EXITS.items() if issubclass(cls, types)]
+    assert len(rows) == 1
+    code, prefix = rows[0]
+    assert code in (2, 3, 4)
+
+    def fail(cfg):
+        raise cls("injected")
+
+    monkeypatch.setitem(cli._COMMANDS, "selftest", fail)
+    out = tmp_path / "out"
+    assert main(["selftest", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{prefix}: injected")
+    assert not out.exists()

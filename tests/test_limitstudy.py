@@ -42,9 +42,9 @@ def test_schedule_validation(grid64, p1):
     base = p1
     st = _seed(base.with_rates(10.0, 10.0), grid64)
     with pytest.raises(ValueError):
-        run_sequence(base, [], st)
+        run_sequence(base, [], st, gamma_target=1.0)
     with pytest.raises(ValueError):
-        run_sequence(base, [(10.0, 10.0), (5.0, 20.0)], st)
+        run_sequence(base, [(10.0, 10.0), (5.0, 20.0)], st, gamma_target=1.0)
 
 
 def test_strong_regime_sequence_incomplete(grid64, p1):

@@ -5,6 +5,7 @@ from sktlab import cli, steady
 from sktlab.analytic import TrigPoly
 from sktlab.errors import BlowUp, NoConvergence
 from sktlab.grid import Grid, GridFn, integrate
+from sktlab.limits import LimitParams
 from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
 
 from conftest import P1, PW, U_STAR, V_STAR
@@ -67,9 +68,10 @@ def test_wq_jacobian_matches_fd(p1r, rng):
     v = rng.uniform(0.5, 3.0, n)
     w = p1r.d1 * u - p1r.gamma() * p1r.d2 * v
     q = np.log(u * v)
+    lp = LimitParams.from_model(p1r)
 
     def res(x):
-        r1, r2, _, _ = steady._wq_residual(p1r, x[0::2], x[1::2], h)
+        r1, r2, _, _ = steady._wq_residual(p1r, x[0::2], x[1::2], h, lp)
         out = np.empty(2 * n)
         out[0::2] = r1
         out[1::2] = r2
@@ -79,8 +81,8 @@ def test_wq_jacobian_matches_fd(p1r, rng):
     x0[0::2] = w
     x0[1::2] = q
     J_fd, _ = _fd_jacobian(res, x0, 2 * n)
-    _, _, root, tau = steady._wq_residual(p1r, w, q, h)
-    J = _dense_from_band(steady._wq_jacobian_banded(p1r, root, tau, h), (3, 3))
+    _, _, root, tau = steady._wq_residual(p1r, w, q, h, lp)
+    J = _dense_from_band(steady._wq_jacobian_banded(p1r, root, tau, h, lp), (3, 3))
     assert np.max(np.abs(J - J_fd)) < 1e-4 * np.max(np.abs(J_fd))
 
 
