@@ -146,8 +146,7 @@ def l11_min_eigenvalue(lp: LimitParams, d1: float, g: Grid,
     n = g.n_cells
     pot = potential(lp, d1)
     shift = 1e-13 * max(1.0, abs(pot))
-    ab = lap_band(n, g.h)
-    ab[1, :] += pot - shift
+    ab = lap_band(n, g.h, diag=pot - shift)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(n)
     x -= x.mean()
@@ -181,8 +180,6 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
     h = g.h
     cs = constant_state(lp)
     v_off = lp.gamma * lp.d2 * cs.v_star      # w*(d1) = d1*u* - v_off
-    ab = lap_band(g.n_cells, h)
-    lap_diag = ab[1].copy()
     h_phi = h * phi
     phase_d1 = -cs.u_star * h * float(np.sum(phi))
 
@@ -204,10 +201,10 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
         q_d = q_u * u_d + q_v * v_d
         f_d = f_u * u_d + f_v * v_d
 
-        np.add(lap_diag, q_w, out=ab[1])
         corner = np.array([[h * float(np.sum(f_t)), h * float(np.sum(f_d))],
                            [0.0, phase_d1]])
-        dw, dy = solve_bordered(ab, (q_t, q_d), (h * f_w, h_phi), corner, -fld,
+        dw, dy = solve_bordered(lap_band(g.n_cells, h, diag=q_w), (q_t, q_d),
+                                (h * f_w, h_phi), corner, -fld,
                                 np.array([-con, -phase]))
         return np.concatenate((dw, dy))
 

@@ -104,8 +104,9 @@ def v_tilde0(p: ModelParams) -> float:
     if gap > 0.0:
         root = 2.0 * p.d2 * math.sqrt(p.a1 * p.c2 * gap)
         mid = p.d2 * (2.0 * p.a1 * p.c2 - p.a2 * p.c1)
-        alpha_lo = (mid - root) / (p.a2 * p.a2)
         alpha_hi = (mid + root) / (p.a2 * p.a2)
+        # alpha_lo * alpha_hi = (d2 c1 / a2)^2: no cancellation in mid - root
+        alpha_lo = (p.d2 * p.c1 / p.a2) ** 2 / alpha_hi
         if alpha_lo < p.alpha < alpha_hi:
             return 0.0
     a = p.alpha * p.c2

@@ -197,8 +197,6 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
         raise ValueError("tau0 must be positive")
     g = w0.grid
     h = g.h
-    ab = lap_band(g.n_cells, h)
-    lap_diag = ab[1].copy()
 
     def residual(x):
         fld, con, root = _is_residual_values(lp, x[:-1], float(x[-1]), h, lp.d1)
@@ -207,9 +205,9 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
     def step(_x, data):
         fld, con, root = data
         q_w, q_t, f_w, f_t, _ = _is_linearization(lp, root, lp.d1)
-        np.add(lap_diag, q_w, out=ab[1])
         corner = h * float(np.sum(f_t))
-        dw, dtau = solve_bordered(ab, q_t, (h * f_w)[None, :], corner, -fld, -con)
+        dw, dtau = solve_bordered(lap_band(g.n_cells, h, diag=q_w), (q_t,),
+                                  (h * f_w,), corner, -fld, -con)
         return np.concatenate((dw, dtau))
 
     def done(x, rnorm):
@@ -253,16 +251,13 @@ def cs_solve(lp: LimitParams, w0: GridFn, tol: float = 1e-10,
     """
     g = w0.grid
     h = g.h
-    lap = lap_band(g.n_cells, h)
 
     def residual(w):
         fld = _cs_residual_values(lp, w, h)
         return float(np.max(np.abs(fld))), fld
 
     def step(w, fld):
-        ab = lap.copy()
-        ab[1, :] += _cs_q_w(lp, w)
-        return solve_tridiag(ab, -fld)
+        return solve_tridiag(lap_band(g.n_cells, h, diag=_cs_q_w(lp, w)), -fld)
 
     def done(w, rnorm):
         return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(w)))))

@@ -5,12 +5,15 @@ Everything on the grid reduces to tridiagonal or small-bandwidth systems;
 the nonlocal constraint and continuation conditions add a handful of dense
 border rows/columns, which are eliminated by a Schur complement on the
 border block so each Newton step stays O(n).
+
+This module owns the band layouts and the LAPACK calls: callers pass nodal
+coefficients to lap_band and pair_band and never index a band row.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.linalg.lapack import dgtsv
 
 from .errors import NoConvergence, NonFiniteSystem
@@ -36,27 +39,30 @@ def _damped_newton(residual, step, x, done, max_iter, what, feasible=None):
 
     Returns (x, data, norm, iterations, residual history).
     """
-    rnorm, data = residual(x)
-    history = [rnorm]
-    for it in range(max_iter):
-        if done(x, rnorm):
-            return x, data, rnorm, it, history
-        dx = step(x, data)
-        lam = 1.0
-        while True:
-            xt = x + lam * dx
-            err = feasible(xt) if feasible is not None else None
-            if err is None:
-                tnorm, tdata = residual(xt)
-                if tnorm <= (1.0 - _ARMIJO * lam) * rnorm or done(xt, tnorm):
-                    break
-            lam *= 0.5
-            if lam < _MIN_STEP:
-                raise err or NoConvergence(f"line search stalled in {what}",
-                                           residual=rnorm, iterations=it)
-        x, data, rnorm = xt, tdata, tnorm
-        history.append(rnorm)
-    raise NoConvergence(f"{what} did not converge", residual=rnorm, iterations=max_iter)
+    # an overflow fails the line search or reaches a solve as NonFiniteSystem
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rnorm, data = residual(x)
+        history = [rnorm]
+        for it in range(max_iter):
+            if done(x, rnorm):
+                return x, data, rnorm, it, history
+            dx = step(x, data)
+            lam = 1.0
+            while True:
+                xt = x + lam * dx
+                err = feasible(xt) if feasible is not None else None
+                if err is None:
+                    tnorm, tdata = residual(xt)
+                    if tnorm <= (1.0 - _ARMIJO * lam) * rnorm or done(xt, tnorm):
+                        break
+                lam *= 0.5
+                if lam < _MIN_STEP:
+                    raise err or NoConvergence(f"line search stalled in {what}",
+                                               residual=rnorm, iterations=it)
+            x, data, rnorm = xt, tdata, tnorm
+            history.append(rnorm)
+        raise NoConvergence(f"{what} did not converge", residual=rnorm,
+                            iterations=max_iter)
 
 
 def residual_floor(h: float, *scales: float) -> float:
@@ -68,31 +74,31 @@ def residual_floor(h: float, *scales: float) -> float:
     return 4.0 * _EPS * scale / (h * h)
 
 
-def lap_stencil_diag(n: int, h: float) -> np.ndarray:
-    """Diagonal of the Neumann Laplacian stencil (mirror ghosts)."""
-    d = np.full(n, -2.0 / (h * h))
-    d[0] = d[-1] = -1.0 / (h * h)
-    return d
-
-
-def lap_band(n: int, h: float) -> np.ndarray:
-    """Neumann Laplacian in solve_banded's (1, 1) layout."""
-    inv = 1.0 / (h * h)
+def lap_band(n: int, h: float, mult=1.0, diag=0.0) -> np.ndarray:
+    """Band of f -> laplacian(mult * f) + diag * f with the Neumann stencil
+    (mirror ghosts), in solve_banded's (1, 1) layout; mult and diag are
+    nodal arrays or scalars."""
     ab = np.zeros((3, n))
-    ab[0, 1:] = inv
-    ab[1, :] = lap_stencil_diag(n, h)
-    ab[2, :-1] = inv
+    ab[0] = 1.0 / (h * h) * mult
+    ab[2, :-1] = ab[0, :-1]
+    ab[0, 0] = 0.0
+    stencil = np.full(n, -2.0 / (h * h))
+    stencil[0] = stencil[-1] = -1.0 / (h * h)
+    ab[1] = stencil * mult + diag
     return ab
 
 
-def lap_of_diag_band(m: np.ndarray, h: float) -> np.ndarray:
-    """Banded form of f -> laplacian(m * f) for a nodal multiplier m."""
-    n = m.size
-    inv = 1.0 / (h * h)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = inv * m[1:]
-    ab[1, :] = lap_stencil_diag(n, h) * m
-    ab[2, :-1] = inv * m[:-1]
+def pair_band(n: int, h: float, blocks) -> np.ndarray:
+    """Band of the pair operator [[L00, L01], [L10, L11]] with
+    Lij = lap_band(n, h, *blocks[i][j]), in solve_banded's (3, 3) layout
+    with the two fields interleaved (a0, b0, a1, b1, ...)."""
+    ab = np.zeros((7, 2 * n))
+    for i, row in enumerate(blocks):
+        for j, (mult, diag) in enumerate(row):
+            band = lap_band(n, h, mult, diag)
+            ab[1 + i - j, 2 + j::2] = band[0, 1:]
+            ab[3 + i - j, j::2] = band[1]
+            ab[5 + i - j, j:2 * n - 2:2] = band[2, :-1]
     return ab
 
 
@@ -113,22 +119,30 @@ def solve_tridiag(ab: np.ndarray, rhs: np.ndarray, overwrite_rhs=False) -> np.nd
     return x
 
 
+def solve_pair(ab: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Newton direction -J^-1 (r1, r2) for a pair of fields whose Jacobian J
+    is a pair_band; returned as the two fields one after the other, the
+    layout of the solvers' unknown.  Same checks as solve_tridiag."""
+    rhs = np.empty(2 * r1.size)
+    rhs[0::2] = -r1
+    rhs[1::2] = -r2
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise NonFiniteSystem("array must not contain infs or NaNs")
+    d = solve_banded((3, 3), ab, rhs, check_finite=False)
+    return np.concatenate((d[0::2], d[1::2]))
+
+
 def solve_bordered(ab, border_cols, border_rows, corner, rhs_top, rhs_bot):
     """Solve [[A, B], [C, D]] [x; y] = [rhs_top; rhs_bot] with tridiagonal A.
 
-    ab is A in solve_banded's (1, 1) layout, B (n, k) or its k columns, C
-    (k, n) or its k rows, corner (k, k).  A is solved once by solve_tridiag
-    for [rhs_top, B], stacked in one Fortran-ordered array that gtsv solves
-    in place, and the k x k Schur complement closed densely.
+    ab is A in solve_banded's (1, 1) layout, border_cols the k columns of B
+    and border_rows the k rows of C, each a sequence of n-vectors; corner D
+    (k, k) and rhs_bot (k,) may be scalars when k = 1.  A is solved once
+    by solve_tridiag for [rhs_top, B], stacked in one Fortran-ordered array
+    that gtsv solves in place, and the k x k Schur complement closed densely.
     """
-    border_cols = np.atleast_2d(border_cols)
-    if border_cols.shape[1] != rhs_top.size:
-        border_cols = border_cols.T
-    border_rows = np.atleast_2d(border_rows)
-    corner = np.atleast_2d(corner)
-    rhs_bot = np.atleast_1d(rhs_bot)
-
-    stacked = np.concatenate((rhs_top[None, :], border_cols)).T
+    border_rows = np.array(border_rows)
+    stacked = np.array((rhs_top, *border_cols)).T
     X = solve_tridiag(ab, stacked, overwrite_rhs=True)
     x_f, X_b = X[:, 0], X[:, 1:]
     schur = corner - border_rows @ X_b

@@ -16,15 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import bounds
 from .analytic import TrigPoly
 from .errors import BandError, BlowUp, NegativeState
 from .grid import Grid, GridFn, laplacian_values
 from .limits import LimitParams, _is_linearization, _uv_root
-from .linalg import (_damped_newton, lap_of_diag_band, lap_stencil_diag,
-                     residual_floor, solve_tridiag)
+from .linalg import (_damped_newton, lap_band, pair_band, residual_floor,
+                     solve_pair, solve_tridiag)
 from .model import (ModelParams, big_F, big_G, kinetic_partials, reaction_f,
                     reaction_g)
 
@@ -67,30 +66,9 @@ def residual_skt(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
 def _jacobian_banded(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
     """Analytic Jacobian of the stacked residual, interleaved ordering
     (u0, v0, u1, v1, ...), in solve_banded's (3, 3) layout."""
-    n = u.size
-    inv = 1.0 / (h * h)
-    diagc = lap_stencil_diag(n, h)
-    m1 = p.d1 + p.alpha * v
-    m2 = p.d2 + p.beta * u
     fu, fv, gu, gv = kinetic_partials(p, u, v)
-
-    ab = np.zeros((7, 2 * n))
-    # diagonal
-    ab[3, 0::2] = diagc * m1 + fu
-    ab[3, 1::2] = diagc * m2 + gv
-    # in-node cross couplings
-    ab[2, 1::2] = diagc * (p.alpha * u) + fv          # dR1_i/dv_i
-    ab[4, 0::2] = diagc * (p.beta * v) + gu           # dR2_i/du_i
-    # neighbour couplings through the Laplacian of the products
-    ab[1, 2::2] = inv * m1[1:]                        # dR1_i/du_{i+1}
-    ab[1, 3::2] = inv * m2[1:]                        # dR2_i/dv_{i+1}
-    ab[5, 0:2 * n - 2:2] = inv * m1[:-1]              # dR1_i/du_{i-1}
-    ab[5, 1:2 * n - 2:2] = inv * m2[:-1]              # dR2_i/dv_{i-1}
-    ab[0, 3::2] = inv * (p.alpha * u[1:])             # dR1_i/dv_{i+1}
-    ab[4, 1:2 * n - 2:2] = inv * (p.alpha * u[:-1])   # dR1_i/dv_{i-1}
-    ab[2, 2::2] = inv * (p.beta * v[1:])              # dR2_i/du_{i+1}
-    ab[6, 0:2 * n - 2:2] = inv * (p.beta * v[:-1])    # dR2_i/du_{i-1}
-    return ab
+    return pair_band(u.size, h, [[(p.d1 + p.alpha * v, fu), (p.alpha * u, fv)],
+                                 [(p.beta * v, gu), (p.d2 + p.beta * u, gv)]])
 
 
 def _norm_inf(r1: np.ndarray, r2: np.ndarray) -> float:
@@ -114,17 +92,6 @@ def _levelset_certificate(p: ModelParams):
 def _certificate_ok(p: ModelParams, u: np.ndarray, v: np.ndarray) -> bool | None:
     cert = _levelset_certificate(p)
     return None if cert is None else cert.covers(float(np.max(u)), float(np.max(v)))
-
-
-def _banded_step(ab: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Newton direction for a pair of fields whose (3, 3)-banded Jacobian
-    uses the interleaved ordering (a0, b0, a1, b1, ...); returned as the
-    two fields one after the other, the layout of the solvers' unknown."""
-    rhs = np.empty(2 * r1.size)
-    rhs[0::2] = -r1
-    rhs[1::2] = -r2
-    d = solve_banded((3, 3), ab, rhs)
-    return np.concatenate((d[0::2], d[1::2]))
 
 
 def _steady_state(p, g, u, v, rnorm, it, history) -> SteadyState:
@@ -155,7 +122,7 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
         return _norm_inf(r1, r2), (r1, r2)
 
     def step(x, r):
-        return _banded_step(_jacobian_banded(p, x[:n], x[n:], h), *r)
+        return solve_pair(_jacobian_banded(p, x[:n], x[n:], h), *r)
 
     def done(x, rnorm):
         u, v = np.abs(x[:n]), np.abs(x[n:])
@@ -200,24 +167,11 @@ def _wq_jacobian_banded(p: ModelParams, root, tau: np.ndarray, h: float,
     _wq_residual, interleaved ordering, bandwidth (3, 3); the partials are
     those of the incomplete-segregation system; lp as in _wq_residual."""
     u, _, S = root
-    n = u.size
     q_w, q_t, f_w, f_t, _ = _is_linearization(lp, root, lp.d1)
     m1 = p.d1 * (u / S) / p.alpha                  # dy/dw
     m2 = (p.d1 * (lp.gamma * lp.d2 / S) / p.alpha + 1.0) * tau   # dy/dq
-    inv = 1.0 / (h * h)
-    diagc = lap_stencil_diag(n, h)
-    ab = np.zeros((7, 2 * n))
-    ab[3, 0::2] = diagc + q_w
-    ab[1, 2::2] = inv
-    ab[5, 0:2 * n - 2:2] = inv
-    ab[2, 1::2] = q_t * tau
-    ab[3, 1::2] = diagc * m2 + f_t * tau / p.alpha
-    ab[1, 3::2] = inv * m2[1:]
-    ab[5, 1:2 * n - 2:2] = inv * m2[:-1]
-    ab[4, 0::2] = diagc * m1 + f_w / p.alpha
-    ab[2, 2::2] = inv * m1[1:]
-    ab[6, 0:2 * n - 2:2] = inv * m1[:-1]
-    return ab
+    return pair_band(u.size, h, [[(1.0, q_w), (0.0, q_t * tau)],
+                                 [(m1, f_w / p.alpha), (m2, f_t * tau / p.alpha)]])
 
 
 def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
@@ -243,7 +197,7 @@ def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
         return _norm_inf(r[0], r[1]), r
 
     def step(_x, r):
-        dx = _banded_step(_wq_jacobian_banded(p, r[2], r[3], h, lp), r[0], r[1])
+        dx = solve_pair(_wq_jacobian_banded(p, r[2], r[3], h, lp), r[0], r[1])
         # cap the log-step so tau cannot jump by more than e^8 per sweep
         mx = float(np.max(np.abs(dx[n:])))
         if mx > 8.0:
@@ -281,18 +235,20 @@ def time_march(p: ModelParams, u0: GridFn, v0: GridFn,
     v = v0.values.copy()
     cap = _blowup_cap(p)
     steps = max(1, int(round(t_end / dt)))
-    for k in range(steps):
-        ab_u = -dt * lap_of_diag_band(p.d1 + p.alpha * v, h)
-        ab_u[1] += 1.0 + dt * (p.b1 * u + p.c1 * v)
-        ab_v = -dt * lap_of_diag_band(p.d2 + p.beta * u, h)
-        ab_v[1] += 1.0 + dt * (p.b2 * u + p.c2 * v)
-        rhs_u = (1.0 + dt * p.a1) * u
-        rhs_v = (1.0 + dt * p.a2) * v
-        u = solve_tridiag(ab_u, rhs_u)
-        v = solve_tridiag(ab_v, rhs_v)
-        if k % 16 == 0 or k == steps - 1:
-            if max(float(np.max(np.abs(u))), float(np.max(np.abs(v)))) > cap:
-                raise BlowUp(f"state exceeded 10x the certificate cap {cap:g}")
+    # an overflow reaches solve_tridiag as NonFiniteSystem
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(steps):
+            ab_u = lap_band(g.n_cells, h, -dt * (p.d1 + p.alpha * v),
+                            1.0 + dt * (p.b1 * u + p.c1 * v))
+            ab_v = lap_band(g.n_cells, h, -dt * (p.d2 + p.beta * u),
+                            1.0 + dt * (p.b2 * u + p.c2 * v))
+            rhs_u = (1.0 + dt * p.a1) * u
+            rhs_v = (1.0 + dt * p.a2) * v
+            u = solve_tridiag(ab_u, rhs_u)
+            v = solve_tridiag(ab_v, rhs_v)
+            if k % 16 == 0 or k == steps - 1:
+                if max(float(np.max(np.abs(u))), float(np.max(np.abs(v)))) > cap:
+                    raise BlowUp(f"state exceeded 10x the certificate cap {cap:g}")
     return GridFn(g, u), GridFn(g, v)
 
 

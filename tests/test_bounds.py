@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from sktlab.bounds import (BoundCertificate, in_sigma, sup_bound, u_of_v,
 from sktlab.errors import BandError, DomainError
 from sktlab.model import ModelParams, big_F, sigma_affine
 
-from conftest import P1
+from conftest import P1, TANGENCY
 
 
 def _p1_rates(alpha=100.0, beta=100.0):
@@ -121,3 +122,20 @@ def test_small_rate_fallback():
     assert math.isnan(cert.u_bound)
     with pytest.raises(ValueError):
         cert.covers(1.0, 1.0)
+
+
+def test_v_tilde0_window_end_matches_decimal():
+    # the lower end of the tangency window, (mid - root)/a2^2, to 50 digits
+    q = ModelParams(**TANGENCY).swapped()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a1, a2, c1, c2, d2 = map(Decimal, (q.a1, q.a2, q.c1, q.c2, q.d2))
+        gap = a1 * c2 - a2 * c1
+        lo = float((d2 * (2 * a1 * c2 - a2 * c1) - 2 * d2 * (a1 * c2 * gap).sqrt())
+                   / (a2 * a2))
+    assert lo < q.alpha
+    assert v_tilde0(q) == 0.0
+    # v_tilde0 is 0 exactly inside the window, and the end it uses is
+    # within a relative 1e-13 of the Decimal one
+    assert v_tilde0(q.with_rates(lo * (1.0 + 1e-13), q.beta)) == 0.0
+    assert v_tilde0(q.with_rates(lo * (1.0 - 1e-13), q.beta)) > 0.0

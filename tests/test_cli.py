@@ -12,6 +12,8 @@ from sktlab.cli import main, parse_config
 from sktlab.errors import (AssemblyError, BlowUp, NegativeState, ParseError,
                            ValidationError)
 
+from conftest import TANGENCY
+
 
 def run_python(args, cwd):
     # the child runs in cwd, where a relative PYTHONPATH (such as "src")
@@ -264,17 +266,22 @@ def test_eta_above_one_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, line", [("is-solve", "run.amplitude = 1e200"),
                                            ("is-solve", "run.amplitude = 1e300"),
-                                           ("solve", "model.alpha = 1e308")])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+                                           ("solve", "model.alpha = 1e308"),
+                                           ("limit-study", "run.alpha0 = 1e305"),
+                                           ("limit-study", "run.alpha0 = 1e305\n"
+                                                           "run.steps = 1")])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_linear_system_exits_2(command, line, tmp_path, capsys):
-    # the start or the first march step overflows to inf before a
-    # tridiagonal solve, which rejects it
+    # the start, the first march step or the first Jacobian overflows to
+    # inf before a banded solve, which rejects it; the overflow itself
+    # prints no numpy warning
     cfg = tmp_path / "nf.cfg"
     cfg.write_text(line + "\ngrid.n_cells = 64\n")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "no convergence: non-finite linear system" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("no convergence: non-finite linear system")
     assert not out.exists()
 
 
@@ -293,21 +300,12 @@ DEGENERATE = {
                  "model.b2 = 1\nmodel.c1 = 1\nmodel.c2 = 1.0000000000000002\n"
                  "model.d1 = 1\nmodel.d2 = 1\nmodel.alpha = 1\nmodel.beta = 1\n"
                  "grid.n_cells = 64\n"),
-    # cancellation in v_tilde0's tangency window on the swapped set leaves
-    # alpha outside it, so v_tilde0 takes the root of a quadratic with no
-    # real root and bounds.sup_bound raises DomainError
-    "level-set": ("model.a1 = 0.0011336076111554253\nmodel.a2 = 45.939996170618436\n"
-                  "model.b1 = 416.3479202690309\nmodel.b2 = 0.41855300174574384\n"
-                  "model.c1 = 0.001480945066304099\nmodel.c2 = 0.17898321351710422\n"
-                  "model.d1 = 156.98668958608022\nmodel.d2 = 0.02608702527156015\n"
-                  "model.alpha = 0.21574698291965352\n"
-                  "model.beta = 0.001160899077124013\nrun.eta = 1e-5\n"),
 }
 
 
 @pytest.mark.parametrize("command, config", [
     ("solve", "parallel"), ("is-solve", "parallel"), ("bifurcate", "parallel"),
-    ("limit-study", "parallel"), ("selftest", "parallel"), ("bounds", "level-set")])
+    ("limit-study", "parallel"), ("selftest", "parallel")])
 def test_degenerate_parameters_are_not_applicable(command, config, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text(DEGENERATE[config])
@@ -316,6 +314,18 @@ def test_degenerate_parameters_are_not_applicable(command, config, tmp_path, cap
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("not applicable: ")
     assert not out.exists()
+
+
+def test_bounds_in_the_tangency_window_returns_a_certificate(tmp_path, capsys):
+    # v_tilde0 of the swapped set lies just inside its tangency window
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("".join(f"model.{k} = {v!r}\n" for k, v in TANGENCY.items())
+                   + "run.eta = 1e-5\n")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    text = (out / "bounds.txt").read_text()
+    assert "kind = levelset" in text
 
 
 PACKAGE_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)

@@ -40,3 +40,32 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(os.sep, pi)\n")
     assert _unused_imports(tree) == ["tau (line 2)"]
+
+
+def _scipy_linalg_imports(tree: ast.Module) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_linalg_imports_scipy_linalg():
+    # linalg owns the band layouts and the LAPACK calls
+    found = {p.name: _scipy_linalg_imports(ast.parse(p.read_text(encoding="utf-8")))
+             for p in MODULES if p.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_flags_a_scipy_linalg_import():
+    tree = ast.parse("import scipy.linalg\nfrom scipy.linalg import solve_banded\n"
+                     "from scipy import linalg\nfrom scipy.interpolate import x\n"
+                     "from scipy.linalg.lapack import dgtsv\n")
+    assert _scipy_linalg_imports(tree) == [1, 2, 3, 5]

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
-from sktlab.errors import NoConvergence
-from sktlab.linalg import (_damped_newton, lap_band, lap_of_diag_band,
-                           lap_stencil_diag, residual_floor, solve_bordered,
-                           solve_tridiag)
+from sktlab.errors import NoConvergence, NonFiniteSystem
+from sktlab.linalg import (_damped_newton, lap_band, pair_band, residual_floor,
+                           solve_bordered, solve_pair, solve_tridiag)
 
 
 def _dense_from_band(ab, lu):
@@ -42,7 +41,7 @@ def test_lap_of_diag_band(rng):
     n, h = 24, 0.05
     m = rng.uniform(0.5, 2.0, n)
     f = rng.normal(size=n)
-    A = _dense_from_band(lap_of_diag_band(m, h), (1, 1))
+    A = _dense_from_band(lap_band(n, h, m), (1, 1))
     L = _dense_from_band(lap_band(n, h), (1, 1))
     assert np.allclose(A @ f, L @ (m * f), atol=1e-10)
 
@@ -88,6 +87,46 @@ def test_solve_tridiag_keeps_solve_banded_checks():
             solve_tridiag(good, b)
 
 
+def test_solve_pair_keeps_solve_tridiag_checks(rng):
+    n = 8
+    m, d = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    good = pair_band(n, 0.1, [[(m, -d), (0.1, 0.2)], [(0.3, 0.1), (d, -m)]])
+    r1, r2 = rng.normal(size=n), rng.normal(size=n)
+    A = _dense_from_band(good, (3, 3))
+    x = solve_pair(good, r1, r2)
+    ref = np.linalg.solve(A, -np.ravel(np.column_stack([r1, r2])))
+    assert np.allclose(x, np.concatenate((ref[0::2], ref[1::2])), atol=1e-10)
+    for bad in (np.nan, np.inf):
+        ab = good.copy()
+        ab[3, 5] = bad
+        with pytest.raises(NonFiniteSystem):
+            solve_pair(ab, r1, r2)
+        b = r2.copy()
+        b[5] = bad
+        with pytest.raises(NonFiniteSystem):
+            solve_pair(good, r1, b)
+    # two uncoupled Neumann Laplacians at h = 1: singular, exactly
+    with pytest.raises(LinAlgError):
+        solve_pair(pair_band(n, 1.0, [[(1.0, 0.0), (0.0, 0.0)],
+                                      [(0.0, 0.0), (1.0, 0.0)]]), r1, r2)
+
+
+@pytest.mark.parametrize("nodal", [False, True])
+def test_pair_band_matches_dense_blocks(rng, nodal):
+    n, h = 12, 0.07
+
+    def coef():
+        return rng.normal(size=n) if nodal else float(rng.normal())
+
+    blocks = [[(coef(), coef()) for _ in range(2)] for _ in range(2)]
+    dense = np.block([[_dense_from_band(lap_band(n, h, m, d), (1, 1))
+                       for m, d in row] for row in blocks])
+    # interleaved ordering (a0, b0, a1, b1, ...) of the stacked (a, b)
+    perm = np.ravel(np.column_stack([np.arange(n), n + np.arange(n)]))
+    A = _dense_from_band(pair_band(n, h, blocks), (3, 3))
+    assert np.array_equal(A, dense[np.ix_(perm, perm)])
+
+
 def test_solve_bordered_matches_dense(rng):
     n, k, h = 30, 2, 0.04
     ab = lap_band(n, h).copy()
@@ -98,7 +137,7 @@ def test_solve_bordered_matches_dense(rng):
     D = rng.normal(size=(k, k)) + 5.0 * np.eye(k)
     rt = rng.normal(size=n)
     rb = rng.normal(size=k)
-    x, y = solve_bordered(ab, B, C, D, rt, rb)
+    x, y = solve_bordered(ab, tuple(B.T), tuple(C), D, rt, rb)
     full = np.block([[A, B], [C, D]])
     ref = np.linalg.solve(full, np.concatenate([rt, rb]))
     assert np.max(np.abs(np.concatenate([x, y]) - ref)) < 1e-8
@@ -114,14 +153,14 @@ def test_solve_bordered_single_border(rng):
     d = 3.0
     rt = rng.normal(size=n)
     rb = 0.7
-    x, y = solve_bordered(ab, b, c, np.array([[d]]), rt, rb)
+    x, y = solve_bordered(ab, (b,), (c,), np.array([[d]]), rt, rb)
     full = np.block([[A, b[:, None]], [c[None, :], np.array([[d]])]])
     ref = np.linalg.solve(full, np.concatenate([rt, [rb]]))
     assert np.max(np.abs(np.concatenate([x, y]) - ref)) < 1e-9
 
 
 def test_stencil_diag_neumann_rows():
-    d = lap_stencil_diag(10, 0.1)
+    d = lap_band(10, 0.1)[1]
     assert np.allclose([d[0], d[-1]], -100.0)
     assert np.allclose(d[1:-1], -200.0)
     assert d[0] == d[-1] == d[1] / 2.0
@@ -142,15 +181,9 @@ def test_solve_bordered_bit_identical_to_stacked_solve_banded(rng, n, k):
     X = solve_banded((1, 1), ab, np.column_stack([rt, B]))
     y_ref = np.linalg.solve(D - C @ X[:, 1:], rb - C @ X[:, 0])
     x_ref = X[:, 0] - X[:, 1:] @ y_ref
-    x, y = solve_bordered(ab, B, C, D, rt, rb)
-    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
-    # the border as tuples of its k columns and k rows, as the branch
-    # corrector passes it, and with one border a 1-D column
+    # the border as its k columns and k rows, the one layout it takes
     x, y = solve_bordered(ab, tuple(B.T), tuple(C), D, rt, rb)
     assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
-    if k == 1:
-        x, y = solve_bordered(ab, B[:, 0], C, D, rt, rb)
-        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
     # gtsv overwrites only the stacked copy, never the caller's arrays
     assert np.array_equal(rt, rt_in) and np.array_equal(B, B_in)
     assert np.array_equal(ab, ab_in)
@@ -160,12 +193,13 @@ def test_solve_bordered_keeps_checks(rng):
     n = 8
     B, C, D = rng.normal(size=(n, 1)), rng.normal(size=(1, n)), np.eye(1)
     with pytest.raises(LinAlgError):
-        solve_bordered(lap_band(n, 1.0), B, C, D, np.ones(n), np.ones(1))
+        solve_bordered(lap_band(n, 1.0), tuple(B.T), tuple(C), D, np.ones(n),
+                       np.ones(1))
     good = lap_band(n, 1.0)
     good[1] -= 1.0
     B[2, 0] = np.nan
     with pytest.raises(ValueError):
-        solve_bordered(good, B, C, D, np.ones(n), np.ones(1))
+        solve_bordered(good, tuple(B.T), tuple(C), D, np.ones(n), np.ones(1))
 
 
 # the shared damped-Newton loop on small problems whose every trial is known
