@@ -11,6 +11,7 @@ solutions.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,16 +221,27 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
     return x[:-2], float(x[-2]), float(x[-1]), it
 
 
+_PREDICTOR_NODES = 5     # points the branch predictor extrapolates through
+
+
+def _extrapolation_weights(nodes, t: float) -> np.ndarray:
+    """Lagrange weights: weights @ f is the interpolant of data f at t."""
+    return np.array([math.prod((t - sk) / (si - sk)
+                               for k, sk in enumerate(nodes) if k != i)
+                     for i, si in enumerate(nodes)])
+
+
 def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
                         ds: float, tol: float = 1e-11) -> Branch:
     """Continue the branch emerging at bp in its amplitude s, both ways,
     on the grid of bp.phi_j.
 
     The predictor is linear at the first step (constant state plus s times
-    the eigenfunction) and secant afterwards; the amplitude step adapts to
-    the corrector's iteration count.  A failing step truncates the branch
-    on that side and sets the flag rather than raising; a predictor with
-    d1 <= 0 or tau <= 0 raises NoConvergence.
+    the eigenfunction), then extrapolates (w, tau, d1) in s through the
+    side's last _PREDICTOR_NODES points, s = 0 among them.  The amplitude
+    step adapts to the corrector's iteration count.  A failing step
+    truncates the branch on that side and sets the flag rather than
+    raising; a predictor with d1 <= 0 or tau <= 0 raises NoConvergence.
     """
     g = bp.phi_j.grid
     cs = constant_state(lp)
@@ -241,42 +253,37 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     sides = []
     for sign in (+1.0, -1.0):
         pts = []
-        prev = (base.w.values.copy(), base.tau, base.d1)
-        prev2 = None
-        s_prev = 0.0
+        hist = deque([(0.0, np.concatenate((base.w.values, [base.tau, base.d1])))],
+                     maxlen=_PREDICTOR_NODES)
         step = ds
         arclen = 0.0
-        while abs(s_prev) < s_max - 1e-14:
+        while abs(hist[-1][0]) < s_max - 1e-14:
+            s_prev, prev = hist[-1]
             s_next = s_prev + sign * step
             if abs(s_next) > s_max:
                 s_next = sign * s_max
-            if prev2 is None:
-                w_pred = prev[0] + (s_next - s_prev) * phi
-                tau_pred, d1_pred = prev[1], prev[2]
+            if len(hist) == 1:
+                pred = np.concatenate((prev[:-2] + s_next * phi, prev[-2:]))
             else:
-                frac = (s_next - s_prev) / (s_prev - s_prev2)
-                w_pred = prev[0] + frac * (prev[0] - prev2[0])
-                tau_pred = prev[1] + frac * (prev[1] - prev2[1])
-                d1_pred = prev[2] + frac * (prev[2] - prev2[2])
-            if d1_pred <= 0.0 or tau_pred <= 0.0:
+                s_nodes, x_nodes = zip(*hist)
+                pred = _extrapolation_weights(s_nodes, s_next) @ np.array(x_nodes)
+            if pred[-1] <= 0.0 or pred[-2] <= 0.0:
                 raise NoConvergence("branch predictor left d1 > 0 / tau > 0 "
                                     f"at s = {s_next:.6g}")
             try:
                 w, tau, d1, iters = _branch_newton(
-                    lp, w_pred.copy(), tau_pred, d1_pred, phi, s_next, g, tol=tol)
+                    lp, pred[:-2], pred[-2], pred[-1], phi, s_next, g, tol=tol)
             except (NoConvergence, TauCollapse):
                 step *= 0.5
                 if step < 1e-6 * ds:
                     truncated = True
                     break
                 continue
-            dl = math.sqrt(g.h * float(np.sum((w - prev[0]) ** 2))
-                           + (tau - prev[1]) ** 2 + (d1 - prev[2]) ** 2)
-            arclen += dl
+            arclen += math.sqrt(g.h * float(np.sum((w - prev[:-2]) ** 2))
+                                + (tau - prev[-2]) ** 2 + (d1 - prev[-1]) ** 2)
             pts.append(BranchPoint(s=s_next, d1=d1, tau=tau, w=GridFn(g, w),
                                    arclength=arclen, newton_iters=iters))
-            prev2, s_prev2 = prev, s_prev
-            prev, s_prev = (w, tau, d1), s_next
+            hist.append((s_next, np.concatenate((w, [tau, d1]))))
             if iters <= 3:
                 step = min(step * 1.5, 10.0 * ds)
             elif iters >= 7:

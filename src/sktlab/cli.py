@@ -173,6 +173,7 @@ def _cmd_solve(cfg) -> dict:
                                      t_end=cfg["run.t_march"], tol=cfg["run.tol"])
     return {"state.csv": ({"x": g.x, "u": state.u.values, "v": state.v.values},
                           {"residual_inf": state.residual_inf,
+                           "residual_floor": state.residual_floor,
                            "newton_iters": state.newton_iters,
                            "u_max": state.u_max, "v_max": state.v_max,
                            "certificate_ok": state.certificate_ok})}
@@ -265,11 +266,13 @@ def _cmd_bifurcate(cfg) -> dict:
                             "tau": [pt.tau for pt in pts],
                             "w_min": [float(np.min(pt.w.values)) for pt in pts],
                             "w_max": [float(np.max(pt.w.values)) for pt in pts],
-                            "arclength": [pt.arclength for pt in pts]},
+                            "arclength": [pt.arclength for pt in pts],
+                            "newton_iters": [pt.newton_iters for pt in pts]},
                            {"mode": j, "delta_j_closed": d1c,
                             "delta_j_discrete": bp.delta_j,
                             "lambda_j_discrete": bp.lambda_j,
-                            "truncated": branch.truncated})}
+                            "truncated": branch.truncated,
+                            "corrector_iters": sum(pt.newton_iters for pt in pts)})}
 
 
 def _cmd_dhmp(cfg) -> dict:

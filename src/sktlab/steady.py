@@ -35,6 +35,7 @@ class SteadyState:
     u: GridFn
     v: GridFn
     residual_inf: float
+    residual_floor: float    # the rounding floor the stop rule allowed
     newton_iters: int
     certificate_ok: bool | None
     residual_history: tuple = field(default=(), repr=False)
@@ -94,9 +95,9 @@ def _certificate_ok(p: ModelParams, u: np.ndarray, v: np.ndarray) -> bool | None
     return None if cert is None else cert.covers(float(np.max(u)), float(np.max(v)))
 
 
-def _steady_state(p, g, u, v, rnorm, it, history) -> SteadyState:
+def _steady_state(p, g, u, v, rnorm, floor, it, history) -> SteadyState:
     return SteadyState(params=p, grid=g, u=GridFn(g, u), v=GridFn(g, v),
-                       residual_inf=rnorm, newton_iters=it,
+                       residual_inf=rnorm, residual_floor=floor, newton_iters=it,
                        certificate_ok=_certificate_ok(p, u, v),
                        residual_history=tuple(history))
 
@@ -124,21 +125,20 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
     def step(x, r):
         return solve_pair(_jacobian_banded(p, x[:n], x[n:], h), *r)
 
-    def done(x, rnorm):
+    def floor(x):
         u, v = np.abs(x[:n]), np.abs(x[n:])
-        prod_scale = float(np.max((p.d1 + p.alpha * v) * u)) \
-            + float(np.max((p.d2 + p.beta * u) * v))
-        return rnorm <= max(tol, residual_floor(h, prod_scale))
+        return residual_floor(h, float(np.max((p.d1 + p.alpha * v) * u))
+                              + float(np.max((p.d2 + p.beta * u) * v)))
 
     def feasible(x):
         if float(np.min(x)) < -1e-12:
             return NegativeState("no Newton step stays in the nonnegative cone")
 
     x, _, rnorm, it, history = _damped_newton(
-        residual, step, np.concatenate((u0.values, v0.values)), done, max_iter,
-        "Newton", feasible)
+        residual, step, np.concatenate((u0.values, v0.values)),
+        lambda x, rnorm: rnorm <= max(tol, floor(x)), max_iter, "Newton", feasible)
     return _steady_state(p, g, np.maximum(x[:n], 0.0), np.maximum(x[n:], 0.0),
-                         rnorm, it, history)
+                         rnorm, floor(x), it, history)
 
 
 def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float,
@@ -204,14 +204,14 @@ def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
             dx[n:] *= 8.0 / mx
         return dx
 
-    def done(x, rnorm):
-        scale = max(float(np.max(np.abs(x[:n]))), float(np.max(np.exp(x[n:]))))
-        return rnorm <= max(tol, residual_floor(h, scale))
+    def floor(x):
+        return residual_floor(h, float(np.max(np.abs(x[:n]))),
+                              float(np.max(np.exp(x[n:]))))
 
     x, (_, _, (u, v, _), _), rnorm, it, history = _damped_newton(
-        residual, step, np.concatenate((w0.values, np.log(tau0))), done, max_iter,
-        "log-product Newton")
-    return _steady_state(p, g, u, v, rnorm, it, history)
+        residual, step, np.concatenate((w0.values, np.log(tau0))),
+        lambda x, rnorm: rnorm <= max(tol, floor(x)), max_iter, "log-product Newton")
+    return _steady_state(p, g, u, v, rnorm, floor(x), it, history)
 
 
 def _blowup_cap(p: ModelParams) -> float:

@@ -1,0 +1,126 @@
+"""The branch continuation against its earlier secant predictor.
+
+`_ref_switch_and_continue` keeps the loop that predicted every step after
+the first by the secant through the last two accepted points.  The
+predictor only moves the corrector's start, so both loops must trace the
+same s grid and agree at every point to well within the corrector
+tolerance, while the polynomial predictor needs fewer corrector
+iterations.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sktlab.bifurcation import (Branch, BranchPoint, _branch_newton,
+                                _extrapolation_weights, detect_crossing,
+                                switch_and_continue, w_star)
+from sktlab.errors import NoConvergence, TauCollapse
+from sktlab.grid import Grid, GridFn
+from sktlab.model import constant_state
+
+
+def _ref_switch_and_continue(lp, bp, s_max, ds, tol=1e-11):
+    g = bp.phi_j.grid
+    cs = constant_state(lp)
+    phi = bp.phi_j.values
+    base = BranchPoint(s=0.0, d1=bp.delta_j, tau=cs.tau_star,
+                       w=GridFn(g, np.full(g.n_cells, w_star(lp, bp.delta_j))),
+                       arclength=0.0, newton_iters=0)
+    truncated = False
+    sides = []
+    for sign in (+1.0, -1.0):
+        pts = []
+        prev = (base.w.values.copy(), base.tau, base.d1)
+        prev2 = None
+        s_prev = 0.0
+        step = ds
+        arclen = 0.0
+        while abs(s_prev) < s_max - 1e-14:
+            s_next = s_prev + sign * step
+            if abs(s_next) > s_max:
+                s_next = sign * s_max
+            if prev2 is None:
+                w_pred = prev[0] + (s_next - s_prev) * phi
+                tau_pred, d1_pred = prev[1], prev[2]
+            else:
+                frac = (s_next - s_prev) / (s_prev - s_prev2)
+                w_pred = prev[0] + frac * (prev[0] - prev2[0])
+                tau_pred = prev[1] + frac * (prev[1] - prev2[1])
+                d1_pred = prev[2] + frac * (prev[2] - prev2[2])
+            if d1_pred <= 0.0 or tau_pred <= 0.0:
+                raise NoConvergence("branch predictor left d1 > 0 / tau > 0 "
+                                    f"at s = {s_next:.6g}")
+            try:
+                w, tau, d1, iters = _branch_newton(
+                    lp, w_pred.copy(), tau_pred, d1_pred, phi, s_next, g, tol=tol)
+            except (NoConvergence, TauCollapse):
+                step *= 0.5
+                if step < 1e-6 * ds:
+                    truncated = True
+                    break
+                continue
+            dl = math.sqrt(g.h * float(np.sum((w - prev[0]) ** 2))
+                           + (tau - prev[1]) ** 2 + (d1 - prev[2]) ** 2)
+            arclen += dl
+            pts.append(BranchPoint(s=s_next, d1=d1, tau=tau, w=GridFn(g, w),
+                                   arclength=arclen, newton_iters=iters))
+            prev2, s_prev2 = prev, s_prev
+            prev, s_prev = (w, tau, d1), s_next
+            if iters <= 3:
+                step = min(step * 1.5, 10.0 * ds)
+            elif iters >= 7:
+                step = max(step * 0.5, 1e-6 * ds)
+        sides.append(pts)
+    plus, minus = sides
+    ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
+               for p in reversed(minus)] + [base] + plus
+    return Branch(origin=bp, points=tuple(ordered), truncated=truncated)
+
+
+# unequal nodes as an adapted amplitude step leaves them, both signs of s
+NODES = ([0.0, 0.005, 0.0125, 0.02375, 0.040625],
+         [0.0, -0.003, -0.0075, -0.0105, -0.021])
+
+
+@pytest.mark.parametrize("nodes", NODES)
+def test_extrapolation_weights_reproduce_polynomials(nodes):
+    rng = np.random.default_rng(3)
+    t = nodes[-1] + 1.5 * (nodes[-1] - nodes[-2])
+    for k in range(1, len(nodes) + 1):
+        c = _extrapolation_weights(nodes[-k:], t)
+        # k nodes reproduce every polynomial of degree below k
+        for deg in range(k):
+            coef = rng.standard_normal(deg + 1)
+            exact = np.polyval(coef, t)
+            got = c @ np.polyval(coef, np.array(nodes[-k:]))
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_two_node_weights_are_the_secant():
+    rng = np.random.default_rng(5)
+    for s_prev2, s_prev, s_next in ((0.0, 0.005, 0.0125), (0.01, 0.0125, 0.02),
+                                    (-0.003, -0.0075, -0.0105)):
+        frac = (s_next - s_prev) / (s_prev - s_prev2)
+        c = _extrapolation_weights([s_prev2, s_prev], s_next)
+        assert np.allclose(c, [-frac, 1.0 + frac], rtol=1e-14, atol=0.0)
+        prev2, prev = rng.standard_normal(7), rng.standard_normal(7)
+        secant = prev + frac * (prev - prev2)
+        assert np.allclose(c @ np.array([prev2, prev]), secant, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", (64, 256, 1024))
+@pytest.mark.parametrize("mode, s_max", ((1, 0.5), (2, 0.45)))
+def test_branch_matches_secant_reference(p1_limit, mode, s_max, n):
+    bp = detect_crossing(p1_limit, mode, Grid(n))
+    new = switch_and_continue(p1_limit, bp, s_max=s_max, ds=0.005)
+    ref = _ref_switch_and_continue(p1_limit, bp, s_max=s_max, ds=0.005)
+    assert new.truncated == ref.truncated
+    assert [pt.s for pt in new.points] == [pt.s for pt in ref.points]
+    for a, b in zip(new.points, ref.points):
+        assert abs(a.d1 - b.d1) <= 1e-9 and abs(a.tau - b.tau) <= 1e-9
+        assert float(np.max(np.abs(a.w.values - b.w.values))) <= 1e-9
+    iters_new = sum(pt.newton_iters for pt in new.points)
+    iters_ref = sum(pt.newton_iters for pt in ref.points)
+    assert iters_new <= 0.75 * iters_ref

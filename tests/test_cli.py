@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
@@ -12,7 +13,7 @@ from sktlab.cli import main, parse_config
 from sktlab.errors import (AssemblyError, BlowUp, NegativeState, ParseError,
                            ValidationError)
 
-from conftest import TANGENCY
+from conftest import PW, TANGENCY
 
 
 def run_python(args, cwd):
@@ -219,8 +220,45 @@ def _metadata(path):
                 if line.startswith("# ") and ": " in line)
 
 
+def _columns(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+    return {name: np.array([float(r[i]) for r in rows[1:]])
+            for i, name in enumerate(rows[0])}
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("mode, s_max", [(1, 0.5), (2, 0.45)])
+def test_bifurcate_branch_is_ordered_and_admissible(mode, s_max, n, tmp_path):
+    cfg = tmp_path / "br.cfg"
+    cfg.write_text(f"run.mode = {mode}\nrun.s_max = {s_max}\ngrid.n_cells = {n}\n")
+    assert main(["bifurcate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "branch.csv")
+    cols = _columns(tmp_path / "branch.csv")
+    s, arc, iters = cols["s"], np.abs(cols["arclength"]), cols["newton_iters"]
+    assert np.all(cols["d1"] > 0.0) and np.all(cols["tau"] > 0.0)
+    assert np.all(np.diff(s) > 0.0)
+    (zero,) = np.flatnonzero(s == 0.0)
+    assert cols["d1"][zero] == float(meta["delta_j_discrete"])
+    assert np.all(np.diff(arc[zero:]) > 0.0) and np.all(np.diff(arc[:zero + 1]) < 0.0)
+    assert iters[zero] == 0 and int(meta["corrector_iters"]) == iters.sum()
+
+
+def test_solve_reports_the_residual_floor(tmp_path):
+    # the weak-competition state at n = 256 stops on the rounding floor of
+    # the 1/h^2 stencil, above run.tol; the metadata shows which bound held
+    cfg = tmp_path / "pw.cfg"
+    cfg.write_text("".join(f"model.{k} = {v}\n" for k, v in PW.items())
+                   + "grid.n_cells = 256\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "state.csv")
+    tol = parse_config("")["run.tol"]
+    residual, floor = float(meta["residual_inf"]), float(meta["residual_floor"])
+    assert tol < residual <= max(tol, floor)
+
+
 def test_bifurcate_predictor_leaving_the_cone_exits_2(tmp_path, capsys):
-    # on P1 the mode-2 branch runs d1 -> 0 near s = 0.49; the secant
+    # on P1 the mode-2 branch runs d1 -> 0 near s = 0.49; the branch
     # predictor crosses d1 = 0 before s_max = 0.8 is reached
     cfg = tmp_path / "m2.cfg"
     cfg.write_text("run.mode = 2\nrun.s_max = 0.8\ngrid.n_cells = 256\n")
