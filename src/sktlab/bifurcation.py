@@ -5,7 +5,7 @@ scalar potential crosses a Neumann eigenvalue; this module provides the
 closed-form threshold, the same closed form at the discrete eigenvalue,
 an inverse-iteration oracle for the critical eigenvalue, and
 branch switching with amplitude continuation of the emerging nonconstant
-solutions.
+solutions (the corrector is that of limits.is_newton plus d1 and a phase row).
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import numpy as np
 from .errors import BracketError, NoConvergence, NoThreshold, TauCollapse
 from .grid import (Grid, GridFn, discrete_eigenvalue, integrate,
                    laplacian_values, neumann_eigenpair)
-from .limits import LimitParams, _is_linearization, _is_residual_values, _uv_root
-from .linalg import (_damped_newton, lap_band, residual_floor, solve_bordered,
-                     solve_tridiag)
+from .limits import LimitParams, _is_corrector, _is_linearization, _uv_root
+from .linalg import lap_band, solve_tridiag
 from .model import constant_state
 
 
@@ -171,53 +170,18 @@ def l11_min_eigenvalue(lp: LimitParams, d1: float, g: Grid,
 
 def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
                    tol=1e-11, max_iter=30):
-    """Corrector for the amplitude-parametrized branch system.
-
-    Unknowns (w, tau, d1), stacked; equations: field residual, integral
-    constraint, phase condition fixing the Phi_j-amplitude of w - w*(d1) at
-    s_target.  The start needs tau, d1 > 0; trials with tau <= 1e-12 or
-    d1 <= 0 are halved, and TauCollapse is raised if no step stays admissible.
+    """Corrector of the amplitude-parametrized branch: limits._is_corrector
+    with d1 as an unknown and the phase row fixing the Phi_j-amplitude of
+    w - w*(d1) at s_target.  Trials with tau <= 1e-12 or d1 <= 0 are
+    halved; TauCollapse is raised if no step stays admissible.
     """
-    h = g.h
-    cs = constant_state(lp)
-    v_off = lp.gamma * lp.d2 * cs.v_star      # w*(d1) = d1*u* - v_off
-    h_phi = h * phi
-    phase_d1 = -cs.u_star * h * float(np.sum(phi))
-
-    def residual(x):
-        w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
-        fld, con, root = _is_residual_values(lp, w, tau, h, d1)
-        phase = h * float(np.sum(phi * (w - (d1 * cs.u_star - v_off)))) - s_target
-        return max(float(np.max(np.abs(fld))), abs(con), abs(phase)), \
-            (fld, con, phase, root, tau, d1)
-
-    def step(_x, data):
-        fld, con, phase, root, tau, d1 = data
-        # d1 enters through the transform (u, v)(w, tau; d1) and the
-        # constant-branch offset in the phase row
-        q_w, q_t, f_w, f_t, (q_u, q_v, f_u, f_v) = _is_linearization(lp, root, d1)
-        u, _, S = root
-        u_d = lp.gamma * lp.d2 * tau / (d1 * S) - u / d1
-        v_d = tau / S
-        q_d = q_u * u_d + q_v * v_d
-        f_d = f_u * u_d + f_v * v_d
-
-        corner = np.array([[h * float(np.sum(f_t)), h * float(np.sum(f_d))],
-                           [0.0, phase_d1]])
-        dw, dy = solve_bordered(lap_band(g.n_cells, h, diag=q_w), (q_t, q_d),
-                                (h * f_w, h_phi), corner, -fld,
-                                np.array([-con, -phase]))
-        return np.concatenate((dw, dy))
-
-    def done(x, rnorm):
-        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:-2])))))
-
     def feasible(x):
         if x[-2] <= 1e-12 or x[-1] <= 0.0:
             return TauCollapse("branch iterate left the admissible cone", tau=x[-2])
 
-    x, _, _, it, _ = _damped_newton(residual, step, np.concatenate((w, [tau, d1])),
-                                    done, max_iter, "branch corrector", feasible)
+    x, _, _, it, _ = _is_corrector(lp, np.concatenate((w, [tau, d1])), g.h, tol,
+                                   max_iter, "branch corrector", feasible,
+                                   phase=(phi, s_target))
     return x[:-2], float(x[-2]), float(x[-1]), it
 
 

@@ -236,6 +236,7 @@ def _cmd_is_solve(cfg) -> dict:
     u, v = sol.densities(lp)
     return {"is_state.csv": ({"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
                              {"tau": sol.tau, "residual_inf": sol.residual_inf,
+                              "newton_iters": sol.newton_iters,
                               "constraint": sol.constraint})}
 
 

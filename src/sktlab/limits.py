@@ -19,7 +19,8 @@ from .errors import DomainError, TauCollapse
 from .grid import GridFn, laplacian_values
 from .linalg import (_damped_newton, lap_band, residual_floor, solve_bordered,
                      solve_tridiag)
-from .model import ModelParams, kinetic_partials, reaction_f, reaction_g
+from .model import (ModelParams, constant_state, kinetic_partials, reaction_f,
+                    reaction_g)
 
 _TAU_FLOOR = 1e-10
 
@@ -62,6 +63,7 @@ class ISState:
     tau: float
     residual_inf: float = np.nan
     constraint: float = np.nan
+    newton_iters: int = 0
 
     def densities(self, lp: LimitParams) -> tuple[GridFn, GridFn]:
         u, v = uv_from_w_tau(lp, self.w.values, self.tau)
@@ -182,46 +184,75 @@ def _is_linearization(lp: LimitParams, root, d1: float):
     return q_w, q_t, f_w, f_t, (q_u, q_v, fu, fv)
 
 
+def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
+                  max_iter: int, what: str, feasible, phase=None):
+    """Bordered Newton on the incomplete-segregation system from x = (w, tau)
+    at lp.d1; returns _damped_newton's result.  With phase = (phi, s_target),
+    x = (w, tau, d1) and con stacks the constraint with the phase equation
+    h*sum(phi*(w - w*(d1))) = s_target.  The tridiagonal field block gets one
+    border column and row per scalar unknown, eliminated by solve_bordered.
+    """
+    n = x.size - (1 if phase is None else 2)
+    if phase is not None:
+        phi, s_target = phase
+        cs = constant_state(lp)
+        v_off = lp.gamma * lp.d2 * cs.v_star      # w*(d1) = d1*u* - v_off
+        phase_d1 = -cs.u_star * h * float(np.sum(phi))
+
+    def residual(x):
+        d1 = lp.d1 if phase is None else float(x[-1])
+        fld, con, root = _is_residual_values(lp, x[:n], float(x[n]), h, d1)
+        rnorm = max(float(np.max(np.abs(fld))), abs(con))
+        if phase is not None:
+            ph = h * float(np.sum(phi * (x[:n] - (d1 * cs.u_star - v_off)))) - s_target
+            rnorm, con = max(rnorm, abs(ph)), np.array([con, ph])
+        return rnorm, (fld, con, root)
+
+    def step(x, data):
+        fld, con, root = data
+        d1 = lp.d1 if phase is None else float(x[-1])
+        q_w, q_t, f_w, f_t, (q_u, q_v, f_u, f_v) = _is_linearization(lp, root, d1)
+        cols, rows, corner = (q_t,), (h * f_w,), h * float(np.sum(f_t))
+        if phase is not None:
+            # d1 enters through the transform (u, v)(w, tau; d1) and the
+            # constant-branch offset in the phase row
+            u, _, S = root
+            tau = float(x[n])
+            u_d = lp.gamma * lp.d2 * tau / (d1 * S) - u / d1
+            v_d = tau / S
+            cols, rows = cols + (q_u * u_d + q_v * v_d,), rows + (h * phi,)
+            corner = np.array([[corner, h * float(np.sum(f_u * u_d + f_v * v_d))],
+                               [0.0, phase_d1]])
+        dw, dy = solve_bordered(lap_band(n, h, diag=q_w), cols, rows, corner, -fld, -con)
+        return np.concatenate((dw, dy))
+
+    def done(x, rnorm):
+        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:n])))))
+
+    return _damped_newton(residual, step, x, done, max_iter, what, feasible)
+
+
 def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
               tol: float = 1e-11, max_iter: int = 40) -> ISState:
-    """Bordered Newton on the field equations plus the integral constraint.
-
-    The unknown is (w, tau) stacked.  The (n+1)-dimensional Jacobian is a
-    tridiagonal block bordered by one dense column (tau derivative) and one
-    dense row (constraint gradient), solved by a Schur complement on the
-    scalar.  A line-search trial whose tau falls below 1e-10 raises
-    TauCollapse: the complete-segregation signature, an informative outcome
-    rather than a failure.
+    """Bordered Newton (_is_corrector) on the field equations plus the
+    integral constraint, for (w, tau) at lp.d1.  A line-search trial whose
+    tau falls below 1e-10 raises TauCollapse: the complete-segregation
+    signature, an informative outcome rather than a failure.
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
     g = w0.grid
-    h = g.h
-
-    def residual(x):
-        fld, con, root = _is_residual_values(lp, x[:-1], float(x[-1]), h, lp.d1)
-        return max(float(np.max(np.abs(fld))), abs(con)), (fld, con, root)
-
-    def step(_x, data):
-        fld, con, root = data
-        q_w, q_t, f_w, f_t, _ = _is_linearization(lp, root, lp.d1)
-        corner = h * float(np.sum(f_t))
-        dw, dtau = solve_bordered(lap_band(g.n_cells, h, diag=q_w), (q_t,),
-                                  (h * f_w,), corner, -fld, -con)
-        return np.concatenate((dw, dtau))
-
-    def done(x, rnorm):
-        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:-1])))))
 
     def feasible(x):
         if x[-1] < _TAU_FLOOR:
             raise TauCollapse("tau fell below the collapse floor", tau=float(x[-1]))
 
-    x, (fld, con, _), _, _, _ = _damped_newton(
-        residual, step, np.concatenate((w0.values, [float(tau0)])), done, max_iter,
+    x, (fld, con, _), _, it, _ = _is_corrector(
+        lp, np.concatenate((w0.values, [float(tau0)])), g.h, tol, max_iter,
         "bordered Newton", feasible)
     return ISState(w=GridFn(g, x[:-1]), tau=float(x[-1]),
-                   residual_inf=float(np.max(np.abs(fld))), constraint=con)
+                   residual_inf=float(np.max(np.abs(fld))), constraint=con,
+                   newton_iters=it)
 
 
 def _cs_residual_values(lp: LimitParams, w: np.ndarray, h: float):

@@ -8,10 +8,13 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import sktlab
-from sktlab import cli, errors, steady, twolobe
+from sktlab import cli, errors, limits, steady, twolobe
+from sktlab.bifurcation import w_star
 from sktlab.cli import main, parse_config
 from sktlab.errors import (AssemblyError, BlowUp, NegativeState, ParseError,
                            ValidationError)
+from sktlab.grid import Grid, GridFn, neumann_eigenpair
+from sktlab.model import constant_state
 
 from conftest import PW, TANGENCY
 
@@ -255,6 +258,20 @@ def test_solve_reports_the_residual_floor(tmp_path):
     tol = parse_config("")["run.tol"]
     residual, floor = float(meta["residual_inf"]), float(meta["residual_floor"])
     assert tol < residual <= max(tol, floor)
+
+
+def test_is_solve_reports_its_newton_iterations(p1_limit, tmp_path):
+    # the defaults are P1 at gamma = 1: the same solve as a direct is_newton
+    assert main(["is-solve", "--grid", "64", "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "is_state.csv")
+    cfg = parse_config("")
+    g = Grid(64)
+    _, phi = neumann_eigenpair(g, cfg["run.mode"])
+    w0 = GridFn(g, w_star(p1_limit, p1_limit.d1) + cfg["run.amplitude"] * phi.values)
+    sol = limits.is_newton(p1_limit, w0, constant_state(p1_limit).tau_star,
+                           tol=cfg["run.tol"])
+    assert float(meta["tau"]) == sol.tau
+    assert sol.newton_iters > 0 and int(meta["newton_iters"]) == sol.newton_iters
 
 
 def test_bifurcate_predictor_leaving_the_cone_exits_2(tmp_path, capsys):

@@ -69,3 +69,33 @@ def test_scan_flags_a_scipy_linalg_import():
                      "from scipy import linalg\nfrom scipy.interpolate import x\n"
                      "from scipy.linalg.lapack import dgtsv\n")
     assert _scipy_linalg_imports(tree) == [1, 2, 3, 5]
+
+
+def _references(tree: ast.Module, names) -> list[int]:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names or \
+                isinstance(node, ast.Attribute) and node.attr in names:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name in names for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+IS_SYSTEM = {"solve_bordered", "_is_residual_values"}
+
+
+def test_only_limits_assembles_the_incomplete_segregation_system():
+    # the bordered Newton on (w, tau), with or without d1 and the phase
+    # row, lives in limits; linalg defines solve_bordered
+    found = {p.name: _references(ast.parse(p.read_text(encoding="utf-8")), IS_SYSTEM)
+             for p in MODULES if p.name not in ("limits.py", "linalg.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_flags_a_bordered_system_reference():
+    tree = ast.parse("from .linalg import solve_bordered\nfrom . import limits\n"
+                     "x = limits._is_residual_values(1)\nsolve = solve_bordered\n"
+                     "y = limits.is_residual(2)\n")
+    assert _references(tree, IS_SYSTEM) == [1, 3, 4]

@@ -204,3 +204,35 @@ def test_is_newton_bit_equal_to_reference(p1_limit, monkeypatch, mode, n):
         assert np.array_equal(x, x_ref) and np.array_equal(fld, fld_ref)
         assert (con, rnorm, it, history) == (con_ref, rnorm_ref, it_ref, history_ref)
         assert np.array_equal(new.w.values, x_ref[:-1]) and new.tau == x_ref[-1]
+
+
+@pytest.mark.parametrize("n", (64, 256))
+@pytest.mark.parametrize("s", (0.48, 0.485))
+def test_branch_newton_halves_an_infeasible_trial(p1_limit, monkeypatch, s, n):
+    # near the end of the mode-2 branch (d1 -> 0 as s -> 0.486) the full
+    # step from the linear predictor leaves d1 > 0; the corrector halves it
+    # and converges instead of raising
+    rejected = []
+
+    def spy(residual, step, x, done, max_iter, what, feasible=None):
+        def counted(xt):
+            err = feasible(xt)
+            if err is not None:
+                rejected.append(err)
+            return err
+        return _damped_newton(residual, step, x, done, max_iter, what, counted)
+
+    g = Grid(n)
+    bp = detect_crossing(p1_limit, 2, g)
+    phi = bp.phi_j.values
+    tau0 = constant_state(p1_limit).tau_star
+    args = (p1_limit, np.full(n, w_star(p1_limit, bp.delta_j)) + s * phi, tau0,
+            bp.delta_j, phi, s, g)
+    ref = _ref_branch_newton(*args)
+    monkeypatch.setattr(limits, "_damped_newton", spy)
+    new = _branch_newton(*args)
+    _assert_bit_equal(new, ref)
+    assert new[-1] == 7 and new[2] > 0.0
+    assert rejected and all(isinstance(err, TauCollapse) for err in rejected)
+    if (s, n) == (0.48, 64):
+        assert new[2] == 0.0008770066516938191
