@@ -172,16 +172,11 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
                    tol=1e-11, max_iter=30):
     """Corrector of the amplitude-parametrized branch: limits._is_corrector
     with d1 as an unknown and the phase row fixing the Phi_j-amplitude of
-    w - w*(d1) at s_target.  Trials with tau <= 1e-12 or d1 <= 0 are
+    w - w*(d1) at s_target.  Trials with tau < 1e-10 or d1 <= 0 are
     halved; TauCollapse is raised if no step stays admissible.
     """
-    def feasible(x):
-        if x[-2] <= 1e-12 or x[-1] <= 0.0:
-            return TauCollapse("branch iterate left the admissible cone", tau=x[-2])
-
     x, _, _, it, _ = _is_corrector(lp, np.concatenate((w, [tau, d1])), g.h, tol,
-                                   max_iter, "branch corrector", feasible,
-                                   phase=(phi, s_target))
+                                   max_iter, "branch corrector", phase=(phi, s_target))
     return x[:-2], float(x[-2]), float(x[-1]), it
 
 

@@ -141,7 +141,7 @@ def sup_bound(p: ModelParams, eta: float) -> BoundCertificate:
     if p.beta <= 0.0 or p.alpha <= 0.0:
         raise BandError("certificate needs alpha, beta > 0")
     ratio = p.alpha / p.beta
-    if not (eta <= ratio <= 1.0 / eta):
+    if not eta <= min(ratio, 1.0 / ratio):
         raise BandError(f"alpha/beta = {ratio} outside [{eta}, {1.0 / eta}]")
     if p.alpha <= eta or p.beta <= eta:
         return BoundCertificate(

@@ -185,12 +185,14 @@ def _is_linearization(lp: LimitParams, root, d1: float):
 
 
 def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
-                  max_iter: int, what: str, feasible, phase=None):
+                  max_iter: int, what: str, phase=None):
     """Bordered Newton on the incomplete-segregation system from x = (w, tau)
     at lp.d1; returns _damped_newton's result.  With phase = (phi, s_target),
     x = (w, tau, d1) and con stacks the constraint with the phase equation
     h*sum(phi*(w - w*(d1))) = s_target.  The tridiagonal field block gets one
     border column and row per scalar unknown, eliminated by solve_bordered.
+    A trial with tau < 1e-10 (or, with phase, d1 <= 0) is infeasible: it is
+    halved, and TauCollapse is raised only if the step falls below 2**-20.
     """
     n = x.size - (1 if phase is None else 2)
     if phase is not None:
@@ -229,6 +231,12 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
     def done(x, rnorm):
         return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:n])))))
 
+    def feasible(x):
+        if x[n] < _TAU_FLOOR:
+            return TauCollapse("tau fell below the collapse floor", tau=float(x[n]))
+        if phase is not None and x[-1] <= 0.0:
+            return TauCollapse("branch iterate left d1 > 0", tau=float(x[n]))
+
     return _damped_newton(residual, step, x, done, max_iter, what, feasible)
 
 
@@ -236,20 +244,15 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
               tol: float = 1e-11, max_iter: int = 40) -> ISState:
     """Bordered Newton (_is_corrector) on the field equations plus the
     integral constraint, for (w, tau) at lp.d1.  A line-search trial whose
-    tau falls below 1e-10 raises TauCollapse: the complete-segregation
-    signature, an informative outcome rather than a failure.
+    tau falls below 1e-10 is halved; TauCollapse, the complete-segregation
+    signature, is raised only when halving reaches a step below 2**-20.
     """
     if tau0 <= 0.0:
         raise ValueError("tau0 must be positive")
     g = w0.grid
-
-    def feasible(x):
-        if x[-1] < _TAU_FLOOR:
-            raise TauCollapse("tau fell below the collapse floor", tau=float(x[-1]))
-
     x, (fld, con, _), _, it, _ = _is_corrector(
         lp, np.concatenate((w0.values, [float(tau0)])), g.h, tol, max_iter,
-        "bordered Newton", feasible)
+        "bordered Newton")
     return ISState(w=GridFn(g, x[:-1]), tau=float(x[-1]),
                    residual_inf=float(np.max(np.abs(fld))), constraint=con,
                    newton_iters=it)

@@ -42,7 +42,6 @@ class LimitRunReport:
     final_w: GridFn
     tau_star: float
     complete_tol: float
-    limit_comparison: float = np.nan
 
 
 def geometric_schedule(alpha0: float, gamma: float, n_steps: int,

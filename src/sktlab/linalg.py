@@ -33,9 +33,9 @@ def _damped_newton(residual, step, x, done, max_iter, what, feasible=None):
     already meets done is accepted; step then gets that trial's residual data.  If
     feasible is given, a trial for which it returns an exception is halved
     without evaluating its residual, and that exception is raised if the
-    step then falls below 2**-20 (feasible may also raise itself).  A
-    stalled line search or max_iter iterations raise NoConvergence with the
-    last accepted norm and the iteration count.
+    step then falls below 2**-20.  A stalled line search or max_iter
+    iterations raise NoConvergence with the last accepted norm and the
+    iteration count.
 
     Returns (x, data, norm, iterations, residual history).
     """

@@ -14,6 +14,7 @@ from sktlab.cli import main, parse_config
 from sktlab.errors import (AssemblyError, BlowUp, NegativeState, ParseError,
                            ValidationError)
 from sktlab.grid import Grid, GridFn, neumann_eigenpair
+from sktlab.linalg import residual_floor
 from sktlab.model import constant_state
 
 from conftest import PW, TANGENCY
@@ -173,14 +174,29 @@ def test_entry_point_exit_codes(tmp_path):
 
 
 def test_is_solve_tau_collapse_exits_2(tmp_path, capsys):
-    # P1 with d1 below delta_1 = 0.658: the bordered Newton iterate from a
-    # large start amplitude drives tau below its floor
+    # P1 with d1 below delta_1 = 0.658: from a very large start amplitude
+    # the bordered Newton halves a step below 2**-20 and that trial still
+    # has tau below its floor
     cfg = tmp_path / "tc.cfg"
-    cfg.write_text("model.d1 = 0.5\nrun.amplitude = 10\ngrid.n_cells = 64\n")
+    cfg.write_text("model.d1 = 0.55\nrun.amplitude = 30\ngrid.n_cells = 64\n")
     assert main(["is-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "tau collapse" in err and "last tau" in err
     assert not (tmp_path / "is_state.csv").exists()
+
+
+def test_is_solve_halves_an_overshooting_step_and_converges(tmp_path):
+    # the same P1 start at a smaller amplitude: the first full Newton steps
+    # overshoot to tau < 0, and the halved trials reach a nonconstant state
+    cfg = tmp_path / "os.cfg"
+    cfg.write_text("model.d1 = 0.5\nrun.amplitude = 10\ngrid.n_cells = 64\n")
+    assert main(["is-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "is_state.csv")
+    w = _columns(tmp_path / "is_state.csv")["w"]
+    floor = residual_floor(Grid(64).h, float(np.max(np.abs(w))))
+    assert float(meta["tau"]) == 14.277907362086978
+    assert float(meta["residual_inf"]) <= max(parse_config("")["run.tol"], floor)
+    assert int(meta["newton_iters"]) == 10
 
 
 @pytest.mark.parametrize("key", ["model.a1", "model.alpha", "run.t_march"])
@@ -300,6 +316,35 @@ def test_limit_study_bad_schedule_is_config_error(line, tmp_path):
     cfg.write_text(line + "\ngrid.n_cells = 64\n")
     assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "limit_study.csv").exists()
+
+
+def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch):
+    # P1 from a large seed amplitude: the seed polish leaves the nonnegative
+    # cone, the march reaches the exclusion state u = a1/b1, v = 0, and each
+    # schedule step, with u*v = 0, is solved by the direct Newton
+    calls = []
+    newton_solve = steady.newton_solve
+
+    def spy(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        try:
+            state = newton_solve(*args, **kwargs)
+        except NegativeState:
+            calls.append((caller, "NegativeState"))
+            raise
+        calls.append((caller, "ok"))
+        return state
+
+    monkeypatch.setattr(steady, "newton_solve", spy)
+    cfg = tmp_path / "ex.cfg"
+    cfg.write_text("run.amplitude = 10\nrun.alpha0 = 10\ngrid.n_cells = 64\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "limit_study.csv")
+    assert meta["classification"] == "Undetermined"
+    assert "limit_comparison" not in meta
+    assert calls[:2] == [("_cmd_limit_study", "NegativeState"),
+                         ("march_then_newton", "ok")]
+    assert calls[2:] == [("_solve_step", "ok")] * int(parse_config("")["run.steps"])
 
 
 def test_bifurcate_threshold_far_from_the_continuum_one(tmp_path):

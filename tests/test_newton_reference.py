@@ -129,7 +129,7 @@ def _ref_is_newton(lp, w0, tau0, tol=1e-11, max_iter=40):
 
     def feasible(x):
         if x[-1] < limits._TAU_FLOOR:
-            raise TauCollapse("tau fell below the collapse floor", tau=float(x[-1]))
+            return TauCollapse("tau fell below the collapse floor", tau=float(x[-1]))
 
     return _damped_newton(residual, step, np.concatenate((w0.values, [float(tau0)])),
                           done, max_iter, "bordered Newton", feasible)
@@ -188,7 +188,8 @@ def test_is_newton_bit_equal_to_reference(p1_limit, monkeypatch, mode, n):
     _, phi = neumann_eigenpair(g, mode)
     tau0 = constant_state(p1_limit).tau_star
     # below, near and above the first threshold, small and large starts;
-    # the last start collapses tau
+    # the full steps from the last start overshoot tau < 0: halved, they
+    # converge for mode 1 and collapse tau for mode 2
     for d1, amp in ((0.5, 0.1), (0.66, 0.5), (1.0, 2.0), (0.5, 10.0)):
         lp = p1_limit.with_d1(d1)
         w0 = GridFn(g, w_star(lp, d1) + amp * phi.values)

@@ -220,6 +220,29 @@ def test_cli_solve_weak_reaches_coexistence(tmp_path):
     assert np.max(np.abs(v - 470.0 / 99.0)) < 1e-8
 
 
+# a rate ratio r = alpha/beta > 1 for which 1/(1/r) rounds below r
+ROUNDING_RATES = (781.6369984515303, 426.5223845065687)
+
+
+def test_levelset_certificate_at_a_rounded_band_edge():
+    # eta = 1/r puts r on the band edge 1/eta, which the band check must
+    # not lose to rounding
+    alpha, beta = ROUNDING_RATES
+    ratio = alpha / beta
+    assert 1.0 / (1.0 / ratio) < ratio
+    cert = steady._levelset_certificate(ModelParams(**P1).with_rates(alpha, beta))
+    assert cert is not None and cert.eta == 1.0 / ratio
+    assert cert.covers(50.0, 0.0)
+
+
+def test_cli_solve_certifies_at_a_rounded_band_edge(tmp_path):
+    alpha, beta = ROUNDING_RATES
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--alpha", repr(alpha), "--beta", repr(beta),
+                     "--grid", "64", "--out", str(out)]) == 0
+    assert "# certificate_ok: True" in (out / "state.csv").read_text().splitlines()
+
+
 def test_max_principle_diagnostic(grid64):
     p = ModelParams(**P1).with_rates(100.0, 100.0)
     x = grid64.x
