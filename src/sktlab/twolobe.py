@@ -8,7 +8,8 @@ lobe solves d*w'' + w*(a - b*w) = 0, w'(0) = 0, w(ell) = 0; the time map, a
 quadrature monotone in the peak, gives the peak from ell, so lobes are
 positive and monotone by construction.  theta is found by an outer scalar
 root-find on the flux mismatch, and the tiled pattern evaluates the two lobe
-profiles, functions of x, directly at the grid nodes.
+profiles, functions of x, directly at the grid nodes; each profile inverts
+its time map with a cubic Hermite interpolant evaluated in numpy.
 """
 
 from __future__ import annotations
@@ -116,20 +117,37 @@ def _lobe(d: float, a: float, b: float, ell: float) -> tuple[float, float]:
                         iterations=it + 1)
 
 
+def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
+    """xv -> the C1 cubic through (x, y) with slopes dydx, extrapolated by the
+    end pieces: the coefficients, intervals and evaluation order of scipy's
+    CubicHermiteSpline, so the values are the same to the bit.  Knots must
+    be finite and strictly increasing, else AssemblyError."""
+    dx = np.diff(x)
+    if not (np.isfinite([x, y, dydx]).all() and (dx > 0.0).all()):
+        raise AssemblyError("lobe profile knots are not finite and strictly increasing")
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2.0 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]
+
+    def f(xv):
+        i = np.clip(np.searchsorted(x, xv, side="right") - 1, 0, len(x) - 2)
+        s = xv - x[i]
+        return c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+
+    return f
+
+
 def _lobe_profile(a: float, b: float, ell: float, y: float, m: int):
     """x -> w(x) on [0, ell], zero from ell on: X(tau) by Simpson's rule on m
-    intervals, inverted by cubic Hermite interpolation with the exact
-    dtau/dX; A*(1 - s^2) with s in [0, 1] rising is nonnegative and
-    monotone by construction."""
-    # imported here: scipy.interpolate costs a quarter second of import
-    # time and only the pattern commands need it
-    from scipy.interpolate import CubicHermiteSpline
+    intervals, inverted by the cubic Hermite interpolant of tau(X) with the
+    exact dtau/dX = 1/q; A*(1 - s^2) with s in [0, 1] rising is nonnegative
+    and monotone by construction."""
     dh = math.exp(y)
     tau = np.linspace(0.0, math.asinh(1.0 / math.sqrt(2.0 * dh)), 2 * (m // 2) + 1)
     q = _time_map_integrand(tau, dh)[0]
     big_x = np.concatenate(([0.0], np.cumsum(
         (tau[1] / 3.0) * (q[:-2:2] + 4.0 * q[1::2] + q[2::2]))))
-    tau_of = CubicHermiteSpline(big_x, tau[::2], 1.0 / q[::2])
+    tau_of = _hermite(big_x, tau[::2], 1.0 / q[::2])
     # x scales onto the accumulated X, so x = ell lands on the zero
     amp, scale = (a / b) * -math.expm1(y), big_x[-1] / ell
 

@@ -386,12 +386,18 @@ def test_non_finite_linear_system_exits_2(command, line, tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded(tmp_path):
-    # only the pattern commands need scipy.interpolate, which costs a
-    # quarter second of import time; twolobe imports it lazily
+    # scipy.interpolate costs ~0.4 s of import time and ~22 MB; no command
+    # needs it, the pattern commands included, since the lobe inverse is
+    # twolobe's own numpy cubic Hermite
     r = run_python(["-c", "import sys, sktlab.cli; "
+                    "print('scipy.interpolate' in sys.modules, end=' '); "
+                    "print(*(sktlab.cli.main([c, '--grid', '64', '--out', 'out']) "
+                    "for c in ('dhmp', 'cs-solve')), end=' '); "
                     "print('scipy.interpolate' in sys.modules)"], cwd=str(tmp_path))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "False 0 0 False"
+    assert sorted(os.listdir(tmp_path / "out")) == ["cs_state.csv", "dhmp_fg.csv",
+                                                    "dhmp_gf.csv"]
 
 
 DEGENERATE = {

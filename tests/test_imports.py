@@ -42,7 +42,8 @@ def test_scan_flags_an_unused_import():
     assert _unused_imports(tree) == ["tau (line 2)"]
 
 
-def _scipy_linalg_imports(tree: ast.Module) -> list[int]:
+def _scipy_imports(tree: ast.Module, sub: str) -> list[int]:
+    """Lines that import scipy.<sub> or anything inside it."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -51,15 +52,15 @@ def _scipy_linalg_imports(tree: ast.Module) -> list[int]:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.")
+        if any(name == f"scipy.{sub}" or name.startswith(f"scipy.{sub}.")
                for name in names):
             lines.append(node.lineno)
-    return lines
+    return sorted(lines)
 
 
 def test_only_linalg_imports_scipy_linalg():
     # linalg owns the band layouts and the LAPACK calls
-    found = {p.name: _scipy_linalg_imports(ast.parse(p.read_text(encoding="utf-8")))
+    found = {p.name: _scipy_imports(ast.parse(p.read_text(encoding="utf-8")), "linalg")
              for p in MODULES if p.name != "linalg.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -68,7 +69,22 @@ def test_scan_flags_a_scipy_linalg_import():
     tree = ast.parse("import scipy.linalg\nfrom scipy.linalg import solve_banded\n"
                      "from scipy import linalg\nfrom scipy.interpolate import x\n"
                      "from scipy.linalg.lapack import dgtsv\n")
-    assert _scipy_linalg_imports(tree) == [1, 2, 3, 5]
+    assert _scipy_imports(tree, "linalg") == [1, 2, 3, 5]
+
+
+def test_no_module_imports_scipy_interpolate():
+    # the lobe inverse is a numpy cubic Hermite (twolobe._hermite), and
+    # loading scipy.interpolate would cost ~22 MB and ~0.4 s per process
+    found = {p.name: _scipy_imports(ast.parse(p.read_text(encoding="utf-8")), "interpolate")
+             for p in pathlib.Path(sktlab.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_flags_a_scipy_interpolate_import():
+    tree = ast.parse("def f():\n    from scipy.interpolate import CubicHermiteSpline\n"
+                     "import scipy.linalg\nfrom scipy import interpolate\n"
+                     "import scipy.interpolate._cubic\n")
+    assert _scipy_imports(tree, "interpolate") == [2, 4, 5]
 
 
 def _references(tree: ast.Module, names) -> list[int]:

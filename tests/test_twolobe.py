@@ -5,11 +5,11 @@ import pytest
 
 from sktlab import twolobe
 from sktlab.cli import main as cli_main
-from sktlab.errors import NoBracket, NoConvergence
+from sktlab.errors import AssemblyError, NoBracket, NoConvergence
 from sktlab.grid import Grid
 from sktlab.limits import LimitParams
 from sktlab.linalg import _damped_newton, residual_floor, solve_tridiag
-from sktlab.twolobe import _mismatch, assemble, existence_check, solve_unit
+from sktlab.twolobe import _hermite, _mismatch, assemble, existence_check, solve_unit
 
 from conftest import P1
 
@@ -345,3 +345,62 @@ def test_patterns_like_sweep(monkeypatch):
                 _assert_positive_monotone(lobe)
                 assert lobe.mismatch <= 1e-11 * abs(lobe.flux)
                 assert len(calls) <= 16
+
+
+def _recorded_profiles(monkeypatch, lp, n, g):
+    """[(x, y, dydx, points)] of every _hermite that solve_unit builds, with
+    the points at which assembling both variants on g evaluates it."""
+    recorded = []
+
+    def spy(x, y, dydx):
+        f, points = _hermite(x, y, dydx), []
+        recorded.append((x, y, dydx, points))
+
+        def g_of(xv):
+            points.append(np.array(xv, copy=True))
+            return f(xv)
+
+        return g_of
+
+    monkeypatch.setattr(twolobe, "_hermite", spy)
+    lobe = solve_unit(lp, n)
+    for variant in ("fg", "gf"):
+        assemble(lobe, lp, variant, g)
+    return [(x, y, dydx, np.concatenate(points)) for x, y, dydx, points in recorded]
+
+
+def _random_knots(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 3001))
+    x = np.cumsum(rng.exponential(size=m)) * 10.0 ** rng.uniform(-6.0, 6.0) + rng.normal()
+    inside = rng.uniform(x[0], x[-1], size=512)
+    return x, rng.normal(size=m), rng.normal(size=m), inside
+
+
+@pytest.mark.parametrize("case", ["SYM n=2", "P1 n=1", *range(8)], ids=str)
+def test_hermite_is_scipy_cubic_hermite_bit_for_bit(case, monkeypatch):
+    # the lobe inverse was scipy's CubicHermiteSpline; _hermite must keep
+    # every dhmp and cs-solve output byte-identical, so compare exactly
+    from scipy.interpolate import CubicHermiteSpline
+    if case == "SYM n=2":
+        knots = _recorded_profiles(monkeypatch, SYM, 2, Grid(256))
+    elif case == "P1 n=1":
+        knots = _recorded_profiles(monkeypatch, LimitParams(gamma=1.0, **P1), 1, Grid(1024))
+    else:
+        knots = [_random_knots(case)]
+    assert len(knots) == (1 if isinstance(case, int) else 2)    # one per lobe
+    for x, y, dydx, points in knots:
+        assert points.size > 0
+        xv = np.concatenate([points, x, [x[-1], np.nextafter(x[-1], np.inf)]])
+        assert np.array_equal(_hermite(x, y, dydx)(xv), CubicHermiteSpline(x, y, dydx)(xv))
+
+
+@pytest.mark.parametrize("bad", ["repeated knot", "nan knot", "nan value", "nan slope"])
+def test_hermite_rejects_knots_scipy_rejects(bad):
+    x, y, dydx = np.array([0.0, 1.0, 2.0, 3.0]), np.ones(4), np.ones(4)
+    if bad == "repeated knot":
+        x[2] = x[1]
+    else:
+        {"nan knot": x, "nan value": y, "nan slope": dydx}[bad][2] = np.nan
+    with pytest.raises(AssemblyError, match="not finite and strictly increasing"):
+        _hermite(x, y, dydx)
