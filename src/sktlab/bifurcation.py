@@ -2,8 +2,7 @@
 
 The constant branch w*(d1) loses invertibility of its linearization when a
 scalar potential crosses a Neumann eigenvalue; this module provides the
-closed-form threshold, the same closed form at the discrete eigenvalue,
-an inverse-iteration oracle for the critical eigenvalue, and
+closed-form threshold, the same closed form at the discrete eigenvalue and
 branch switching with amplitude continuation of the emerging nonconstant
 solutions (the corrector is that of limits.is_newton plus d1 and a phase row).
 """
@@ -17,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, NoConvergence, NoThreshold, TauCollapse
-from .grid import (Grid, GridFn, discrete_eigenvalue, integrate,
-                   laplacian_values, neumann_eigenpair)
-from .limits import LimitParams, _is_corrector, _is_linearization, _uv_root
-from .linalg import lap_band, solve_tridiag
+from .grid import Grid, GridFn, discrete_eigenvalue, neumann_eigenpair
+from .limits import LimitParams, _is_corrector
 from .model import constant_state
 
 
@@ -66,37 +63,10 @@ def kinetic_strength(lp: LimitParams) -> float:
             - lp.b1 * cs.u_star ** 2 - lp.gamma * lp.c2 * cs.v_star ** 2)
 
 
-def potential(lp: LimitParams, d1: float) -> float:
-    """K / (d1*u* + gamma*d2*v*): the scalar multiplying the identity in the
-    linearized field operator at the constant state."""
-    cs = constant_state(lp)
-    return kinetic_strength(lp) / (d1 * cs.u_star + lp.gamma * lp.d2 * cs.v_star)
-
-
-def l22_value(lp: LimitParams, d1: float, length: float = 1.0) -> float:
-    """Scalar block of the linearized constraint in the constant/scalar
-    direction; strictly negative for positive parameters."""
-    if d1 <= 0.0:
-        raise ValueError("d1 must be positive")
-    cs = constant_state(lp)
-    return (-cs.u_star * length / (4.0 * (d1 * cs.u_star + lp.gamma * lp.d2 * cs.v_star))
-            * (lp.b1 / d1 + lp.c1 / (lp.gamma * lp.d2)))
-
-
-def l21_value(lp: LimitParams, d1: float, psi: GridFn) -> float:
-    """Constraint-row action on a field direction at the constant state.
-
-    Equals (scalar) * integrate(psi), so it vanishes identically on
-    mean-zero fields; returned in that factored form on purpose.
-    """
-    lp = lp.with_d1(d1)      # ValueError unless d1 > 0
-    root = _uv_root(lp, np.array([w_star(lp, d1)]), constant_state(lp).tau_star, d1)
-    _, _, f_w, _, _ = _is_linearization(lp, root, d1)
-    return float(f_w[0]) * integrate(psi)
-
-
 def _threshold(lp: LimitParams, lam: float) -> float:
-    """The d1 at which potential(d1) = lam: (K/lam - gamma*d2*v*)/u*."""
+    """The d1 at which the potential K / (d1*u* + gamma*d2*v*), the scalar
+    multiplying the identity in the linearized field operator at the
+    constant state, equals lam: (K/lam - gamma*d2*v*)/u*."""
     cs = constant_state(lp)
     return (kinetic_strength(lp) / lam - lp.gamma * lp.d2 * cs.v_star) / cs.u_star
 
@@ -124,7 +94,7 @@ def detect_crossing(lp: LimitParams, j: int, g: Grid,
     The closed form of delta_j with the discrete eigenvalue in place of the
     continuum one.  There the discrete linearized field operator, restricted
     to mean-zero fields, becomes singular in the direction of the j-th
-    cosine mode (l11_min_eigenvalue checks this independently).  Raises
+    cosine mode (the tests check this by inverse iteration).  Raises
     BracketError when the threshold lies outside bracket (by default, when
     it is not positive).
     """
@@ -136,36 +106,6 @@ def detect_crossing(lp: LimitParams, j: int, g: Grid,
         raise BracketError(f"potential - lambda_{j}^h has no root on {bracket}")
     _, phi = neumann_eigenpair(g, j)
     return BifurcationPoint(j=j, lambda_j=lam_h, delta_j=root, phi_j=phi)
-
-
-def l11_min_eigenvalue(lp: LimitParams, d1: float, g: Grid,
-                       iters: int = 60) -> float:
-    """Smallest-magnitude eigenvalue of the discrete linearized field block
-    laplacian + potential(d1), restricted to mean-zero fields, by shifted
-    inverse iteration."""
-    n = g.n_cells
-    pot = potential(lp, d1)
-    shift = 1e-13 * max(1.0, abs(pot))
-    ab = lap_band(n, g.h, diag=pot - shift)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(n)
-    x -= x.mean()
-    x /= np.linalg.norm(x)
-    lam = pot
-    for _ in range(iters):
-        y = solve_tridiag(ab, x)
-        y -= y.mean()
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            break
-        y /= ny
-        ay = laplacian_values(y, g.h) + pot * y
-        lam_new = float(y @ ay)
-        if abs(lam_new - lam) <= 1e-16 * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam, x = lam_new, y
-    return lam
 
 
 def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,

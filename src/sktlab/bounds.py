@@ -5,7 +5,9 @@ branches: v = V(u) for u past a1/b1 (vertical cuts) and u = U(v) for v past
 a threshold v_tilde0 (horizontal cuts).  Chasing the maximum points of u and
 v through these branches yields an explicit, solution-independent ceiling on
 both densities whenever the rate ratio alpha/beta stays inside a band
-[eta, 1/eta].  sup_bound turns that argument into a computable certificate.
+[eta, 1/eta].  sup_bound turns that argument into a computable certificate;
+it evaluates U(v) (_u_of_v_raw) and v_tilde0, and the tests hold F, V(u)
+and the checked U(v) as oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BandError, DomainError
-from .model import ModelParams, sigma_affine
+from .model import ModelParams
 
 
 def _larger_root(a, b, c):
@@ -56,39 +58,11 @@ class BoundCertificate:
         return u_max <= self.u_bound and v_max <= self.v_bound
 
 
-def v_of_u(p: ModelParams, u: float) -> float:
-    """Level curve V(u): the positive v at which F(u, .) changes sign.
-
-    Defined for u > a1/b1 (where F(u, 0) < 0); the larger root of the
-    quadratic in v.
-    """
-    if p.alpha <= 0.0 or p.beta <= 0.0:
-        raise DomainError("level-set branches need alpha, beta > 0")
-    if u <= p.a1 / p.b1:
-        raise DomainError(f"v_of_u requires u > a1/b1 = {p.a1 / p.b1}")
-    a = p.alpha * p.c2
-    b = -(p.c1 * (p.d2 + p.beta * u) + p.alpha * (p.a2 - p.b2 * u))
-    c = (p.d2 + p.beta * u) * (p.a1 - p.b1 * u)
-    return _larger_root(a, b, c)
-
-
 def _u_of_v_raw(p: ModelParams, v: float) -> float:
     # beta*b1*u^2 - B*u - C = 0, larger root
     bb = (p.alpha * p.b2 - p.beta * p.c1) * v + p.beta * p.a1 - p.d2 * p.b1
     cc = p.alpha * p.c2 * v * v - (p.alpha * p.a2 + p.d2 * p.c1) * v + p.d2 * p.a1
     return _larger_root(p.beta * p.b1, -bb, -cc)
-
-
-def u_of_v(p: ModelParams, v: float) -> float:
-    """Level curve U(v): the positive u at which F(., v) changes sign.
-
-    Defined for v > v_tilde0; inverse of v_of_u on the mutual range.
-    """
-    if p.alpha <= 0.0 or p.beta <= 0.0:
-        raise DomainError("level-set branches need alpha, beta > 0")
-    if v <= v_tilde0(p):
-        raise DomainError(f"u_of_v requires v > v_tilde0 = {v_tilde0(p)}")
-    return _u_of_v_raw(p, v)
 
 
 def v_tilde0(p: ModelParams) -> float:
@@ -104,21 +78,18 @@ def v_tilde0(p: ModelParams) -> float:
     if gap > 0.0:
         root = 2.0 * p.d2 * math.sqrt(p.a1 * p.c2 * gap)
         mid = p.d2 * (2.0 * p.a1 * p.c2 - p.a2 * p.c1)
-        alpha_hi = (mid + root) / (p.a2 * p.a2)
-        # alpha_lo * alpha_hi = (d2 c1 / a2)^2: no cancellation in mid - root
-        alpha_lo = (p.d2 * p.c1 / p.a2) ** 2 / alpha_hi
-        if alpha_lo < p.alpha < alpha_hi:
+        alpha_hi = (mid + root) / p.a2 / p.a2     # inf where a2^2 underflows
+        # alpha_lo = (d2 c1)^2 / (mid + root), from alpha_lo * alpha_hi =
+        # (d2 c1 / a2)^2: no cancellation in mid - root and no division by
+        # a2; squared as a product (a float ** raises on overflow) and formed
+        # only once alpha < alpha_hi has shown mid + root > 0
+        dc = p.d2 * p.c1
+        if p.alpha < alpha_hi and dc * dc / (mid + root) < p.alpha:
             return 0.0
     a = p.alpha * p.c2
     b = -(p.alpha * p.a2 + p.d2 * p.c1)
     c = p.d2 * p.a1
     return _larger_root(a, b, c)
-
-
-def in_sigma(p: ModelParams, u: float, v: float) -> bool:
-    """Whether (u, v) lies where the affine combination F + G is negative
-    (strict inequality; independent of the rates)."""
-    return sigma_affine(p, u, v) < 0.0
 
 
 def _one_sided_bound(p: ModelParams) -> float:
@@ -140,8 +111,8 @@ def sup_bound(p: ModelParams, eta: float) -> BoundCertificate:
         raise BandError("eta must lie in (0, 1]")
     if p.beta <= 0.0 or p.alpha <= 0.0:
         raise BandError("certificate needs alpha, beta > 0")
-    ratio = p.alpha / p.beta
-    if not eta <= min(ratio, 1.0 / ratio):
+    ratio = p.alpha / p.beta         # 0.0 where it underflows
+    if not (ratio > 0.0 and eta <= min(ratio, 1.0 / ratio)):
         raise BandError(f"alpha/beta = {ratio} outside [{eta}, {1.0 / eta}]")
     if p.alpha <= eta or p.beta <= eta:
         return BoundCertificate(

@@ -18,10 +18,12 @@ import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
 from .errors import (AssemblyError, BandError, BlowUp, BracketError,
-                     DegenerateError, DomainError, NegativeState, NoBracket,
-                     NoConvergence, NonFiniteSystem, NoThreshold, ParseError,
-                     RegimeError, SktlabError, TauCollapse, ValidationError)
-from .grid import MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair
+                     CheckFailed, DegenerateError, DomainError, NegativeState,
+                     NoBracket, NoConvergence, NonFiniteSystem, NoThreshold,
+                     ParseError, RegimeError, SktlabError, TauCollapse,
+                     ValidationError)
+from .grid import (MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair,
+                   neumann_laplacian)
 from .limits import LimitParams
 from .model import ModelParams, constant_state
 
@@ -80,6 +82,7 @@ _EXITS = {
     (NoConvergence, NegativeState): (2, "no convergence"),
     (TauCollapse,): (2, "no convergence: tau collapse"),
     (AssemblyError, BlowUp): (2, "no solution built"),
+    (CheckFailed,): (2, "selftest failed"),
     (np.linalg.LinAlgError,): (2, "no convergence: singular linear system"),
     (NonFiniteSystem,): (2, "no convergence: non-finite linear system"),
 }
@@ -288,18 +291,23 @@ def _cmd_dhmp(cfg) -> dict:
         files[f"dhmp_{variant}.csv"] = (
             {"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
             {"n": n, "variant": sol.variant, "theta_n": lobe.theta,
-             "flux": lobe.flux, "zero_count": sol.zero_count,
+             "flux": lobe.flux_u, "zero_count": sol.zero_count,
              "cs_residual": sol.cs_residual})
     return files
+
+
+def _require(what: str, value: float, bound: float):
+    """CheckFailed (exit 2) unless value < bound; NaN fails."""
+    if not value < bound:
+        raise CheckFailed(f"{what}: {value:.3g} is not below {bound:.3g}")
 
 
 def _cmd_selftest(cfg) -> dict:
     g = Grid(64)
     lam, phi = neumann_eigenpair(g, 3)
-    from .grid import neumann_laplacian
     eig_err = float(np.max(np.abs(neumann_laplacian(phi).values + lam * phi.values)))
-    assert eig_err < 1e-10 * lam, "discrete eigenpair identity failed"
-    assert abs(integrate(phi)) < 1e-12, "eigenfunction quadrature failed"
+    _require("discrete eigenpair identity", eig_err, 1e-10 * lam)
+    _require("eigenfunction quadrature", abs(integrate(phi)), 1e-12)
 
     p = _model(cfg)
     cs = constant_state(p)
@@ -307,13 +315,19 @@ def _cmd_selftest(cfg) -> dict:
     v0 = GridFn.constant(g, cs.v_star)
     r1, r2 = steady.residual_skt(p, u0, v0)
     res = max(float(np.max(np.abs(r1.values))), float(np.max(np.abs(r2.values))))
-    assert res < 1e-9, "constant state is not a discrete solution"
+    _require("constant-state residual", res, 1e-9)
 
     lp = _limit_params(cfg)
     w, tau = np.full(g.n_cells, bifurcation.w_star(lp, lp.d1)), cs.tau_star
     u, v = limits.uv_from_w_tau(lp, w, tau)
     prod_err = float(np.max(np.abs(u * v - tau)))
-    assert prod_err < 1e-12, "product identity failed"
+    # u v - tau is the rounding of the inversion: with S^2 = w^2 + 4 gamma
+    # d1 d2 tau, (S - w) loses digits when w^2 >> 4 gamma d1 d2 tau, and to
+    # first order |u v - tau| <= 5.5 eps S^2 / (4 gamma d1 d2); allow 8 eps
+    with np.errstate(over="ignore", divide="ignore"):
+        prod_tol = 8.0 * np.finfo(float).eps * (
+            tau + w[0] * w[0] / (4.0 * lp.gamma * lp.d1 * lp.d2))
+    _require("product identity", prod_err, prod_tol)
 
     print("selftest: ok")
     return {"selftest.csv": ({"check": ["eigenpair_identity", "eigenfunction_mean",

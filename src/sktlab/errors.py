@@ -62,6 +62,10 @@ class NoBracket(SktlabError):
     """The flux mismatch does not change sign over the search interval."""
 
 
+class CheckFailed(SktlabError):
+    """An embedded invariant check of selftest exceeded its bound."""
+
+
 class AssemblyError(SktlabError):
     """Lobe tiling produced inconsistent supports."""
 

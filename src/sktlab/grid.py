@@ -76,17 +76,6 @@ def neumann_laplacian(f: GridFn) -> GridFn:
     return GridFn(f.grid, laplacian_values(f.values, f.grid.h))
 
 
-def gradient(f: GridFn) -> GridFn:
-    """Central first derivative with mirror ghosts (zero slope at the walls)."""
-    vals = f.values
-    out = np.empty_like(vals)
-    out[1:-1] = vals[2:] - vals[:-2]
-    out[0] = vals[1] - vals[0]
-    out[-1] = vals[-1] - vals[-2]
-    out /= 2.0 * f.grid.h
-    return GridFn(f.grid, out)
-
-
 def integrate(f: GridFn) -> float:
     """Midpoint rule; exact for the discrete cosine modes."""
     return f.grid.h * float(np.sum(f.values))

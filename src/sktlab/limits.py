@@ -5,8 +5,9 @@ solution sequences accumulate either on the incomplete-segregation system
 (unknowns: a zero-flux field w and a positive constant tau = uv, coupled by
 a nonlocal integral constraint) or on the complete-segregation system (a
 single sign-changing field w with positive/negative-part nonlinearity).
-This module provides the exact changes of variables in both directions and
-Newton solvers for the two reduced systems.
+This module provides the change of variables (u, v) -> (w, z), its
+(w, tau) -> (u, v) inversion, and Newton solvers for the two reduced
+systems.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, TauCollapse
+from .errors import TauCollapse
 from .grid import GridFn, laplacian_values
 from .linalg import (_damped_newton, lap_band, residual_floor, solve_bordered,
                      solve_tridiag)
@@ -115,38 +116,6 @@ def w_z_from_uv(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
     w = p.d1 * u.values - gamma * p.d2 * v.values
     z = (p.d1 / p.alpha) * u.values + u.values * v.values
     return GridFn(u.grid, w), GridFn(u.grid, z)
-
-
-def uv_from_w_z(p: ModelParams, w: GridFn, z: GridFn) -> tuple[GridFn, GridFn]:
-    """Exact inversion of the forward transform at finite rates.
-
-    Both component formulas share one discriminant; the expressions are
-    evaluated in the branch that avoids subtractive cancellation, which
-    matters once the rates reach 1e3-1e4.
-    """
-    if p.alpha <= 0.0 or p.beta <= 0.0:
-        raise ValueError("transform requires alpha, beta > 0")
-    wv, zv = w.values, z.values
-    gamma = p.alpha / p.beta
-    c = p.d1 * p.d2 / p.beta
-    disc = (wv - c) ** 2 + 4.0 * gamma * p.d1 * p.d2 * zv
-    slack = 1e-14 * np.maximum(1.0, (wv - c) ** 2 + 4.0 * gamma * p.d1 * p.d2 * np.abs(zv))
-    if np.any(disc < -slack):
-        raise DomainError("negative discriminant in the inverse transform")
-    s = np.sqrt(np.maximum(disc, 0.0))
-
-    # u = (s + (w - c)) / (2 d1), rationalized where w - c < 0
-    num_u = 4.0 * gamma * p.d1 * p.d2 * zv
-    u = np.where(wv - c >= 0.0,
-                 (s + (wv - c)) / (2.0 * p.d1),
-                 num_u / (2.0 * p.d1 * np.maximum(s - (wv - c), 1e-300)))
-    # v = (s - (w + c)) / (2 gamma d2), rationalized where w + c > 0;
-    # (s^2 - (w + c)^2) = 4 d1 d2 (gamma z - w / beta)
-    num_v = 4.0 * p.d1 * p.d2 * (gamma * zv - wv / p.beta)
-    v = np.where(wv + c <= 0.0,
-                 (s - (wv + c)) / (2.0 * gamma * p.d2),
-                 num_v / (2.0 * gamma * p.d2 * np.maximum(s + (wv + c), 1e-300)))
-    return GridFn(w.grid, u), GridFn(w.grid, v)
 
 
 def _is_residual_values(lp: LimitParams, w, tau: float, h: float, d1: float):

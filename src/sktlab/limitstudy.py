@@ -158,16 +158,3 @@ def match_limit(report: LimitRunReport) -> float:
         return float(np.max(np.abs(w_n.values - sol.w.values)))
     sol = limits.cs_solve(lp, w_n)
     return float(np.max(np.abs(w_n.values - sol.w.values)))
-
-
-def segregation_diagnostics(s: SteadyState) -> tuple[float, float, bool]:
-    """(min nodal u*v, max nodal u*v, near-constant flag).
-
-    The flag is true when both densities vary by less than 1e-6 over the
-    domain, which is how runs that collapsed onto a constant pair are told
-    apart from genuinely patterned ones.
-    """
-    prod = s.u.values * s.v.values
-    du = float(np.max(s.u.values) - np.min(s.u.values))
-    dv = float(np.max(s.v.values) - np.min(s.v.values))
-    return float(np.min(prod)), float(np.max(prod)), bool(du < 1e-6 and dv < 1e-6)

@@ -3,9 +3,8 @@
 The stationary problem couples two competing densities u, v through
 divergence-form diffusion Delta[(d1 + alpha*v) u], Delta[(d2 + beta*u) v]
 and Lotka-Volterra kinetics f, g.  This module holds the parameter record,
-the reaction terms, the reduced-form reaction terms F and G obtained by
-eliminating the cross Laplacians, the constant coexistence state and the
-competition-regime classification.  Everything here is exact closed-form
+the reaction terms and their partials, the constant coexistence state and
+the competition-regime classification.  Everything here is exact closed-form
 algebra; no grids are involved.
 """
 
@@ -103,22 +102,6 @@ def kinetic_partials(p, u, v):
             -p.b2 * v, p.a2 - p.b2 * u - 2.0 * p.c2 * v)
 
 
-def big_F(p: ModelParams, u, v):
-    """Reduced-form reaction term of the u equation.
-
-    (d2 + beta*u)(a1 - b1*u - c1*v) - alpha*v*(a2 - b2*u - c2*v).
-    Its sign at the maximum point of u drives the a priori bound.
-    """
-    return (p.d2 + p.beta * u) * (p.a1 - p.b1 * u - p.c1 * v) \
-        - p.alpha * v * (p.a2 - p.b2 * u - p.c2 * v)
-
-
-def big_G(p: ModelParams, u, v):
-    """Reduced-form reaction term of the v equation (mirror of big_F)."""
-    return -p.beta * u * (p.a1 - p.b1 * u - p.c1 * v) \
-        + (p.d1 + p.alpha * v) * (p.a2 - p.b2 * u - p.c2 * v)
-
-
 def regime(p: ModelParams) -> CompetitionRegime:
     """Classify the competition regime by the ratio chains.
 
@@ -150,14 +133,3 @@ def constant_state(p: ModelParams) -> ConstantState:
     u_star = (p.a2 * p.c1 - p.a1 * p.c2) / den
     v_star = (p.a1 * p.b2 - p.a2 * p.b1) / den
     return ConstantState(u_star=u_star, v_star=v_star, tau_star=u_star * v_star)
-
-
-def sigma_affine(p: ModelParams, u, v):
-    """Affine combination d2*a1 + d1*a2 - (d2*b1 + d1*b2)*u - (d2*c1 + d1*c2)*v.
-
-    Identically equals big_F + big_G for every (u, v, alpha, beta); the
-    region where it is negative is where F >= 0 forces G < 0.
-    """
-    return (p.d2 * p.a1 + p.d1 * p.a2
-            - (p.d2 * p.b1 + p.d1 * p.b2) * u
-            - (p.d2 * p.c1 + p.d1 * p.c2) * v)

@@ -5,10 +5,9 @@ followed by damped Newton with an analytically assembled block-tridiagonal
 Jacobian (interleaved unknown ordering, direct banded factorization).
 Newton runs in one of two formulations: the densities (u, v), or
 (w, log tau) with w = d1 u - gamma d2 v and tau = u v, which keeps both
-densities positive at large rates.  Two diagnostics accompany the solver:
-the algebraic identity tying the divergence-form residuals to the
-reduced-form ones, and the discrete maximum-principle sign check on F and
-G at the density maxima.
+densities positive at large rates.  The reduction identity and the
+maximum-principle sign check on F and G at the density maxima are oracles
+of the tests (tests/oracles.py), not part of the solver.
 """
 
 from __future__ import annotations
@@ -18,14 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .analytic import TrigPoly
 from .errors import BandError, BlowUp, NegativeState
 from .grid import Grid, GridFn, laplacian_values
 from .limits import LimitParams, _is_linearization, _uv_root
 from .linalg import (_damped_newton, lap_band, pair_band, residual_floor,
                      solve_pair, solve_tridiag)
-from .model import (ModelParams, big_F, big_G, kinetic_partials, reaction_f,
-                    reaction_g)
+from .model import ModelParams, kinetic_partials, reaction_f, reaction_g
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,8 @@ def _levelset_certificate(p: ModelParams):
     if p.alpha <= 0.0 or p.beta <= 0.0:
         return None
     ratio = p.alpha / p.beta
+    if ratio == 0.0:                 # underflow: outside every band
+        return None
     try:
         cert = bounds.sup_bound(p, min(ratio, 1.0 / ratio, 1.0))
     except BandError:
@@ -257,44 +256,3 @@ def march_then_newton(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
     """Convenience pipeline: time march into a basin, then polish."""
     u, v = time_march(p, u0, v0, dt, t_end)
     return newton_solve(p, u, v, tol=tol)
-
-
-def reduction_identity_defect(p: ModelParams, u_field: TrigPoly,
-                              v_field: TrigPoly, n_samples: int = 257) -> float:
-    """Maximal relative defect of the reduction identity on sample points.
-
-    The expanded divergence-form residuals E1, E2 and the reduced-form
-    residuals are formed from exact derivatives of the supplied fields;
-    their combination is an algebraic identity, so the returned value is
-    rounding noise (of order 1e-15) for any fields whatsoever.
-    """
-    x = np.linspace(0.0, u_field.length, n_samples)
-    u, up, upp = u_field.val(x), u_field.deriv(x), u_field.deriv2(x)
-    v, vp, vpp = v_field.val(x), v_field.deriv(x), v_field.deriv2(x)
-
-    e1 = (p.d1 + p.alpha * v) * upp + 2.0 * p.alpha * up * vp \
-        + p.alpha * u * vpp + reaction_f(p, u, v)
-    e2 = (p.d2 + p.beta * u) * vpp + 2.0 * p.beta * up * vp \
-        + p.beta * v * upp + reaction_g(p, u, v)
-    coeff = p.d1 * p.d2 + p.d1 * p.beta * u + p.d2 * p.alpha * v
-    t1 = coeff * upp + 2.0 * p.d2 * p.alpha * up * vp + u * big_F(p, u, v)
-    t2 = coeff * vpp + 2.0 * p.d1 * p.beta * up * vp + v * big_G(p, u, v)
-
-    lhs1 = (p.d2 + p.beta * u) * e1 - p.alpha * u * e2
-    lhs2 = (p.d1 + p.alpha * v) * e2 - p.beta * v * e1
-    scale = max(float(np.max(np.abs(t1))), float(np.max(np.abs(t2))), 1.0)
-    defect = max(float(np.max(np.abs(t1 - lhs1))), float(np.max(np.abs(t2 - lhs2))))
-    return defect / scale
-
-
-def check_max_principle(s: SteadyState) -> tuple[float, float]:
-    """(F at the argmax of u, G at the argmax of v).
-
-    On a converged state both values are bounded below by a discretization
-    tolerance; the check is meaningless on arbitrary fields.
-    """
-    iu = int(np.argmax(s.u.values))
-    iv = int(np.argmax(s.v.values))
-    f_at = float(big_F(s.params, s.u.values[iu], s.v.values[iu]))
-    g_at = float(big_G(s.params, s.u.values[iv], s.v.values[iv]))
-    return f_at, g_at

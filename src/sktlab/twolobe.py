@@ -44,10 +44,6 @@ class UnitLobe:
     flux_v: float        # gamma * d2 * v'(theta), positive
 
     @property
-    def flux(self) -> float:
-        return self.flux_u
-
-    @property
     def mismatch(self) -> float:
         return abs(self.flux_u + self.flux_v)
 

@@ -13,15 +13,16 @@ import numpy as np
 import pytest
 
 from sktlab import bifurcation, bounds, limits, limitstudy, steady, twolobe
-from sktlab.analytic import TrigPoly
 from sktlab.cli import main as cli_main
 from sktlab.grid import Grid, GridFn, integrate
 from sktlab.limits import ISState, LimitParams
-from sktlab.model import (ModelParams, big_F, big_G, constant_state, regime,
-                          sigma_affine)
-from sktlab.bounds import in_sigma, sup_bound, u_of_v, v_of_u, v_tilde0
+from sktlab.model import ModelParams, constant_state, regime
+from sktlab.bounds import sup_bound, v_tilde0
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
+from oracles import (TrigPoly, big_F, big_G, check_max_principle, in_sigma,
+                     l11_min_eigenvalue, reduction_identity_defect, sigma_affine,
+                     u_of_v, uv_from_w_z, v_of_u)
 
 SYM = LimitParams(a1=1.0, a2=1.0, b1=1.0, b2=1.0, c1=1.0, c2=1.0,
                   d1=0.01, d2=0.01, gamma=1.0)
@@ -74,7 +75,7 @@ def test_criterion_01_reduction_identity():
                                          10 ** rng.uniform(0, 2))
         uf = TrigPoly.random(rng, 8, base=rng.uniform(0.5, 4.0), amplitude=1.0)
         vf = TrigPoly.random(rng, 8, base=rng.uniform(0.5, 4.0), amplitude=1.0)
-        worst = max(worst, steady.reduction_identity_defect(p, uf, vf))
+        worst = max(worst, reduction_identity_defect(p, uf, vf))
     ok = worst <= 1e-12
     assert _verdict(1, ok, "algebraic reduction identity on random fields",
                     f"max relative defect {worst:.2e}")
@@ -148,7 +149,7 @@ def test_criterion_05_transform_round_trip():
                 u = GridFn(g, rng.uniform(0.0, 10.0, 64))
                 v = GridFn(g, rng.uniform(0.0, 10.0, 64))
                 w, z = limits.w_z_from_uv(p, u, v)
-                u2, v2 = limits.uv_from_w_z(p, w, z)
+                u2, v2 = uv_from_w_z(p, w, z)
                 worst = max(worst,
                             float(np.max(np.abs(u2.values - u.values))),
                             float(np.max(np.abs(v2.values - v.values))))
@@ -200,6 +201,13 @@ def test_criterion_07_full_limit_convergence():
     the drift is exactly zero from the second step on, and a strictly
     decreasing drift (or a final match distance below it) is impossible.
     The clauses are asserted as stated and the failure is accepted.
+
+    The drift clause would fail on a nonconstant seed too: run_sequence
+    measures step 0's drift against the seed, which was already solved at
+    the first rate pair, so step 0 only re-solves it and drifts[0] is
+    rounding, ~1e-11.  On the mode-1 branch point at s = 0.3 (d1 = 0.655),
+    polished at alpha = beta = 1e2, the drifts read 1.1e-11, 5.1e-3,
+    5.2e-4, ...: the first pair does not decrease.
     """
     g = Grid(256)
     base = ModelParams(**P1)
@@ -233,7 +241,7 @@ def test_criterion_08_bifurcation_threshold():
     e256 = abs(bp256.delta_j - delta1)
     e512 = abs(bp512.delta_j - delta1)
     ratio = e256 / e512
-    ev = abs(bifurcation.l11_min_eigenvalue(lp, bp256.delta_j, Grid(256)))
+    ev = abs(l11_min_eigenvalue(lp, bp256.delta_j, Grid(256)))
     ok = 3.0 <= ratio <= 5.0 and ev <= 1e-10
     assert _verdict(8, ok, "threshold crossing converges at second order, singular operator",
                     f"error ratio {ratio:.2f}, eigenvalue {ev:.1e}")
@@ -288,7 +296,7 @@ def test_criterion_11_max_principle():
     worst = 0.0
     for st in _sweep_states():
         p = st.params
-        f_at, g_at = steady.check_max_principle(st)
+        f_at, g_at = check_max_principle(st)
         scale = (p.d2 + p.beta * st.u_max) * p.a1 + p.alpha * st.v_max * p.a2
         worst = min(worst, f_at / scale, g_at / scale)
         ok &= f_at >= -1e-6 * scale and g_at >= -1e-6 * scale

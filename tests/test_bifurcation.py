@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from sktlab.bifurcation import (Branch, delta_j, detect_crossing,
-                                kinetic_strength, l11_min_eigenvalue,
-                                l21_value, l22_value, potential,
-                                switch_and_continue, w_star)
+                                kinetic_strength, switch_and_continue, w_star)
 from sktlab.errors import BracketError, NoThreshold
-from sktlab.grid import Grid, GridFn, neumann_eigenpair
-from sktlab.limits import LimitParams
+from sktlab.grid import Grid, GridFn, integrate, neumann_eigenpair
+from sktlab.limits import LimitParams, _is_linearization, _uv_root
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
+from oracles import l11_min_eigenvalue, l22_value, potential
 
 # frozen oracle values for P1, gamma = 1 (exact rational arithmetic:
 # K = 2*tau* - 0.1*u*^2 - 0.1*v*^2 = 206660/9801)
@@ -58,9 +57,15 @@ def test_l22_negative_and_scales_with_length(p1_limit):
 
 
 def test_l21_vanishes_on_mean_zero(p1_limit):
+    # L21, the constraint row h*f_w of the bordered Newton at the constant
+    # state, acting on a field direction: f_w is constant there, so it is
+    # f_w * integrate(psi) and vanishes on mean-zero fields
     g = Grid(64)
     _, phi = neumann_eigenpair(g, 3)
-    assert abs(l21_value(p1_limit, 0.7, phi)) < 1e-12
+    lp = p1_limit.with_d1(0.7)
+    root = _uv_root(lp, np.array([w_star(lp, 0.7)]), TAU_STAR, 0.7)
+    f_w = float(_is_linearization(lp, root, 0.7)[2][0])
+    assert abs(f_w * integrate(phi)) < 1e-12
 
 
 def test_detect_crossing_matches_closed_form(p1_limit):

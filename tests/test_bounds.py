@@ -4,12 +4,12 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from sktlab.bounds import (BoundCertificate, in_sigma, sup_bound, u_of_v,
-                           v_of_u, v_tilde0)
+from sktlab.bounds import BoundCertificate, sup_bound, v_tilde0
 from sktlab.errors import BandError, DomainError
-from sktlab.model import ModelParams, big_F, sigma_affine
+from sktlab.model import ModelParams
 
 from conftest import P1, TANGENCY
+from oracles import big_F, in_sigma, sigma_affine, u_of_v, v_of_u
 
 
 def _p1_rates(alpha=100.0, beta=100.0):
@@ -139,3 +139,26 @@ def test_v_tilde0_window_end_matches_decimal():
     # within a relative 1e-13 of the Decimal one
     assert v_tilde0(q.with_rates(lo * (1.0 + 1e-13), q.beta)) == 0.0
     assert v_tilde0(q.with_rates(lo * (1.0 - 1e-13), q.beta)) > 0.0
+
+
+@pytest.mark.parametrize("a2", [1e-300, 1e-170, 1e-100])
+def test_v_tilde0_window_with_a_tiny_birth_rate(a2):
+    # a2^2 underflows to 0 at the first two: alpha_hi is inf, and alpha_lo
+    # = (d2 c1)^2 / (mid + root) = 0.05 does not divide by a2
+    p = ModelParams(**{**P1, "a2": a2}).with_rates(100.0, 100.0)
+    assert v_tilde0(p) == 0.0
+    assert v_tilde0(p.with_rates(0.04, 100.0)) > 0.0
+
+
+def test_v_tilde0_window_end_squared_as_a_product():
+    # (d2 c1)^2 = 1e310 overflows to inf, where a float ** would raise
+    # OverflowError; alpha_lo is 2.5e154, so alpha = 100 is outside the window
+    q = ModelParams(a1=1.0, a2=1e-10, b1=0.1, b2=1.0, c1=1.0, c2=1.0,
+                    d1=1.0, d2=1e155, alpha=100.0, beta=100.0)
+    assert v_tilde0(q) > 0.0
+
+
+def test_sup_bound_underflowing_rate_ratio_is_outside_the_band():
+    # alpha/beta = 1e-300/1e300 is 0.0 in floating point, in no band
+    with pytest.raises(BandError):
+        sup_bound(_p1_rates(1e-300, 1e300), 1e-300)

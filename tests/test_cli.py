@@ -434,6 +434,38 @@ def test_bounds_in_the_tangency_window_returns_a_certificate(tmp_path, capsys):
     assert "kind = levelset" in text
 
 
+# the product check failed on its former absolute bound 1e-12: (S - w)
+# cancels when 4 gamma d1 d2 tau << w^2
+SELFTEST_ROUNDING = ["model.gamma = 0.0009461461648253325",
+                     "model.gamma = 7.400433683372919e-06",
+                     "model.d2 = 2.6129179742092635e-06\nmodel.b1 = 1.4037541487498866\n"
+                     "model.c2 = 0.05364781754930493"]
+
+
+@pytest.mark.parametrize("text", SELFTEST_ROUNDING, ids=["gamma_9.5e-4", "gamma_7.4e-6",
+                                                        "d2_2.6e-6"])
+def test_selftest_product_check_allows_the_rounding_of_the_inversion(text, tmp_path):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["selftest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_selftest_flags_a_perturbed_inversion(tmp_path, monkeypatch, capsys):
+    exact = limits.uv_from_w_tau
+
+    def perturbed(lp, w, tau):
+        u, v = exact(lp, w, tau)
+        return u * (1.0 + 1e-12), v
+
+    monkeypatch.setattr(limits, "uv_from_w_tau", perturbed)
+    out = tmp_path / "out"
+    assert main(["selftest", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("selftest failed: product identity: ")
+    assert not out.exists()
+
+
 PACKAGE_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                   if issubclass(cls, errors.SktlabError) and cls is not errors.SktlabError]
 

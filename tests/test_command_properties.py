@@ -1,0 +1,61 @@
+"""Property test of the exit-code contract for the other subcommands.
+
+Hypothesis draws configs for `solve`, `bounds`, `is-solve`, `bifurcate`,
+`limit-study` and `selftest` and runs them through `cli.main`: every draw
+must end in one of the documented exit codes, and none may raise.  Any
+subset of the model keys is drawn, with finite values over fifteen decades,
+1e-300, 1e300 and non-finite values.  The grid, `run.steps`, `run.s_max` and
+`run.t_march` are capped so that one draw stays cheap, and `run.dt` is never
+drawn: a tiny time step makes `t_march / dt` march steps, which would hang
+rather than fail.  The examples are configs that once ended in a traceback.
+"""
+
+import math
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from sktlab.cli import main
+
+# log-uniform in [1e-12, 1e3]; one draw in five is 1e-300, 1e300 or nan
+VALUE = st.tuples(st.floats(-12.0, 3.0), st.integers(0, 14)).map(
+    lambda t: (1e-300, 1e300, math.nan)[t[1]] if t[1] < 3 else 10.0 ** t[0])
+MODEL = st.fixed_dictionaries({}, optional={
+    f"model.{k}": VALUE for k in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2",
+                                  "alpha", "beta", "gamma")})
+RUN = st.fixed_dictionaries({}, optional={
+    "grid.n_cells": st.integers(8, 128),
+    "run.mode": st.integers(1, 12),
+    "run.eta": st.floats(1e-6, 1.0),
+    "run.amplitude": VALUE,
+    "run.alpha0": VALUE,
+    "run.steps": st.integers(1, 4),
+    "run.ratio": st.floats(0.5, 1e3),
+    "run.s_max": st.floats(1e-3, 1.0),
+    "run.t_march": st.floats(0.0, 20.0),
+})
+COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(COMMANDS), model=MODEL, run=RUN)
+@example(command="bounds", model={"model.a2": 1e-300}, run={})
+@example(command="bounds", model={"model.a2": 1e-170}, run={})
+@example(command="bounds", model={"model.a1": 1e-300}, run={})
+@example(command="bounds", model={"model.alpha": 1e-300, "model.beta": 1e300}, run={})
+@example(command="solve", model={"model.alpha": 1e-300, "model.beta": 1e300},
+         run={"grid.n_cells": 64})
+@example(command="bounds", model={"model.a2": 1e-10, "model.c2": 1.0,
+                                  "model.d2": 1e155}, run={})
+@example(command="selftest", model={"model.gamma": 0.0009461461648253325}, run={})
+@example(command="selftest", model={"model.gamma": 7.400433683372919e-06}, run={})
+@example(command="selftest", model={"model.d2": 2.6129179742092635e-06,
+                                    "model.b1": 1.4037541487498866,
+                                    "model.c2": 0.05364781754930493}, run={})
+def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) \
+        in (0, 2, 3, 4)
+    capsys.readouterr()

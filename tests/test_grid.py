@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sktlab.grid import (Grid, GridFn, discrete_eigenvalue, gradient,
-                         integrate, laplacian_values, neumann_eigenpair,
-                         neumann_laplacian)
+from sktlab.grid import (Grid, GridFn, discrete_eigenvalue, integrate,
+                         laplacian_values, neumann_eigenpair, neumann_laplacian)
+
+from oracles import gradient
 
 
 def test_grid_geometry(grid64):

@@ -7,11 +7,11 @@ from sktlab.errors import DomainError, TauCollapse
 from sktlab.grid import Grid, GridFn, integrate
 from sktlab.linalg import residual_floor
 from sktlab.limits import (CSState, ISState, LimitParams, cs_solve,
-                           is_newton, is_residual, uv_from_w_tau,
-                           uv_from_w_z, w_z_from_uv)
+                           is_newton, is_residual, uv_from_w_tau, w_z_from_uv)
 from sktlab.model import ModelParams, constant_state, regime
 
 from conftest import P1, TAU_STAR, U_STAR, V_STAR
+from oracles import uv_from_w_z
 
 
 def test_product_identity_random(rng, p1_limit):

@@ -4,11 +4,11 @@ import pytest
 from sktlab import limitstudy, steady
 from sktlab.errors import ValidationError
 from sktlab.grid import Grid, GridFn
-from sktlab.limitstudy import (geometric_schedule, match_limit, run_sequence,
-                               segregation_diagnostics)
+from sktlab.limitstudy import geometric_schedule, match_limit, run_sequence
 from sktlab.model import ModelParams, constant_state
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
+from oracles import segregation_diagnostics
 
 
 def _seed(p, g, amp=0.2):

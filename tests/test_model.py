@@ -3,11 +3,11 @@ import pytest
 
 from sktlab.errors import RegimeError
 from sktlab.limits import LimitParams
-from sktlab.model import (CompetitionRegime, ModelParams, big_F, big_G,
-                          constant_state, kinetic_partials, reaction_f,
-                          reaction_g, regime, sigma_affine)
+from sktlab.model import (CompetitionRegime, ModelParams, constant_state,
+                          kinetic_partials, reaction_f, reaction_g, regime)
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
+from oracles import big_F, big_G, sigma_affine
 
 
 def test_regime_classification(p1, pw):

@@ -343,7 +343,7 @@ def test_patterns_like_sweep(monkeypatch):
                 calls.clear()
                 lobe = solve_unit(lp, n)
                 _assert_positive_monotone(lobe)
-                assert lobe.mismatch <= 1e-11 * abs(lobe.flux)
+                assert lobe.mismatch <= 1e-11 * abs(lobe.flux_u)
                 assert len(calls) <= 16
 
 
