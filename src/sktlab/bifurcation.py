@@ -5,6 +5,7 @@ scalar potential crosses a Neumann eigenvalue; this module provides the
 closed-form threshold, the same closed form at the discrete eigenvalue and
 branch switching with amplitude continuation of the emerging nonconstant
 solutions (the corrector is that of limits.is_newton plus d1 and a phase row).
+Continuation traces each branch once up to the reflection x -> L - x.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class Branch:
     origin: BifurcationPoint
     points: tuple            # ordered by s, constant state at s = 0 included
     truncated: bool = False
+    fold: int = 1            # k: points are the reflected tiling of k pieces
+    mirrored: bool = False   # the s < 0 side is the reflection of s > 0
 
 
 def w_star(lp: LimitParams, d1: float) -> float:
@@ -59,16 +62,22 @@ def kinetic_strength(lp: LimitParams) -> float:
     any bifurcation threshold exists at all.
     """
     cs = constant_state(lp)
+    # b1*u*, then times u*: finite where u*^2 overflows (** would raise)
     return ((lp.c1 + lp.gamma * lp.b2) * cs.tau_star
-            - lp.b1 * cs.u_star ** 2 - lp.gamma * lp.c2 * cs.v_star ** 2)
+            - lp.b1 * cs.u_star * cs.u_star - lp.gamma * lp.c2 * cs.v_star * cs.v_star)
 
 
 def _threshold(lp: LimitParams, lam: float) -> float:
     """The d1 at which the potential K / (d1*u* + gamma*d2*v*), the scalar
     multiplying the identity in the linearized field operator at the
-    constant state, equals lam: (K/lam - gamma*d2*v*)/u*."""
+    constant state, equals lam: (K/lam - gamma*d2*v*)/u*.  Raises
+    NoThreshold when K or the threshold is not a finite float."""
     cs = constant_state(lp)
-    return (kinetic_strength(lp) / lam - lp.gamma * lp.d2 * cs.v_star) / cs.u_star
+    k = kinetic_strength(lp)
+    d1 = (k / lam - lp.gamma * lp.d2 * cs.v_star) / cs.u_star
+    if not math.isfinite(d1):
+        raise NoThreshold(f"threshold not finite in floating point (K = {k!r})")
+    return d1
 
 
 def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
@@ -109,14 +118,16 @@ def detect_crossing(lp: LimitParams, j: int, g: Grid,
 
 
 def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
-                   tol=1e-11, max_iter=30):
+                   tol=1e-11, max_iter=30, fold=1):
     """Corrector of the amplitude-parametrized branch: limits._is_corrector
     with d1 as an unknown and the phase row fixing the Phi_j-amplitude of
     w - w*(d1) at s_target.  Trials with tau < 1e-10 or d1 <= 0 are
-    halved; TauCollapse is raised if no step stays admissible.
+    halved; TauCollapse is raised if no step stays admissible.  fold = k:
+    w and phi are the first n/k cells of g, k mirror images of which tile it.
     """
     x, _, _, it, _ = _is_corrector(lp, np.concatenate((w, [tau, d1])), g.h, tol,
-                                   max_iter, "branch corrector", phase=(phi, s_target))
+                                   max_iter, "branch corrector", phase=(phi, s_target),
+                                   fold=fold)
     return x[:-2], float(x[-2]), float(x[-1]), it
 
 
@@ -132,8 +143,13 @@ def _extrapolation_weights(nodes, t: float) -> np.ndarray:
 
 def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
                         ds: float, tol: float = 1e-11) -> Branch:
-    """Continue the branch emerging at bp in its amplitude s, both ways,
-    on the grid of bp.phi_j.
+    """Continue the branch emerging at bp in its amplitude s on the grid of
+    bp.phi_j, tracing only what the reflection x -> L - x does not repeat.
+
+    With k = gcd(j, n_cells) the loop runs on the first n_cells/k cells,
+    sums weighted k*h, and tiles each point out by reflection.  When j/k is
+    odd it runs only for s > 0: the reversed reduced field is the point at
+    -s, same d1 and tau, newton_iters 0.  Else both sides are continued.
 
     The predictor is linear at the first step (constant state plus s times
     the eigenfunction), then extrapolates (w, tau, d1) in s through the
@@ -144,15 +160,20 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     """
     g = bp.phi_j.grid
     cs = constant_state(lp)
-    phi = bp.phi_j.values
+    k = math.gcd(bp.j, g.n_cells)
+    m, mirrored = g.n_cells // k, (bp.j // k) % 2 == 1
+    phi = bp.phi_j.values[:m]
+
+    def unfold(w):      # the reflected tiling: piece p is w, reversed if p is odd
+        return GridFn(g, np.concatenate([w[::(-1) ** p] for p in range(k)]))
     base = BranchPoint(s=0.0, d1=bp.delta_j, tau=cs.tau_star,
                        w=GridFn(g, np.full(g.n_cells, w_star(lp, bp.delta_j))),
                        arclength=0.0, newton_iters=0)
     truncated = False
     sides = []
-    for sign in (+1.0, -1.0):
+    for sign in (+1.0,) if mirrored else (+1.0, -1.0):
         pts = []
-        hist = deque([(0.0, np.concatenate((base.w.values, [base.tau, base.d1])))],
+        hist = deque([(0.0, np.concatenate((base.w.values[:m], [base.tau, base.d1])))],
                      maxlen=_PREDICTOR_NODES)
         step = ds
         arclen = 0.0
@@ -171,16 +192,16 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
                                     f"at s = {s_next:.6g}")
             try:
                 w, tau, d1, iters = _branch_newton(
-                    lp, pred[:-2], pred[-2], pred[-1], phi, s_next, g, tol=tol)
+                    lp, pred[:-2], pred[-2], pred[-1], phi, s_next, g, tol=tol, fold=k)
             except (NoConvergence, TauCollapse):
                 step *= 0.5
                 if step < 1e-6 * ds:
                     truncated = True
                     break
                 continue
-            arclen += math.sqrt(g.h * float(np.sum((w - prev[:-2]) ** 2))
+            arclen += math.sqrt(k * g.h * float(np.sum((w - prev[:-2]) ** 2))
                                 + (tau - prev[-2]) ** 2 + (d1 - prev[-1]) ** 2)
-            pts.append(BranchPoint(s=s_next, d1=d1, tau=tau, w=GridFn(g, w),
+            pts.append(BranchPoint(s=s_next, d1=d1, tau=tau, w=unfold(w),
                                    arclength=arclen, newton_iters=iters))
             hist.append((s_next, np.concatenate((w, [tau, d1]))))
             if iters <= 3:
@@ -188,7 +209,11 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
             elif iters >= 7:
                 step = max(step * 0.5, 1e-6 * ds)
         sides.append(pts)
+    if mirrored:
+        sides.append([BranchPoint(-p.s, p.d1, p.tau, unfold(p.w.values[m - 1::-1]),
+                                  p.arclength, 0) for p in sides[0]])
     plus, minus = sides
     ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
                for p in reversed(minus)] + [base] + plus
-    return Branch(origin=bp, points=tuple(ordered), truncated=truncated)
+    return Branch(origin=bp, points=tuple(ordered), truncated=truncated,
+                  fold=k, mirrored=mirrored)

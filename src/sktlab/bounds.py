@@ -20,8 +20,18 @@ from .model import ModelParams
 
 
 def _larger_root(a, b, c):
-    """Larger real root of a*x^2 + b*x + c = 0, a > 0, computed without
-    subtractive cancellation (relevant at extreme rates)."""
+    """Larger real root of a*x^2 + b*x + c = 0, a >= 0, computed without
+    subtractive cancellation (relevant at extreme rates).  Where b^2 or 4ac
+    overflows, the coefficients are first scaled by the power of two that
+    brings the largest to order one.  A leading coefficient that underflowed
+    to 0 (before or by that scaling) puts the root past -b/(2a), beyond
+    every float, when b <= 0: inf.
+    """
+    if not math.isfinite(b * b - 4.0 * a * c):
+        e = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+        a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
+    if a == 0.0 and b <= 0.0:
+        return math.inf
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         raise DomainError("quadratic has no real roots")

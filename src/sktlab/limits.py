@@ -154,7 +154,7 @@ def _is_linearization(lp: LimitParams, root, d1: float):
 
 
 def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
-                  max_iter: int, what: str, phase=None):
+                  max_iter: int, what: str, phase=None, fold=1):
     """Bordered Newton on the incomplete-segregation system from x = (w, tau)
     at lp.d1; returns _damped_newton's result.  With phase = (phi, s_target),
     x = (w, tau, d1) and con stacks the constraint with the phase equation
@@ -162,20 +162,23 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
     border column and row per scalar unknown, eliminated by solve_bordered.
     A trial with tau < 1e-10 (or, with phase, d1 <= 0) is infeasible: it is
     halved, and TauCollapse is raised only if the step falls below 2**-20.
+    fold = k: w is one of k mirror images tiling the domain, sums weigh k*h.
     """
     n = x.size - (1 if phase is None else 2)
+    wq = fold * h                                  # quadrature weight
     if phase is not None:
         phi, s_target = phase
         cs = constant_state(lp)
         v_off = lp.gamma * lp.d2 * cs.v_star      # w*(d1) = d1*u* - v_off
-        phase_d1 = -cs.u_star * h * float(np.sum(phi))
+        phase_d1 = -cs.u_star * wq * float(np.sum(phi))
 
     def residual(x):
         d1 = lp.d1 if phase is None else float(x[-1])
         fld, con, root = _is_residual_values(lp, x[:n], float(x[n]), h, d1)
+        con *= fold
         rnorm = max(float(np.max(np.abs(fld))), abs(con))
         if phase is not None:
-            ph = h * float(np.sum(phi * (x[:n] - (d1 * cs.u_star - v_off)))) - s_target
+            ph = wq * float(np.sum(phi * (x[:n] - (d1 * cs.u_star - v_off)))) - s_target
             rnorm, con = max(rnorm, abs(ph)), np.array([con, ph])
         return rnorm, (fld, con, root)
 
@@ -183,7 +186,7 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
         fld, con, root = data
         d1 = lp.d1 if phase is None else float(x[-1])
         q_w, q_t, f_w, f_t, (q_u, q_v, f_u, f_v) = _is_linearization(lp, root, d1)
-        cols, rows, corner = (q_t,), (h * f_w,), h * float(np.sum(f_t))
+        cols, rows, corner = (q_t,), (wq * f_w,), wq * float(np.sum(f_t))
         if phase is not None:
             # d1 enters through the transform (u, v)(w, tau; d1) and the
             # constant-branch offset in the phase row
@@ -191,8 +194,8 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
             tau = float(x[n])
             u_d = lp.gamma * lp.d2 * tau / (d1 * S) - u / d1
             v_d = tau / S
-            cols, rows = cols + (q_u * u_d + q_v * v_d,), rows + (h * phi,)
-            corner = np.array([[corner, h * float(np.sum(f_u * u_d + f_v * v_d))],
+            cols, rows = cols + (q_u * u_d + q_v * v_d,), rows + (wq * phi,)
+            corner = np.array([[corner, wq * float(np.sum(f_u * u_d + f_v * v_d))],
                                [0.0, phase_d1]])
         dw, dy = solve_bordered(lap_band(n, h, diag=q_w), cols, rows, corner, -fld, -con)
         return np.concatenate((dw, dy))
@@ -214,10 +217,11 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
     """Bordered Newton (_is_corrector) on the field equations plus the
     integral constraint, for (w, tau) at lp.d1.  A line-search trial whose
     tau falls below 1e-10 is halved; TauCollapse, the complete-segregation
-    signature, is raised only when halving reaches a step below 2**-20.
+    signature, is raised only when halving reaches a step below 2**-20, or
+    at once when tau0 is not positive (a tau* = u* v* that underflowed).
     """
-    if tau0 <= 0.0:
-        raise ValueError("tau0 must be positive")
+    if not tau0 > 0.0:
+        raise TauCollapse("start tau is not positive", tau=tau0)
     g = w0.grid
     x, (fld, con, _), _, it, _ = _is_corrector(
         lp, np.concatenate((w0.values, [float(tau0)])), g.h, tol, max_iter,

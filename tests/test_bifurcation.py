@@ -136,3 +136,24 @@ def test_branch_points_solve_field_equation(p1_limit):
     lp = p1_limit.with_d1(pt.d1)
     _, sup = is_residual(lp, ISState(w=pt.w, tau=pt.tau))
     assert sup < 1e-8
+
+
+def test_kinetic_strength_at_a_huge_constant_state():
+    # b1 = b2 = 1e-300 puts u* near 2.8e300: u*^2 overflows, but b1*u*
+    # times u* does not, and K is the finite negative number it should be
+    lp = LimitParams(gamma=1.0, **dict(P1, b1=1e-300, b2=1e-300))
+    k = kinetic_strength(lp)
+    assert math.isfinite(k) and k < 0.0
+    with pytest.raises(NoThreshold):
+        delta_j(lp, 1)
+
+
+def test_non_finite_threshold_is_no_threshold():
+    # at gamma = 1e308 both (c1 + gamma b2) tau* and gamma c2 v*^2
+    # overflow: K is inf - inf, and no delta_j is returned as NaN
+    lp = LimitParams(gamma=1e308, **P1)
+    assert math.isnan(kinetic_strength(lp))
+    with pytest.raises(NoThreshold):
+        delta_j(lp, 1)
+    with pytest.raises(NoThreshold):
+        detect_crossing(lp, 1, Grid(64))

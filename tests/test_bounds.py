@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from sktlab.bounds import BoundCertificate, sup_bound, v_tilde0
+from sktlab.bounds import BoundCertificate, _larger_root, sup_bound, v_tilde0
 from sktlab.errors import BandError, DomainError
 from sktlab.model import ModelParams
 
@@ -162,3 +162,27 @@ def test_sup_bound_underflowing_rate_ratio_is_outside_the_band():
     # alpha/beta = 1e-300/1e300 is 0.0 in floating point, in no band
     with pytest.raises(BandError):
         sup_bound(_p1_rates(1e-300, 1e300), 1e-300)
+
+
+def test_larger_root_scales_an_overflowing_discriminant():
+    # b^2 and 4ac overflow; scaling all three by 1e-302 leaves the root
+    assert _larger_root(1e302, -1.01e302, 3e300) == pytest.approx(
+        _larger_root(1.0, -1.01, 3e-2), rel=1e-15)
+    p = ModelParams(a1=3.0, a2=1e300, b1=0.1, b2=1.0, c1=1.0, c2=1e300,
+                    d1=1.0, d2=1e300, alpha=100.0, beta=100.0)
+    v0 = v_tilde0(p)
+    assert math.isfinite(v0) and v0 > 0.0
+    # F(0, v0) = 0 for F(0, v) = alpha c2 v^2 - (alpha a2 + d2 c1) v + d2 a1,
+    # evaluated in units of its largest coefficient
+    scale = p.alpha * p.a2 + p.d2 * p.c1
+    resid = (p.alpha * (p.c2 / scale) * v0 * v0
+             - v0 + p.d2 * (p.a1 / scale))
+    assert abs(resid) < 1e-15
+
+
+def test_larger_root_of_an_underflowed_leading_coefficient():
+    # a -> 0+ with b < 0 sends the larger root past every float; with b > 0
+    # it is the root of the linear part
+    assert _larger_root(0.0, -495.0, 1.0) == math.inf
+    assert _larger_root(1e-300, -1e300, 1.0) == math.inf
+    assert _larger_root(0.0, 2.0, -4.0) == 2.0

@@ -1,4 +1,4 @@
-"""The branch continuation against its earlier secant predictor.
+"""The branch continuation against two earlier loops.
 
 `_ref_switch_and_continue` keeps the loop that predicted every step after
 the first by the secant through the last two accepted points.  The
@@ -6,19 +6,29 @@ predictor only moves the corrector's start, so both loops must trace the
 same s grid and agree at every point to well within the corrector
 tolerance, while the polynomial predictor needs fewer corrector
 iterations.
+
+`_ref_two_sided` keeps the polynomial-predictor loop as it was before the
+branch was folded and mirrored: it continues both signs of s on the full
+grid.  The folded, mirrored branch must trace the same s grid, end with
+the same truncation flag and agree with it to 1e-9 at every point.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from sktlab.bifurcation import (Branch, BranchPoint, _branch_newton,
-                                _extrapolation_weights, detect_crossing,
-                                switch_and_continue, w_star)
+from sktlab import bifurcation
+from sktlab.bifurcation import (_PREDICTOR_NODES, Branch, BranchPoint,
+                                _branch_newton, _extrapolation_weights,
+                                detect_crossing, switch_and_continue, w_star)
 from sktlab.errors import NoConvergence, TauCollapse
 from sktlab.grid import Grid, GridFn
+from sktlab.limits import LimitParams
 from sktlab.model import constant_state
+
+from conftest import P1
 
 
 def _ref_switch_and_continue(lp, bp, s_max, ds, tol=1e-11):
@@ -79,6 +89,59 @@ def _ref_switch_and_continue(lp, bp, s_max, ds, tol=1e-11):
     return Branch(origin=bp, points=tuple(ordered), truncated=truncated)
 
 
+def _ref_two_sided(lp, bp, s_max, ds, tol=1e-11):
+    g = bp.phi_j.grid
+    cs = constant_state(lp)
+    phi = bp.phi_j.values
+    base = BranchPoint(s=0.0, d1=bp.delta_j, tau=cs.tau_star,
+                       w=GridFn(g, np.full(g.n_cells, w_star(lp, bp.delta_j))),
+                       arclength=0.0, newton_iters=0)
+    truncated = False
+    sides = []
+    for sign in (+1.0, -1.0):
+        pts = []
+        hist = deque([(0.0, np.concatenate((base.w.values, [base.tau, base.d1])))],
+                     maxlen=_PREDICTOR_NODES)
+        step = ds
+        arclen = 0.0
+        while abs(hist[-1][0]) < s_max - 1e-14:
+            s_prev, prev = hist[-1]
+            s_next = s_prev + sign * step
+            if abs(s_next) > s_max:
+                s_next = sign * s_max
+            if len(hist) == 1:
+                pred = np.concatenate((prev[:-2] + s_next * phi, prev[-2:]))
+            else:
+                s_nodes, x_nodes = zip(*hist)
+                pred = _extrapolation_weights(s_nodes, s_next) @ np.array(x_nodes)
+            if pred[-1] <= 0.0 or pred[-2] <= 0.0:
+                raise NoConvergence("branch predictor left d1 > 0 / tau > 0 "
+                                    f"at s = {s_next:.6g}")
+            try:
+                w, tau, d1, iters = _branch_newton(
+                    lp, pred[:-2], pred[-2], pred[-1], phi, s_next, g, tol=tol)
+            except (NoConvergence, TauCollapse):
+                step *= 0.5
+                if step < 1e-6 * ds:
+                    truncated = True
+                    break
+                continue
+            arclen += math.sqrt(g.h * float(np.sum((w - prev[:-2]) ** 2))
+                                + (tau - prev[-2]) ** 2 + (d1 - prev[-1]) ** 2)
+            pts.append(BranchPoint(s=s_next, d1=d1, tau=tau, w=GridFn(g, w),
+                                   arclength=arclen, newton_iters=iters))
+            hist.append((s_next, np.concatenate((w, [tau, d1]))))
+            if iters <= 3:
+                step = min(step * 1.5, 10.0 * ds)
+            elif iters >= 7:
+                step = max(step * 0.5, 1e-6 * ds)
+        sides.append(pts)
+    plus, minus = sides
+    ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
+               for p in reversed(minus)] + [base] + plus
+    return Branch(origin=bp, points=tuple(ordered), truncated=truncated)
+
+
 # unequal nodes as an adapted amplitude step leaves them, both signs of s
 NODES = ([0.0, 0.005, 0.0125, 0.02375, 0.040625],
          [0.0, -0.003, -0.0075, -0.0105, -0.021])
@@ -124,3 +187,55 @@ def test_branch_matches_secant_reference(p1_limit, mode, s_max, n):
     iters_new = sum(pt.newton_iters for pt in new.points)
     iters_ref = sum(pt.newton_iters for pt in ref.points)
     assert iters_new <= 0.75 * iters_ref
+
+
+# (parameter set, mode, cells, s_max, ds, fold k = gcd(j, n), mirrored):
+# mode 1; mode 2 (k = 2); mode 250 of 256 cells (k = 2, reduced mode 125,
+# truncated); mode 4 of 90 cells, whose reduced mode 2 is even: both sides
+# are continued on the folded grid
+FOLDS = [(P1, 1, 1024, 0.5, 0.005, 1, True),
+         (P1, 2, 256, 0.45, 0.005, 2, True),
+         (dict(P1, d2=1e-9), 250, 256, 0.1, 0.005, 2, True),
+         (dict(P1, d2=1e-3), 4, 90, 0.08, 0.005, 2, False)]
+
+
+@pytest.mark.parametrize("params, mode, n, s_max, ds, fold, mirrored", FOLDS)
+def test_folded_branch_matches_the_two_sided_loop(params, mode, n, s_max, ds,
+                                                  fold, mirrored):
+    lp = LimitParams(gamma=1.0, **params)
+    bp = detect_crossing(lp, mode, Grid(n))
+    new = switch_and_continue(lp, bp, s_max=s_max, ds=ds)
+    ref = _ref_two_sided(lp, bp, s_max=s_max, ds=ds)
+    assert (new.fold, new.mirrored) == (fold, mirrored)
+    assert new.truncated == ref.truncated
+    assert [pt.s for pt in new.points] == [pt.s for pt in ref.points]
+    assert any(pt.s < 0.0 for pt in new.points)
+    for a, b in zip(new.points, ref.points):
+        assert abs(a.d1 - b.d1) <= 1e-9 and abs(a.tau - b.tau) <= 1e-9
+        assert float(np.max(np.abs(a.w.values - b.w.values))) <= 1e-9
+    if mirrored:
+        # the s < 0 side is the reversed reduced field of the s > 0 side
+        m = n // fold
+        zero = next(i for i, pt in enumerate(new.points) if pt.s == 0.0)
+        for a, b in zip(new.points[zero - 1::-1], new.points[zero + 1:]):
+            assert (a.s, a.d1, a.tau, a.arclength) == (-b.s, b.d1, b.tau, -b.arclength)
+            assert np.array_equal(a.w.values[:m], b.w.values[m - 1::-1])
+            assert a.newton_iters == 0
+
+
+@pytest.mark.parametrize("params, mode, n, s_max, ds, fold, mirrored", FOLDS)
+def test_corrector_runs_only_on_the_sides_no_symmetry_supplies(
+        params, mode, n, s_max, ds, fold, mirrored, monkeypatch):
+    targets = []
+
+    def spy(lp, w, tau, d1, phi, s_target, g, **kwargs):
+        targets.append(s_target)
+        assert w.size == phi.size == n // fold and kwargs["fold"] == fold
+        return _branch_newton(lp, w, tau, d1, phi, s_target, g, **kwargs)
+
+    lp = LimitParams(gamma=1.0, **params)
+    bp = detect_crossing(lp, mode, Grid(n))
+    monkeypatch.setattr(bifurcation, "_branch_newton", spy)
+    switch_and_continue(lp, bp, s_max=s_max, ds=ds)
+    assert any(s > 0.0 for s in targets)
+    assert any(s < 0.0 for s in targets) != mirrored

@@ -53,6 +53,10 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
 @example(command="selftest", model={"model.d2": 2.6129179742092635e-06,
                                     "model.b1": 1.4037541487498866,
                                     "model.c2": 0.05364781754930493}, run={})
+@example(command="bifurcate", model={"model.b1": 1e-300, "model.b2": 1e-300}, run={})
+@example(command="solve", model={"model.b1": 1e-300, "model.b2": 1e-300,
+                                 "model.d1": 1e-300, "model.beta": 1e-300}, run={})
+@example(command="is-solve", model={"model.c1": 1e300, "model.a2": 1e-300}, run={})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))

@@ -186,3 +186,12 @@ def test_limit_params_validation(p1):
                     d1=0.0, d2=1.0, gamma=1.0)
     lp = LimitParams.from_model(p1.with_rates(30.0, 10.0))
     assert lp.gamma == 3.0
+
+
+def test_is_newton_from_a_non_positive_tau_is_a_collapse():
+    # c1 = 1e300, a2 = 1e-300: tau* = u* v* underflows to 0 before Newton
+    lp = LimitParams(gamma=1.0, **dict(P1, c1=1e300, a2=1e-300))
+    assert constant_state(lp).tau_star == 0.0
+    g = Grid(16)
+    with pytest.raises(TauCollapse):
+        is_newton(lp, GridFn.constant(g, 1.0), constant_state(lp).tau_star)
