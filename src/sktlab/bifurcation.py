@@ -71,7 +71,10 @@ def _threshold(lp: LimitParams, lam: float) -> float:
     """The d1 at which the potential K / (d1*u* + gamma*d2*v*), the scalar
     multiplying the identity in the linearized field operator at the
     constant state, equals lam: (K/lam - gamma*d2*v*)/u*.  Raises
-    NoThreshold when K or the threshold is not a finite float."""
+    NoThreshold when lam underflowed to 0 or K or the threshold is not a
+    finite float."""
+    if not lam > 0.0:
+        raise NoThreshold(f"eigenvalue {lam!r} is not positive in floating point")
     cs = constant_state(lp)
     k = kinetic_strength(lp)
     d1 = (k / lam - lp.gamma * lp.d2 * cs.v_star) / cs.u_star
@@ -90,7 +93,8 @@ def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
         raise ValueError("mode index must be >= 1")
     if kinetic_strength(lp) <= 0.0:
         raise NoThreshold("K <= 0: no positive threshold for any mode")
-    d1 = _threshold(lp, (j * math.pi / length) ** 2)
+    k = j * math.pi / length
+    d1 = _threshold(lp, k * k)           # inf, not OverflowError, past 1e308
     if d1 <= 0.0:
         raise NoThreshold(f"mode {j}: rearranged threshold is nonpositive")
     return d1

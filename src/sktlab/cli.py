@@ -139,7 +139,11 @@ def _limit_params(cfg: dict) -> LimitParams:
 
 
 def _grid(cfg: dict) -> Grid:
-    return Grid(n_cells=cfg["grid.n_cells"], length=cfg["grid.length"])
+    """The config's grid; ValidationError where 1/h^2 is not a finite float."""
+    try:
+        return Grid(n_cells=cfg["grid.n_cells"], length=cfg["grid.length"])
+    except ValueError as exc:
+        raise ValidationError(f"grid.length: {exc}", key="grid.length") from None
 
 
 def _mode(cfg: dict, g: Grid) -> int:
@@ -214,18 +218,13 @@ def _cmd_limit_study(cfg) -> dict:
     meta = {"classification": report.classification,
             "gamma_target": report.gamma_target,
             "tau_star": report.tau_star,
-            "complete_tol": report.complete_tol}
+            "complete_tol": report.complete_tol,
+            "fallback_steps": report.fallback_steps}
     if report.classification != "Undetermined":
         meta["limit_comparison"] = limitstudy.match_limit(report)
-    steps = report.steps
-    return {"limit_study.csv": ({"alpha": [r.alpha for r in steps],
-                                 "beta": [r.beta for r in steps],
-                                 "gamma": [r.gamma for r in steps],
-                                 "tau_hat": [r.tau_hat for r in steps],
-                                 "uv_defect": [r.uv_defect for r in steps],
-                                 "w_drift": [r.w_drift for r in steps],
-                                 "residual_inf": [r.residual_inf for r in steps]},
-                                meta)}
+    names = ("alpha", "beta", "gamma", "tau_hat", "uv_defect", "w_drift", "residual_inf")
+    return {"limit_study.csv": ({name: [getattr(r, name) for r in report.steps]
+                                 for name in names}, meta)}
 
 
 def _cmd_is_solve(cfg) -> dict:
@@ -298,8 +297,9 @@ def _cmd_dhmp(cfg) -> dict:
 
 
 def _require(what: str, value: float, bound: float):
-    """CheckFailed (exit 2) unless value < bound; NaN fails."""
-    if not value < bound:
+    """CheckFailed (exit 2) unless value < bound or both are 0 (an error
+    that is exactly 0 where the allowance underflowed); NaN fails."""
+    if not (value < bound or value == bound == 0.0):
         raise CheckFailed(f"{what}: {value:.3g} is not below {bound:.3g}")
 
 

@@ -28,6 +28,9 @@ class Grid:
             raise ValueError(f"need at least {MIN_CELLS} cells")
         if self.length <= 0.0:
             raise ValueError("length must be positive")
+        h2 = self.h * self.h
+        if not (h2 > 0.0 and math.isfinite(1.0 / h2)):
+            raise ValueError(f"1/h^2 is not a finite float at h = {self.h!r}")
 
     @property
     def h(self) -> float:

@@ -6,8 +6,9 @@ solution sequences accumulate either on the incomplete-segregation system
 a nonlocal integral constraint) or on the complete-segregation system (a
 single sign-changing field w with positive/negative-part nonlinearity).
 This module provides the change of variables (u, v) -> (w, z), its
-(w, tau) -> (u, v) inversion, and Newton solvers for the two reduced
-systems.
+(w, tau) -> (u, v) inversion, Newton solvers for the two reduced systems,
+and one for the full system in the regular form in eps = 1/alpha that
+tends to the incomplete one.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import TauCollapse
 from .grid import GridFn, laplacian_values
-from .linalg import (_damped_newton, lap_band, residual_floor, solve_bordered,
-                     solve_tridiag)
+from .linalg import (_damped_newton, lap_band, pair_band, residual_floor,
+                     solve_bordered, solve_tridiag)
 from .model import (ModelParams, constant_state, kinetic_partials, reaction_f,
                     reaction_g)
 
@@ -229,6 +230,62 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
     return ISState(w=GridFn(g, x[:-1]), tau=float(x[-1]),
                    residual_inf=float(np.max(np.abs(fld))), constraint=con,
                    newton_iters=it)
+
+
+def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float,
+                tol: float, max_iter: int = 40):
+    """Damped Newton on the full system at alpha = 1/eps in its regular form:
+    x = (w, zeta, T), tau = uv = T + eps*zeta, (u, v) = _uv_root(lp, w, tau,
+    lp.d1), rows lap(w) + f - gamma g, lap(d1 u + zeta) + f (the first
+    equation: lap(alpha tau) = lap(zeta)) and h*sum(zeta), all O(1) as eps
+    -> 0; the (w, zeta) pair band is bordered by the T column and mean row.
+    x is infeasible where tau <= 0 at a node or its (u, v) lose tau (v or u
+    is lost where 4 gamma d1 d2 tau is below the rounding of w^2): it never
+    counts as converged, and a trial is halved (TauCollapse if no step stays
+    feasible).  Returns _damped_newton's result, data (r1, r2, mean,
+    (u, v, S)), and the floor allowed at x.
+    """
+    n = (x.size - 1) // 2
+    d1 = lp.d1
+    mean_row = (np.zeros(n), np.full(n, h))
+
+    def residual(x):
+        zeta = x[n:-1]
+        r1, _, root = _is_residual_values(lp, x[:n], x[-1] + eps * zeta, h, d1)
+        r2 = laplacian_values(d1 * root[0] + zeta, h) + reaction_f(lp, *root[:2])
+        mean = h * float(np.sum(zeta))
+        return (max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))), abs(mean)),
+                (r1, r2, mean, root))
+
+    def step(_x, data):
+        r1, r2, mean, root = data
+        u, _, s = root
+        q_w, q_t, f_w, f_t, _ = _is_linearization(lp, root, d1)
+        u_t = lp.gamma * lp.d2 / s
+        ab = pair_band(n, h, [[(1.0, q_w), (0.0, eps * q_t)],
+                              [(d1 * u / s, f_w), (1.0 + eps * d1 * u_t, eps * f_t)]])
+        col = (q_t, laplacian_values(d1 * u_t, h) + f_t)      # d/dT of the two rows
+        return np.concatenate(solve_bordered(ab, (col,), (mean_row,), 0.0, (-r1, -r2), -mean))
+
+    def floor(x):
+        zeta = x[n:-1]
+        u = _uv_root(lp, x[:n], x[-1] + eps * zeta, d1)[0]
+        return residual_floor(h, float(np.max(np.abs(x[:n])))
+                              + float(np.max(np.abs(d1 * u + zeta))))
+
+    def feasible(x):
+        tau = x[-1] + eps * x[n:-1]
+        if not float(np.min(tau)) > 0.0:
+            return TauCollapse("T + eps*zeta left tau > 0", tau=float(x[-1]))
+        u, v, _ = _uv_root(lp, x[:n], tau, d1)
+        if not float(np.max(np.abs(u * v - tau))) <= 1e-8 * float(np.max(tau)):
+            return TauCollapse("the (u, v) of (w, tau) lose tau", tau=float(x[-1]))
+
+    def done(x, rnorm):
+        return rnorm <= max(tol, floor(x)) and feasible(x) is None
+
+    out = _damped_newton(residual, step, x, done, max_iter, "regular-form Newton", feasible)
+    return (*out, floor(out[0]))
 
 
 def _cs_residual_values(lp: LimitParams, w: np.ndarray, h: float):

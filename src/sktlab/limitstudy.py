@@ -3,8 +3,11 @@
 Solves the full system along a schedule of growing rate pairs with warm
 starts, tracks the transformed fields w_n, z_n, estimates the limiting
 density product from the mean of z_n, and classifies the run as incomplete
-or complete segregation.  The matched limiting-system solve quantifies how
-well the final member of the sequence is explained by its limit.
+or complete segregation.  Each step is solved in the regular form of
+limits._eps_newton; a state that form cannot hold, or a failed solve, falls
+back to the (u, v) Newton, and the report counts those steps.  The matched
+limiting-system solve quantifies how well the final member of the sequence
+is explained by its limit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits, steady
-from .errors import NoConvergence, ValidationError
+from .errors import NoConvergence, TauCollapse, ValidationError
 from .grid import GridFn, integrate
 from .limits import LimitParams
 from .model import ModelParams, constant_state
@@ -42,6 +45,7 @@ class LimitRunReport:
     final_w: GridFn
     tau_star: float
     complete_tol: float
+    fallback_steps: int = 0        # schedule steps the (u, v) Newton solved
 
 
 def geometric_schedule(alpha0: float, gamma: float, n_steps: int,
@@ -85,14 +89,16 @@ def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
     p0 = base.with_rates(*pairs[0])
     w_prev = limits.w_z_from_uv(p0, state.u, state.v)[0].values
     records = []
+    fallback_steps = 0
     w = z = None
     for k, (alpha, beta) in enumerate(pairs):
         p = base.with_rates(alpha, beta)
         try:
-            state = _solve_step(p, state, newton_tol)
+            state, fell_back = _solve_step(p, state, newton_tol)
         except NoConvergence as exc:
             raise NoConvergence(f"schedule step {k} (alpha={alpha:g}, beta={beta:g}): {exc}",
                                 residual=exc.residual, iterations=exc.iterations) from exc
+        fallback_steps += fell_back
         w, z = limits.w_z_from_uv(p, state.u, state.v)
         tau_hat = integrate(z) / w.grid.length
         uv_defect = float(np.max(np.abs(state.u.values * state.v.values - tau_hat)))
@@ -114,29 +120,30 @@ def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
     return LimitRunReport(gamma_target=gamma_target, steps=tuple(records),
                           classification=classification, final_state=state,
                           final_w=w, tau_star=cs.tau_star,
-                          complete_tol=complete_tol)
+                          complete_tol=complete_tol, fallback_steps=fallback_steps)
 
 
-def _solve_step(p: ModelParams, state: SteadyState, tol: float) -> SteadyState:
-    """One warm-started solve at the next rate pair.
-
-    The log-product formulation is preferred (it is the one that stays
-    conditioned as the rates grow); states with a vanishing density cannot
-    be represented in log variables, so those fall back to the direct
-    solver.
+def _solve_step(p: ModelParams, state: SteadyState, tol: float) -> tuple[SteadyState, bool]:
+    """One warm-started solve at the next rate pair: (state, whether the
+    (u, v) Newton solved it).  The regular form starts from the previous
+    state's (w, zeta, T), zeta = alpha_prev*(uv - T) with T the mean of uv.
     """
-    u = state.u.values
-    v = state.v.values
+    u, v = state.u.values, state.v.values
     prod = u * v
-    floor = 1e-12 * max(float(np.max(prod)), 1.0)
-    if float(np.min(prod)) > floor:
-        gamma = p.alpha / p.beta
-        w0 = GridFn(state.u.grid, p.d1 * u - gamma * p.d2 * v)
+    if float(np.min(prod)) > 1e-12 * max(float(np.max(prod)), 1.0):
+        lp = LimitParams.from_model(p)
+        t0 = float(np.mean(prod))
+        x0 = np.concatenate((p.d1 * u - lp.gamma * p.d2 * v,
+                             state.params.alpha * (prod - t0), [t0]))
         try:
-            return steady.newton_solve_wq(p, w0, prod, tol=tol)
-        except NoConvergence:
+            _, (_, _, _, (u, v, _)), rnorm, it, history, floor = limits._eps_newton(
+                lp, x0, 1.0 / p.alpha, state.grid.h, tol)
+        except (NoConvergence, TauCollapse):
             pass
-    return steady.newton_solve(p, state.u, state.v, tol=tol)
+        else:
+            return steady._steady_state(p, state.grid, u, v, rnorm, floor, it,
+                                        history), False
+    return steady.newton_solve(p, state.u, state.v, tol=tol), True
 
 
 def _tau_stabilized(records) -> bool:

@@ -122,8 +122,9 @@ def solve_tridiag(ab: np.ndarray, rhs: np.ndarray, overwrite_rhs=False) -> np.nd
 def solve_pair(ab: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Newton direction -J^-1 (r1, r2) for a pair of fields whose Jacobian J
     is a pair_band; returned as the two fields one after the other, the
-    layout of the solvers' unknown.  Same checks as solve_tridiag."""
-    rhs = np.empty(2 * r1.size)
+    layout of the solvers' unknown.  r1 and r2 may be (n, m) to solve m
+    right-hand sides at once.  Same checks as solve_tridiag."""
+    rhs = np.empty((2 * r1.shape[0], *r1.shape[1:]))
     rhs[0::2] = -r1
     rhs[1::2] = -r2
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
@@ -133,17 +134,24 @@ def solve_pair(ab: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 
 def solve_bordered(ab, border_cols, border_rows, corner, rhs_top, rhs_bot):
-    """Solve [[A, B], [C, D]] [x; y] = [rhs_top; rhs_bot] with tridiagonal A.
+    """Solve [[A, B], [C, D]] [x; y] = [rhs_top; rhs_bot] with banded A.
 
     ab is A in solve_banded's (1, 1) layout, border_cols the k columns of B
     and border_rows the k rows of C, each a sequence of n-vectors; corner D
     (k, k) and rhs_bot (k,) may be scalars when k = 1.  A is solved once
-    by solve_tridiag for [rhs_top, B], stacked in one Fortran-ordered array
-    that gtsv solves in place, and the k x k Schur complement closed densely.
+    for [rhs_top, B], and the k x k Schur complement closed densely.  A
+    tridiagonal A is solved by solve_tridiag, stacked in one Fortran-ordered
+    array that gtsv solves in place.  When ab is a pair_band, rhs_top and
+    each border column and row are pairs of fields, and x is returned as the
+    two fields one after the other, as by solve_pair.
     """
     border_rows = np.array(border_rows)
-    stacked = np.array((rhs_top, *border_cols)).T
-    X = solve_tridiag(ab, stacked, overwrite_rhs=True)
+    stacked = np.array((rhs_top, *border_cols))
+    if ab.shape[0] == 7:
+        X = -solve_pair(ab, stacked[:, 0].T, stacked[:, 1].T)
+        border_rows = border_rows.reshape(len(border_rows), -1)
+    else:
+        X = solve_tridiag(ab, stacked.T, overwrite_rhs=True)
     x_f, X_b = X[:, 0], X[:, 1:]
     schur = corner - border_rows @ X_b
     y = np.linalg.solve(schur, rhs_bot - border_rows @ x_f)

@@ -1,13 +1,14 @@
 """Steady states of the full cross-diffusion system.
 
 The pipeline is semi-implicit time marching into a basin of attraction
-followed by damped Newton with an analytically assembled block-tridiagonal
-Jacobian (interleaved unknown ordering, direct banded factorization).
-Newton runs in one of two formulations: the densities (u, v), or
-(w, log tau) with w = d1 u - gamma d2 v and tau = u v, which keeps both
-densities positive at large rates.  The reduction identity and the
-maximum-principle sign check on F and G at the density maxima are oracles
-of the tests (tests/oracles.py), not part of the solver.
+followed by one damped Newton in the densities (u, v), with an
+analytically assembled block-tridiagonal Jacobian (interleaved unknown
+ordering, direct banded factorization).  Along a large-rate schedule,
+limitstudy solves each step in the regular form of limits._eps_newton and
+calls newton_solve only where that form cannot hold the state.  The
+reduction identity and the maximum-principle sign check on F and G at the
+density maxima are oracles of the tests (tests/oracles.py), not part of
+the solver.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from . import bounds
 from .errors import BandError, BlowUp, NegativeState
 from .grid import Grid, GridFn, laplacian_values
-from .limits import LimitParams, _is_linearization, _uv_root
 from .linalg import (_damped_newton, lap_band, pair_band, residual_floor,
                      solve_pair, solve_tridiag)
 from .model import ModelParams, kinetic_partials, reaction_f, reaction_g
@@ -69,10 +69,6 @@ def _jacobian_banded(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
                                  [(p.beta * v, gu), (p.d2 + p.beta * u, gv)]])
 
 
-def _norm_inf(r1: np.ndarray, r2: np.ndarray) -> float:
-    return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
-
-
 def _levelset_certificate(p: ModelParams):
     """The level-set sup-bound certificate at eta = min(alpha/beta,
     beta/alpha, 1), or None when a rate is not positive, the band check
@@ -89,16 +85,13 @@ def _levelset_certificate(p: ModelParams):
     return cert if cert.kind == "levelset" else None
 
 
-def _certificate_ok(p: ModelParams, u: np.ndarray, v: np.ndarray) -> bool | None:
-    cert = _levelset_certificate(p)
-    return None if cert is None else cert.covers(float(np.max(u)), float(np.max(v)))
-
-
 def _steady_state(p, g, u, v, rnorm, floor, it, history) -> SteadyState:
+    """The SteadyState of a solve, certified when a level-set bound applies."""
+    cert = _levelset_certificate(p)
+    ok = None if cert is None else cert.covers(float(np.max(u)), float(np.max(v)))
     return SteadyState(params=p, grid=g, u=GridFn(g, u), v=GridFn(g, v),
                        residual_inf=rnorm, residual_floor=floor, newton_iters=it,
-                       certificate_ok=_certificate_ok(p, u, v),
-                       residual_history=tuple(history))
+                       certificate_ok=ok, residual_history=tuple(history))
 
 
 def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
@@ -119,7 +112,7 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
     def residual(x):
         r1, r2 = _residual_values(p, np.maximum(x[:n], 0.0),
                                   np.maximum(x[n:], 0.0), h)
-        return _norm_inf(r1, r2), (r1, r2)
+        return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))), (r1, r2)
 
     def step(x, r):
         return solve_pair(_jacobian_banded(p, x[:n], x[n:], h), *r)
@@ -138,79 +131,6 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
         lambda x, rnorm: rnorm <= max(tol, floor(x)), max_iter, "Newton", feasible)
     return _steady_state(p, g, np.maximum(x[:n], 0.0), np.maximum(x[n:], 0.0),
                          rnorm, floor(x), it, history)
-
-
-def _wq_residual(p: ModelParams, w: np.ndarray, q: np.ndarray, h: float,
-                 lp: LimitParams):
-    """Residual in the (w, log tau) parametrization, tau = u*v.
-
-    Equivalent to the (w, z) form through z = d1*u/alpha + tau, but both
-    densities recovered from (w, tau) are nonnegative by construction, so
-    Newton cannot wander onto the spurious sign-flipped branches that exist
-    when the segregated regions carry only O(1/rate) density.  lp is
-    LimitParams.from_model(p), built once by the caller.  Returns (r1, r2, (u, v, S), tau).
-    """
-    tau = np.exp(q)
-    u, v, _ = root = _uv_root(lp, w, tau, lp.d1)
-    fval = reaction_f(p, u, v)
-    gval = reaction_g(p, u, v)
-    r1 = laplacian_values(w, h) + fval - lp.gamma * gval
-    y = p.d1 * u / p.alpha + tau
-    r2 = laplacian_values(y, h) + fval / p.alpha
-    return r1, r2, root, tau
-
-
-def _wq_jacobian_banded(p: ModelParams, root, tau: np.ndarray, h: float,
-                        lp: LimitParams):
-    """Banded Jacobian of the (w, log tau) residual at the (root, tau) of
-    _wq_residual, interleaved ordering, bandwidth (3, 3); the partials are
-    those of the incomplete-segregation system; lp as in _wq_residual."""
-    u, _, S = root
-    q_w, q_t, f_w, f_t, _ = _is_linearization(lp, root, lp.d1)
-    m1 = p.d1 * (u / S) / p.alpha                  # dy/dw
-    m2 = (p.d1 * (lp.gamma * lp.d2 / S) / p.alpha + 1.0) * tau   # dy/dq
-    return pair_band(u.size, h, [[(1.0, q_w), (0.0, q_t * tau)],
-                                 [(m1, f_w / p.alpha), (m2, f_t * tau / p.alpha)]])
-
-
-def newton_solve_wq(p: ModelParams, w0: GridFn, tau0,
-                    tol: float = 1e-11, max_iter: int = 80) -> SteadyState:
-    """Damped Newton in (w, log tau): the segregated-regime solver.
-
-    tau0 may be a scalar or nodal array of strictly positive values.  Both
-    densities are recovered from (w, tau) through the positive root, so
-    every iterate keeps them nonnegative; this is the formulation that stays
-    on the positive branch when the rates are large and one density is
-    O(1/rate) on part of the domain.  The log-step is capped at 8 per sweep.
-    """
-    g = w0.grid
-    h = g.h
-    n = g.n_cells
-    tau0 = np.broadcast_to(np.asarray(tau0, dtype=float), w0.values.shape)
-    if np.any(tau0 <= 0.0):
-        raise ValueError("tau0 must be strictly positive")
-    lp = LimitParams.from_model(p)
-
-    def residual(x):
-        r = _wq_residual(p, x[:n], x[n:], h, lp)
-        return _norm_inf(r[0], r[1]), r
-
-    def step(_x, r):
-        dx = solve_pair(_wq_jacobian_banded(p, r[2], r[3], h, lp), r[0], r[1])
-        # cap the log-step so tau cannot jump by more than e^8 per sweep
-        mx = float(np.max(np.abs(dx[n:])))
-        if mx > 8.0:
-            dx[n:] *= 8.0 / mx
-        return dx
-
-    def floor(x):
-        return residual_floor(h, float(np.max(np.abs(x[:n]))),
-                              float(np.max(np.exp(x[n:]))))
-
-    x, (_, _, (u, v, _), _), rnorm, it, history = _damped_newton(
-        residual, step, np.concatenate((w0.values, np.log(tau0))),
-        lambda x, rnorm: rnorm <= max(tol, floor(x)), max_iter, "log-product Newton")
-    return _steady_state(p, g, u, v, rnorm, floor(x), it, history)
 
 
 def _blowup_cap(p: ModelParams) -> float:

@@ -157,3 +157,17 @@ def test_non_finite_threshold_is_no_threshold():
         delta_j(lp, 1)
     with pytest.raises(NoThreshold):
         detect_crossing(lp, 1, Grid(64))
+
+
+@pytest.mark.parametrize("length", [1e-200, 1e-160, 1e300])
+def test_threshold_at_an_extreme_length_is_no_threshold(p1_limit, length):
+    # (pi/L)^2 overflows to inf (the threshold is then -gamma d2 v*/u* < 0)
+    # or underflows to 0, where K/lambda has no value: never an
+    # OverflowError or ZeroDivisionError
+    with pytest.raises(NoThreshold):
+        delta_j(p1_limit, 1, length)
+
+
+def test_discrete_threshold_where_the_eigenvalue_underflows(p1_limit):
+    with pytest.raises(NoThreshold):
+        detect_crossing(p1_limit, 1, Grid(8, 1e300))

@@ -318,6 +318,18 @@ def test_limit_study_bad_schedule_is_config_error(line, tmp_path):
     assert not (tmp_path / "limit_study.csv").exists()
 
 
+@pytest.mark.parametrize("command, length, code", [
+    ("solve", 1e-300, 3), ("is-solve", 1e-200, 3), ("limit-study", 1e-300, 3),
+    ("bifurcate", 1e-200, 3), ("bifurcate", 1e-160, 3), ("bifurcate", 1e300, 4)])
+def test_grid_length_extremes_exit_documented_codes(command, length, code, tmp_path):
+    # 1/h^2 not a finite float is a config error; at L = 1e300 the
+    # eigenvalue underflows to 0 and no threshold exists
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(f"grid.length = {length!r}\n")
+    argv = [command, "--grid", "8", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == code
+
+
 def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch):
     # P1 from a large seed amplitude: the seed polish leaves the nonnegative
     # cone, the march reaches the exclusion state u = a1/b1, v = 0, and each
@@ -344,7 +356,9 @@ def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch)
     assert "limit_comparison" not in meta
     assert calls[:2] == [("_cmd_limit_study", "NegativeState"),
                          ("march_then_newton", "ok")]
-    assert calls[2:] == [("_solve_step", "ok")] * int(parse_config("")["run.steps"])
+    steps = parse_config("")["run.steps"]
+    assert calls[2:] == [("_solve_step", "ok")] * steps
+    assert meta["fallback_steps"] == str(steps)
 
 
 def test_bifurcate_threshold_far_from_the_continuum_one(tmp_path):
@@ -448,6 +462,15 @@ def test_selftest_product_check_allows_the_rounding_of_the_inversion(text, tmp_p
     cfg = tmp_path / "x.cfg"
     cfg.write_text(text + "\n")
     assert main(["selftest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_selftest_passes_where_tau_star_underflows(tmp_path, capsys):
+    # u* v* underflows to 0: the product error is exactly 0, and so is the
+    # allowance 8 eps (tau + w^2/(4 gamma d1 d2))
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("model.c1 = 1e300\nmodel.a2 = 1e-300\n")
+    assert main(["selftest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == "selftest: ok\n"
 
 
 def test_selftest_flags_a_perturbed_inversion(tmp_path, monkeypatch, capsys):

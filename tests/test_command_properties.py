@@ -4,10 +4,11 @@ Hypothesis draws configs for `solve`, `bounds`, `is-solve`, `bifurcate`,
 `limit-study` and `selftest` and runs them through `cli.main`: every draw
 must end in one of the documented exit codes, and none may raise.  Any
 subset of the model keys is drawn, with finite values over fifteen decades,
-1e-300, 1e300 and non-finite values.  The grid, `run.steps`, `run.s_max` and
-`run.t_march` are capped so that one draw stays cheap, and `run.dt` is never
-drawn: a tiny time step makes `t_march / dt` march steps, which would hang
-rather than fail.  The examples are configs that once ended in a traceback.
+1e-300, 1e300 and non-finite values, and `grid.length` log-uniform over
+[1e-300, 1e300].  The grid, `run.steps`, `run.s_max` and `run.t_march` are
+capped so that one draw stays cheap, and `run.dt` is never drawn: a tiny
+time step makes `t_march / dt` march steps, which would hang rather than
+fail.  The examples are configs that once ended in a traceback.
 """
 
 import math
@@ -20,11 +21,15 @@ from sktlab.cli import main
 # log-uniform in [1e-12, 1e3]; one draw in five is 1e-300, 1e300 or nan
 VALUE = st.tuples(st.floats(-12.0, 3.0), st.integers(0, 14)).map(
     lambda t: (1e-300, 1e300, math.nan)[t[1]] if t[1] < 3 else 10.0 ** t[0])
+# log-uniform in [1e-300, 1e300]; one draw in five is one of the two ends
+LENGTH = st.tuples(st.floats(-300.0, 300.0), st.integers(0, 9)).map(
+    lambda t: (1e-300, 1e300)[t[1]] if t[1] < 2 else 10.0 ** t[0])
 MODEL = st.fixed_dictionaries({}, optional={
     f"model.{k}": VALUE for k in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2",
                                   "alpha", "beta", "gamma")})
 RUN = st.fixed_dictionaries({}, optional={
     "grid.n_cells": st.integers(8, 128),
+    "grid.length": LENGTH,
     "run.mode": st.integers(1, 12),
     "run.eta": st.floats(1e-6, 1.0),
     "run.amplitude": VALUE,
@@ -57,6 +62,11 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
 @example(command="solve", model={"model.b1": 1e-300, "model.b2": 1e-300,
                                  "model.d1": 1e-300, "model.beta": 1e-300}, run={})
 @example(command="is-solve", model={"model.c1": 1e300, "model.a2": 1e-300}, run={})
+@example(command="selftest", model={"model.c1": 1e300, "model.a2": 1e-300}, run={})
+@example(command="solve", model={}, run={"grid.n_cells": 8, "grid.length": 1e-300})
+@example(command="limit-study", model={}, run={"grid.n_cells": 8, "grid.length": 1e-200})
+@example(command="bifurcate", model={}, run={"grid.n_cells": 8, "grid.length": 1e-160})
+@example(command="bifurcate", model={}, run={"grid.n_cells": 8, "grid.length": 1e300})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))

@@ -72,3 +72,12 @@ def test_gridfn_immutable(grid64):
     f = GridFn.constant(grid64, 1.0)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+
+
+@pytest.mark.parametrize("length", [1e-300, 1e-200, 1e-160])
+def test_grid_needs_a_finite_inverse_square_step(length):
+    # h*h underflows to 0, which the stencils divide by, or 1/h^2 overflows
+    with pytest.raises(ValueError, match="1/h"):
+        Grid(8, length)
+    g = Grid(8, 1e300)                   # 1/h^2 = 0 is finite
+    assert discrete_eigenvalue(g, 1) == 0.0

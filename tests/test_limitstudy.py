@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from sktlab import limitstudy, steady
+from sktlab import bifurcation, bounds, limits, limitstudy, steady
 from sktlab.errors import ValidationError
-from sktlab.grid import Grid, GridFn
+from sktlab.grid import Grid, GridFn, laplacian_values
+from sktlab.limits import LimitParams, uv_from_w_tau
 from sktlab.limitstudy import geometric_schedule, match_limit, run_sequence
-from sktlab.model import ModelParams, constant_state
+from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
 from oracles import segregation_diagnostics
+from test_linalg import _dense_from_band
 
 
 def _seed(p, g, amp=0.2):
@@ -119,3 +121,133 @@ def test_segregation_diagnostics(grid64, p1):
     assert near_const
     # coexistence limit, not an exclusion state
     assert np.min(st.u.values) > 1.0 and np.min(st.v.values) > 1.0
+
+
+# the regular form of one schedule step, limits._eps_newton: unknowns
+# (w, zeta, T) with tau = u v = T + eps*zeta and eps = 1/alpha
+
+def _eps_residual(lp, x, eps, h):
+    """The three rows of the regular form, written out from the equations."""
+    n = (x.size - 1) // 2
+    w, zeta = x[:n], x[n:-1]
+    u, v = uv_from_w_tau(lp, w, x[-1] + eps * zeta)
+    f = reaction_f(lp, u, v)
+    return np.concatenate((laplacian_values(w, h) + f - lp.gamma * reaction_g(lp, u, v),
+                           laplacian_values(lp.d1 * u + zeta, h) + f,
+                           [h * np.sum(zeta)]))
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_eps_jacobian_matches_fd(rng, monkeypatch):
+    # the pair band, its T border column and the mean row against central
+    # differences of the rows, at a point far from a solution
+    n, h, eps = 16, 1.0 / 16, 0.1
+    lp = LimitParams(gamma=2.0, **P1)
+    zeta = rng.uniform(-3.0, 3.0, n)
+    x0 = np.concatenate((rng.uniform(-2.0, 3.0, n), zeta - zeta.mean(), [TAU_STAR]))
+    seen = {}
+
+    def capture(ab, cols, rows, corner, *_rhs):
+        seen.update(ab=ab, col=np.concatenate(cols[0]), row=np.concatenate(rows[0]),
+                    corner=corner)
+        raise _Captured
+
+    monkeypatch.setattr(limits, "solve_bordered", capture)
+    with pytest.raises(_Captured):
+        limits._eps_newton(lp, x0, eps, h, 1e-11)
+    perm = np.concatenate((np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)))
+    pair = _dense_from_band(seen["ab"], (3, 3))[np.ix_(perm, perm)]
+    J = np.block([[pair, seen["col"][:, None]],
+                  [seen["row"][None, :], np.array([[seen["corner"]]])]])
+    J_fd = np.zeros_like(J)
+    for k in range(x0.size):
+        step = 1e-7 * max(1.0, abs(x0[k]))
+        xp, xm = x0.copy(), x0.copy()
+        xp[k] += step
+        xm[k] -= step
+        J_fd[:, k] = (_eps_residual(lp, xp, eps, h) - _eps_residual(lp, xm, eps, h)) / (2 * step)
+    assert np.max(np.abs(J - J_fd)) < 1e-4 * np.max(np.abs(J_fd))
+
+
+def test_eps_form_agrees_with_the_uv_newton(grid64):
+    p = ModelParams(**P1).with_rates(100.0, 100.0)
+    x = grid64.x
+    u0 = GridFn(grid64, U_STAR * (1 + 0.1 * np.cos(np.pi * x)))
+    v0 = GridFn(grid64, V_STAR * (1 - 0.1 * np.cos(np.pi * x)))
+    a = steady.newton_solve(p, u0, v0)
+    start = steady._steady_state(p, grid64, u0.values, v0.values, np.nan, np.nan, 0, ())
+    c, fell_back = limitstudy._solve_step(p, start, 1e-11)
+    assert not fell_back and c.newton_iters > 0
+    assert np.max(np.abs(a.u.values - c.u.values)) < 1e-8
+    assert np.max(np.abs(a.v.values - c.v.values)) < 1e-8
+
+
+def test_eps_form_converges_from_the_constant_w_at_large_rates(grid64):
+    # constant w, zeta = 0 and T 20 % off tau*: back to the constant state
+    p = ModelParams(**P1).with_rates(1e4, 1e4)
+    lp = LimitParams.from_model(p)
+    x0 = np.concatenate((np.full(64, p.d1 * U_STAR - p.d2 * V_STAR), np.zeros(64),
+                         [0.8 * TAU_STAR]))
+    x, (_, _, _, (u, v, _)), _, it, _, _ = limits._eps_newton(lp, x0, 1e-4, grid64.h, 1e-11)
+    assert it > 0
+    assert np.max(np.abs(u - U_STAR)) < 1e-8 and np.max(np.abs(v - V_STAR)) < 1e-8
+
+
+def test_a_state_the_eps_form_cannot_hold_falls_back(grid64):
+    # at d2 = 1e-300, 4 gamma d1 d2 tau underflows against w^2: the (u, v)
+    # of (w, tau) have v = 0, so no iterate holds the constant state; without
+    # that check the form converges, to a state 0.11 away in u
+    p = ModelParams(**dict(P1, b2=22.4, d2=1e-300)).with_rates(1.0, 1.0)
+    cs = constant_state(p)
+    u, v = np.full(64, cs.u_star), np.full(64, cs.v_star)
+    start = steady._steady_state(p, grid64, u, v, np.nan, np.nan, 0, ())
+    state, fell_back = limitstudy._solve_step(p.with_rates(10.0, 10.0), start, 1e-11)
+    assert fell_back
+    assert np.array_equal(state.u.values, u) and np.array_equal(state.v.values, v)
+
+
+def _branch_seed(n):
+    """P1, gamma = 1: the mode-1 incomplete-segregation branch at s = 0.3,
+    lifted to (u, v) and polished by the (u, v) Newton at alpha = beta = 1e2."""
+    g = Grid(n)
+    lp = LimitParams(gamma=1.0, **P1)
+    branch = bifurcation.switch_and_continue(lp, bifurcation.detect_crossing(lp, 1, g),
+                                             s_max=0.3, ds=0.05)
+    pt = branch.points[-1]
+    assert pt.s == pytest.approx(0.3)
+    u, v = uv_from_w_tau(lp.with_d1(pt.d1), pt.w.values, pt.tau)
+    base = ModelParams(**{**P1, "d1": pt.d1})
+    return base, steady.newton_solve(base.with_rates(1e2, 1e2), GridFn(g, u), GridFn(g, v))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_full_limit_of_a_nonconstant_state_is_first_order(n, monkeypatch):
+    # the paper's theorem where it is not trivial: along alpha = beta =
+    # 1e2..1e7 the nonconstant state converges, ||w_k - w_(k-1)|| = O(1/alpha)
+    base, seed = _branch_seed(n)
+    states, uv_calls = [], []
+    solve_step, newton_solve = limitstudy._solve_step, steady.newton_solve
+
+    def record(*args):
+        state, fell_back = solve_step(*args)
+        states.append(state)
+        return state, fell_back
+
+    def spy(*args, **kwargs):
+        uv_calls.append(args)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(limitstudy, "_solve_step", record)
+    monkeypatch.setattr(steady, "newton_solve", spy)
+    rep = run_sequence(base, geometric_schedule(1e2, 1.0, 6), seed, gamma_target=1.0)
+    assert rep.classification == "Incomplete"
+    assert uv_calls == [] and rep.fallback_steps == 0
+    scaled = [r.alpha * r.w_drift for r in rep.steps[1:]]
+    assert max(scaled) <= 1.02 * min(scaled)
+    assert all(abs(c / 5.164 - 1.0) < 0.01 for c in scaled)
+    assert match_limit(rep) < rep.steps[-1].w_drift
+    for st in states:
+        assert bounds.sup_bound(st.params, 0.5).covers(st.u_max, st.v_max)

@@ -268,3 +268,23 @@ def test_damped_newton_halves_infeasible_trials():
                        lambda x, rnorm: rnorm <= 1e-12, 10, "test Newton", feasible)
     assert e.value is err
     assert seen == [1.0, 0.0]
+
+
+def test_solve_bordered_on_a_pair_band_matches_dense(rng):
+    # the pair band of two fields with one border column and one row, each
+    # a pair of fields; x comes back as the two fields one after the other
+    n, h = 12, 0.1
+    coef = lambda: rng.uniform(0.5, 2.0, n)
+    ab = pair_band(n, h, [[(coef(), -coef()), (0.1, coef())],
+                          [(coef(), coef()), (coef(), -coef())]])
+    perm = np.concatenate((np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)))
+    A = _dense_from_band(ab, (3, 3))[np.ix_(perm, perm)]
+    col, row = rng.normal(size=(2, n)), rng.normal(size=(2, n))
+    rt, rb = rng.normal(size=(2, n)), rng.normal()
+    x, y = solve_bordered(ab, (tuple(col),), (tuple(row),), 0.5, tuple(rt), rb)
+    full = np.block([[A, col.reshape(-1, 1)], [row.reshape(1, -1), np.array([[0.5]])]])
+    ref = np.linalg.solve(full, np.concatenate([rt.ravel(), [rb]]))
+    assert np.max(np.abs(np.concatenate([x, y]) - ref)) < 1e-9
+    col[1, 3] = np.inf
+    with pytest.raises(NonFiniteSystem):
+        solve_bordered(ab, (tuple(col),), (tuple(row),), 0.5, tuple(rt), rb)

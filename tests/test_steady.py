@@ -4,7 +4,6 @@ import pytest
 from sktlab import cli, steady
 from sktlab.errors import BlowUp, NoConvergence
 from sktlab.grid import Grid, GridFn, integrate
-from sktlab.limits import LimitParams
 from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
 
 from conftest import P1, PW, U_STAR, V_STAR
@@ -60,32 +59,6 @@ def test_uv_jacobian_matches_fd(p1r, rng):
     assert np.max(np.abs(J - J_fd)) < 1e-4 * np.max(np.abs(J_fd))
 
 
-def test_wq_jacobian_matches_fd(p1r, rng):
-    g = Grid(16)
-    h = g.h
-    n = g.n_cells
-    u = rng.uniform(0.5, 3.0, n)
-    v = rng.uniform(0.5, 3.0, n)
-    w = p1r.d1 * u - p1r.gamma() * p1r.d2 * v
-    q = np.log(u * v)
-    lp = LimitParams.from_model(p1r)
-
-    def res(x):
-        r1, r2, _, _ = steady._wq_residual(p1r, x[0::2], x[1::2], h, lp)
-        out = np.empty(2 * n)
-        out[0::2] = r1
-        out[1::2] = r2
-        return out
-
-    x0 = np.empty(2 * n)
-    x0[0::2] = w
-    x0[1::2] = q
-    J_fd, _ = _fd_jacobian(res, x0, 2 * n)
-    _, _, root, tau = steady._wq_residual(p1r, w, q, h, lp)
-    J = _dense_from_band(steady._wq_jacobian_banded(p1r, root, tau, h, lp), (3, 3))
-    assert np.max(np.abs(J - J_fd)) < 1e-4 * np.max(np.abs(J_fd))
-
-
 def test_constant_state_is_exact_solution(grid64):
     for alpha in (0.0, 10.0, 1e4):
         p = ModelParams(**P1).with_rates(alpha, max(alpha, 1.0))
@@ -104,27 +77,6 @@ def test_newton_recovers_constant_from_perturbation(grid64):
     assert np.max(np.abs(st.u.values - U_STAR)) < 1e-9
     assert np.max(np.abs(st.v.values - V_STAR)) < 1e-9
     assert st.certificate_ok
-
-
-def test_both_solvers_agree(grid64):
-    p = ModelParams(**P1).with_rates(100.0, 100.0)
-    x = grid64.x
-    u0 = GridFn(grid64, U_STAR * (1 + 0.1 * np.cos(np.pi * x)))
-    v0 = GridFn(grid64, V_STAR * (1 - 0.1 * np.cos(np.pi * x)))
-    a = steady.newton_solve(p, u0, v0)
-    w0 = GridFn(grid64, p.d1 * u0.values - p.d2 * v0.values)
-    c = steady.newton_solve_wq(p, w0, u0.values * v0.values)
-    assert np.max(np.abs(a.u.values - c.u.values)) < 1e-8
-    assert np.max(np.abs(a.v.values - c.v.values)) < 1e-8
-
-
-def test_wq_solver_handles_extreme_rates(grid64):
-    # the direct solver is hopeless at this conditioning; the transformed
-    # one converges from a rough warm start
-    p = ModelParams(**P1).with_rates(1e4, 1e4)
-    w0 = GridFn(grid64, np.full(64, p.d1 * U_STAR - p.d2 * V_STAR))
-    st = steady.newton_solve_wq(p, w0, U_STAR * V_STAR)
-    assert np.max(np.abs(st.u.values - U_STAR)) < 1e-8
 
 
 def test_integral_of_f_vanishes_on_converged_states(grid64):
