@@ -43,10 +43,11 @@ class BranchPoint:
 @dataclass(frozen=True)
 class Branch:
     origin: BifurcationPoint
-    points: tuple            # ordered by s, constant state at s = 0 included
-    truncated: bool = False
-    fold: int = 1            # k: points are the reflected tiling of k pieces
-    mirrored: bool = False   # the s < 0 side is the reflection of s > 0
+    points: tuple              # ordered by s, constant state at s = 0 included
+    truncated: bool = False    # a side ended on a corrector failure
+    end_reason: str = "s_max"  # or the first short side's end (switch_and_continue)
+    fold: int = 1              # k: points are the reflected tiling of k pieces
+    mirrored: bool = False     # the s < 0 side is the reflection of s > 0
 
 
 def w_star(lp: LimitParams, d1: float) -> float:
@@ -129,9 +130,9 @@ def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
     halved; TauCollapse is raised if no step stays admissible.  fold = k:
     w and phi are the first n/k cells of g, k mirror images of which tile it.
     """
-    x, _, _, it, _ = _is_corrector(lp, np.concatenate((w, [tau, d1])), g.h, tol,
-                                   max_iter, "branch corrector", phase=(phi, s_target),
-                                   fold=fold)
+    x, _, _, it, _, _ = _is_corrector(lp, np.concatenate((w, [tau, d1])), g.h, tol,
+                                      max_iter, "branch corrector", phase=(phi, s_target),
+                                      fold=fold)
     return x[:-2], float(x[-2]), float(x[-1]), it
 
 
@@ -158,9 +159,11 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     The predictor is linear at the first step (constant state plus s times
     the eigenfunction), then extrapolates (w, tau, d1) in s through the
     side's last _PREDICTOR_NODES points, s = 0 among them.  The amplitude
-    step adapts to the corrector's iteration count.  A failing step
-    truncates the branch on that side and sets the flag rather than
-    raising; a predictor with d1 <= 0 or tau <= 0 raises NoConvergence.
+    step adapts to the corrector's iteration count.  A side ends short of
+    s_max at its last corrected point where the corrector fails with the
+    step below 1e-6*ds ("corrector", which sets truncated) or the predictor
+    leaves d1 > 0 / tau > 0 ("predictor"); end_reason is the first such end
+    in tracing order, else "s_max".
     """
     g = bp.phi_j.grid
     cs = constant_state(lp)
@@ -173,8 +176,7 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     base = BranchPoint(s=0.0, d1=bp.delta_j, tau=cs.tau_star,
                        w=GridFn(g, np.full(g.n_cells, w_star(lp, bp.delta_j))),
                        arclength=0.0, newton_iters=0)
-    truncated = False
-    sides = []
+    sides, ends = [], []     # ends: how each side that stopped short ended
     for sign in (+1.0,) if mirrored else (+1.0, -1.0):
         pts = []
         hist = deque([(0.0, np.concatenate((base.w.values[:m], [base.tau, base.d1])))],
@@ -192,15 +194,15 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
                 s_nodes, x_nodes = zip(*hist)
                 pred = _extrapolation_weights(s_nodes, s_next) @ np.array(x_nodes)
             if pred[-1] <= 0.0 or pred[-2] <= 0.0:
-                raise NoConvergence("branch predictor left d1 > 0 / tau > 0 "
-                                    f"at s = {s_next:.6g}")
+                ends.append("predictor")
+                break
             try:
                 w, tau, d1, iters = _branch_newton(
                     lp, pred[:-2], pred[-2], pred[-1], phi, s_next, g, tol=tol, fold=k)
             except (NoConvergence, TauCollapse):
                 step *= 0.5
                 if step < 1e-6 * ds:
-                    truncated = True
+                    ends.append("corrector")
                     break
                 continue
             arclen += math.sqrt(k * g.h * float(np.sum((w - prev[:-2]) ** 2))
@@ -219,5 +221,6 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     plus, minus = sides
     ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
                for p in reversed(minus)] + [base] + plus
-    return Branch(origin=bp, points=tuple(ordered), truncated=truncated,
+    return Branch(origin=bp, points=tuple(ordered), truncated="corrector" in ends,
+                  end_reason=(ends + ["s_max"])[0],
                   fold=k, mirrored=mirrored)

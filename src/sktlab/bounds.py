@@ -104,8 +104,11 @@ def v_tilde0(p: ModelParams) -> float:
 
 def _one_sided_bound(p: ModelParams) -> float:
     corner = (p.d2 * p.a1 + p.d1 * p.a2) / (p.d2 * p.b1 + p.d1 * p.b2)
-    v_anchor = max(corner, v_tilde0(p))
-    return max(p.a1 / p.b1, _u_of_v_raw(p, v_anchor))
+    v0 = v_tilde0(p)
+    root = _u_of_v_raw(p, max(corner, v0))
+    if math.isnan(v0) or math.isnan(root):      # max would drop it
+        raise DomainError("a level-set root is NaN in floating point")
+    return max(p.a1 / p.b1, root)
 
 
 def sup_bound(p: ModelParams, eta: float) -> BoundCertificate:

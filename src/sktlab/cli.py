@@ -275,6 +275,7 @@ def _cmd_bifurcate(cfg) -> dict:
                             "delta_j_discrete": bp.delta_j,
                             "lambda_j_discrete": bp.lambda_j,
                             "truncated": branch.truncated,
+                            "end_reason": branch.end_reason,
                             "fold": branch.fold, "mirrored": branch.mirrored,
                             "corrector_iters": sum(pt.newton_iters for pt in pts)})}
 

@@ -181,7 +181,7 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
         if phase is not None:
             ph = wq * float(np.sum(phi * (x[:n] - (d1 * cs.u_star - v_off)))) - s_target
             rnorm, con = max(rnorm, abs(ph)), np.array([con, ph])
-        return rnorm, (fld, con, root)
+        return rnorm, residual_floor(h, float(np.max(np.abs(x[:n])))), (fld, con, root)
 
     def step(x, data):
         fld, con, root = data
@@ -201,16 +201,13 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
         dw, dy = solve_bordered(lap_band(n, h, diag=q_w), cols, rows, corner, -fld, -con)
         return np.concatenate((dw, dy))
 
-    def done(x, rnorm):
-        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:n])))))
-
     def feasible(x):
         if x[n] < _TAU_FLOOR:
             return TauCollapse("tau fell below the collapse floor", tau=float(x[n]))
         if phase is not None and x[-1] <= 0.0:
             return TauCollapse("branch iterate left d1 > 0", tau=float(x[n]))
 
-    return _damped_newton(residual, step, x, done, max_iter, what, feasible)
+    return _damped_newton(residual, step, x, tol, max_iter, what, feasible)
 
 
 def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
@@ -224,7 +221,7 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
     if not tau0 > 0.0:
         raise TauCollapse("start tau is not positive", tau=tau0)
     g = w0.grid
-    x, (fld, con, _), _, it, _ = _is_corrector(
+    x, (fld, con, _), _, it, _, _ = _is_corrector(
         lp, np.concatenate((w0.values, [float(tau0)])), g.h, tol, max_iter,
         "bordered Newton")
     return ISState(w=GridFn(g, x[:-1]), tau=float(x[-1]),
@@ -238,12 +235,12 @@ def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float,
     x = (w, zeta, T), tau = uv = T + eps*zeta, (u, v) = _uv_root(lp, w, tau,
     lp.d1), rows lap(w) + f - gamma g, lap(d1 u + zeta) + f (the first
     equation: lap(alpha tau) = lap(zeta)) and h*sum(zeta), all O(1) as eps
-    -> 0; the (w, zeta) pair band is bordered by the T column and mean row.
-    x is infeasible where tau <= 0 at a node or its (u, v) lose tau (v or u
-    is lost where 4 gamma d1 d2 tau is below the rounding of w^2): it never
-    counts as converged, and a trial is halved (TauCollapse if no step stays
-    feasible).  Returns _damped_newton's result, data (r1, r2, mean,
-    (u, v, S)), and the floor allowed at x.
+    -> 0; the (w, zeta) pair band is bordered by the T column and mean row,
+    and the floor is that of max|w| + max|d1 u + zeta|.  x is infeasible
+    where tau <= 0 at a node or its (u, v) lose tau (v or u is lost where
+    4 gamma d1 d2 tau is below the rounding of w^2): it never counts as
+    converged, and a trial is halved (TauCollapse if no step stays
+    feasible).  Returns _damped_newton's result, data (r1, r2, mean, (u, v, S)).
     """
     n = (x.size - 1) // 2
     d1 = lp.d1
@@ -252,10 +249,12 @@ def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float,
     def residual(x):
         zeta = x[n:-1]
         r1, _, root = _is_residual_values(lp, x[:n], x[-1] + eps * zeta, h, d1)
-        r2 = laplacian_values(d1 * root[0] + zeta, h) + reaction_f(lp, *root[:2])
+        pot = d1 * root[0] + zeta
+        r2 = laplacian_values(pot, h) + reaction_f(lp, *root[:2])
         mean = h * float(np.sum(zeta))
+        floor = residual_floor(h, float(np.max(np.abs(x[:n]))) + float(np.max(np.abs(pot))))
         return (max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))), abs(mean)),
-                (r1, r2, mean, root))
+                floor, (r1, r2, mean, root))
 
     def step(_x, data):
         r1, r2, mean, root = data
@@ -267,12 +266,6 @@ def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float,
         col = (q_t, laplacian_values(d1 * u_t, h) + f_t)      # d/dT of the two rows
         return np.concatenate(solve_bordered(ab, (col,), (mean_row,), 0.0, (-r1, -r2), -mean))
 
-    def floor(x):
-        zeta = x[n:-1]
-        u = _uv_root(lp, x[:n], x[-1] + eps * zeta, d1)[0]
-        return residual_floor(h, float(np.max(np.abs(x[:n])))
-                              + float(np.max(np.abs(d1 * u + zeta))))
-
     def feasible(x):
         tau = x[-1] + eps * x[n:-1]
         if not float(np.min(tau)) > 0.0:
@@ -281,11 +274,7 @@ def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float,
         if not float(np.max(np.abs(u * v - tau))) <= 1e-8 * float(np.max(tau)):
             return TauCollapse("the (u, v) of (w, tau) lose tau", tau=float(x[-1]))
 
-    def done(x, rnorm):
-        return rnorm <= max(tol, floor(x)) and feasible(x) is None
-
-    out = _damped_newton(residual, step, x, done, max_iter, "regular-form Newton", feasible)
-    return (*out, floor(out[0]))
+    return _damped_newton(residual, step, x, tol, max_iter, "regular-form Newton", feasible)
 
 
 def _cs_residual_values(lp: LimitParams, w: np.ndarray, h: float):
@@ -318,14 +307,11 @@ def cs_solve(lp: LimitParams, w0: GridFn, tol: float = 1e-10,
 
     def residual(w):
         fld = _cs_residual_values(lp, w, h)
-        return float(np.max(np.abs(fld))), fld
+        return float(np.max(np.abs(fld))), residual_floor(h, float(np.max(np.abs(w)))), fld
 
     def step(w, fld):
         return solve_tridiag(lap_band(g.n_cells, h, diag=_cs_q_w(lp, w)), -fld)
 
-    def done(w, rnorm):
-        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(w)))))
-
-    w, _, rnorm, _, _ = _damped_newton(residual, step, w0.values.copy(), done,
-                                       max_iter, "semismooth Newton")
+    w, _, rnorm, _, _, _ = _damped_newton(residual, step, w0.values.copy(), tol,
+                                          max_iter, "semismooth Newton")
     return CSState(w=GridFn(g, w), residual_inf=rnorm)

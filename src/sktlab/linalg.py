@@ -23,43 +23,48 @@ _MIN_STEP = 2.0 ** -20
 _EPS = float(np.finfo(float).eps)
 
 
-def _damped_newton(residual, step, x, done, max_iter, what, feasible=None):
+def _damped_newton(residual, step, x, tol, max_iter, what, feasible=None):
     """Damped Newton with a backtracking line search in the sup norm.
 
-    residual(x) -> (norm, data); step(x, data) -> Newton direction dx;
-    done(x, norm) -> True once x is converged.  From each iterate the
-    trials x + lam*dx, lam = 1, 1/2, 1/4, ..., are tried in turn, and the
-    first that meets the Armijo test norm <= (1 - 1e-4*lam) * old norm or
-    already meets done is accepted; step then gets that trial's residual data.  If
-    feasible is given, a trial for which it returns an exception is halved
-    without evaluating its residual, and that exception is raised if the
-    step then falls below 2**-20.  A stalled line search or max_iter
-    iterations raise NoConvergence with the last accepted norm and the
-    iteration count.
+    residual(x) -> (norm, floor, data), floor the residual_floor of the
+    fields the residual differenced; step(x, data) -> Newton direction dx.
+    x has converged once norm <= max(tol, floor) and it is feasible.  From
+    each iterate the trials x + lam*dx, lam = 1, 1/2, 1/4, ..., are tried
+    in turn, and the first that has converged or meets the Armijo test
+    norm <= (1 - 1e-4*lam) * old norm is accepted; step then gets its
+    residual data.  If feasible is given, a trial for which it returns an
+    exception is halved without evaluating its residual, and that exception
+    is raised if the step then falls below 2**-20.  Otherwise a stall raises
+    NoConvergence, as do max_iter iterations, unless x is feasible and its
+    full step is at rounding level, |dx| <= 1e4 eps max(1, |x|): converged.
 
-    Returns (x, data, norm, iterations, residual history).
+    Returns (x, data, norm, iterations, residual history, floor).
     """
     # an overflow fails the line search or reaches a solve as NonFiniteSystem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rnorm, data = residual(x)
+        rnorm, floor, data = residual(x)
         history = [rnorm]
+        ok = feasible is None or feasible(x) is None    # accepted trials are feasible
         for it in range(max_iter):
-            if done(x, rnorm):
-                return x, data, rnorm, it, history
+            if ok and rnorm <= max(tol, floor):
+                return x, data, rnorm, it, history, floor
             dx = step(x, data)
             lam = 1.0
             while True:
                 xt = x + lam * dx
                 err = feasible(xt) if feasible is not None else None
                 if err is None:
-                    tnorm, tdata = residual(xt)
-                    if tnorm <= (1.0 - _ARMIJO * lam) * rnorm or done(xt, tnorm):
+                    tnorm, tfloor, tdata = residual(xt)
+                    if tnorm <= max((1.0 - _ARMIJO * lam) * rnorm, tol, tfloor):
                         break
                 lam *= 0.5
                 if lam < _MIN_STEP:
+                    if err is None and ok and float(np.max(np.abs(dx))) <= \
+                            1e4 * _EPS * max(1.0, float(np.max(np.abs(x)))):
+                        return x, data, rnorm, it, history, floor
                     raise err or NoConvergence(f"line search stalled in {what}",
                                                residual=rnorm, iterations=it)
-            x, data, rnorm = xt, tdata, tnorm
+            x, data, rnorm, floor, ok = xt, tdata, tnorm, tfloor, True
             history.append(rnorm)
         raise NoConvergence(f"{what} did not converge", residual=rnorm,
                             iterations=max_iter)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .errors import BandError, BlowUp, NegativeState
+from .errors import BandError, BlowUp, DomainError, NegativeState
 from .grid import Grid, GridFn, laplacian_values
 from .linalg import (_damped_newton, lap_band, pair_band, residual_floor,
                      solve_pair, solve_tridiag)
@@ -71,8 +71,8 @@ def _jacobian_banded(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
 
 def _levelset_certificate(p: ModelParams):
     """The level-set sup-bound certificate at eta = min(alpha/beta,
-    beta/alpha, 1), or None when a rate is not positive, the band check
-    fails or only the small-rate certificate applies."""
+    beta/alpha, 1), or None when a rate is not positive, the band check or
+    a level-set root fails or only the small-rate certificate applies."""
     if p.alpha <= 0.0 or p.beta <= 0.0:
         return None
     ratio = p.alpha / p.beta
@@ -80,7 +80,7 @@ def _levelset_certificate(p: ModelParams):
         return None
     try:
         cert = bounds.sup_bound(p, min(ratio, 1.0 / ratio, 1.0))
-    except BandError:
+    except (BandError, DomainError):
         return None
     return cert if cert.kind == "levelset" else None
 
@@ -112,25 +112,23 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
     def residual(x):
         r1, r2 = _residual_values(p, np.maximum(x[:n], 0.0),
                                   np.maximum(x[n:], 0.0), h)
-        return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))), (r1, r2)
+        u, v = np.abs(x[:n]), np.abs(x[n:])
+        floor = residual_floor(h, float(np.max((p.d1 + p.alpha * v) * u))
+                               + float(np.max((p.d2 + p.beta * u) * v)))
+        return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))), floor, (r1, r2)
 
     def step(x, r):
         return solve_pair(_jacobian_banded(p, x[:n], x[n:], h), *r)
-
-    def floor(x):
-        u, v = np.abs(x[:n]), np.abs(x[n:])
-        return residual_floor(h, float(np.max((p.d1 + p.alpha * v) * u))
-                              + float(np.max((p.d2 + p.beta * u) * v)))
 
     def feasible(x):
         if float(np.min(x)) < -1e-12:
             return NegativeState("no Newton step stays in the nonnegative cone")
 
-    x, _, rnorm, it, history = _damped_newton(
-        residual, step, np.concatenate((u0.values, v0.values)),
-        lambda x, rnorm: rnorm <= max(tol, floor(x)), max_iter, "Newton", feasible)
+    x, _, rnorm, it, history, floor = _damped_newton(
+        residual, step, np.concatenate((u0.values, v0.values)), tol, max_iter,
+        "Newton", feasible)
     return _steady_state(p, g, np.maximum(x[:n], 0.0), np.maximum(x[n:], 0.0),
-                         rnorm, floor(x), it, history)
+                         rnorm, floor, it, history)
 
 
 def _blowup_cap(p: ModelParams) -> float:

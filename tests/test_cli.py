@@ -290,14 +290,20 @@ def test_is_solve_reports_its_newton_iterations(p1_limit, tmp_path):
     assert sol.newton_iters > 0 and int(meta["newton_iters"]) == sol.newton_iters
 
 
-def test_bifurcate_predictor_leaving_the_cone_exits_2(tmp_path, capsys):
+def test_bifurcate_ends_a_branch_where_the_predictor_leaves_the_cone(tmp_path):
     # on P1 the mode-2 branch runs d1 -> 0 near s = 0.49; the branch
-    # predictor crosses d1 = 0 before s_max = 0.8 is reached
+    # predictor crosses d1 = 0 before s_max = 0.8 is reached, and the branch
+    # ends at its last corrected point
     cfg = tmp_path / "m2.cfg"
     cfg.write_text("run.mode = 2\nrun.s_max = 0.8\ngrid.n_cells = 256\n")
-    assert main(["bifurcate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "branch predictor left d1 > 0 / tau > 0" in capsys.readouterr().err
-    assert not (tmp_path / "branch.csv").exists()
+    assert main(["bifurcate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "branch.csv")
+    cols = _columns(tmp_path / "branch.csv")
+    assert meta["end_reason"] == "predictor" and meta["truncated"] == "False"
+    assert np.all(cols["d1"] > 0.0) and np.all(cols["tau"] > 0.0)
+    assert np.max(np.abs(cols["s"])) < 0.8
+    (zero,) = np.flatnonzero(cols["s"] == 0.0)
+    assert cols["d1"][zero] == float(meta["delta_j_discrete"])
 
 
 @pytest.mark.parametrize("command", ["is-solve", "bifurcate"])
@@ -310,12 +316,38 @@ def test_mode_outside_the_grid_is_config_error(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["run.steps = 400", "run.ratio = 1e200",
-                                  "run.ratio = 0.5"])
+                                  "run.ratio = 0.5",
+                                  pytest.param("run.alpha0 = 1e-300\nmodel.gamma = 1e300",
+                                               id="beta-underflows")])
 def test_limit_study_bad_schedule_is_config_error(line, tmp_path):
     cfg = tmp_path / "ls.cfg"
     cfg.write_text(line + "\ngrid.n_cells = 64\n")
     assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "limit_study.csv").exists()
+
+
+def test_limit_study_match_that_stalls_at_rounding_level_exits_0(tmp_path):
+    # the matched incomplete-segregation solve holds its correction at
+    # ~2 200 ulps of w over its last iterations, just above the residual
+    # test; the stall is at rounding level, so the solve has converged
+    cfg = tmp_path / "st.cfg"
+    cfg.write_text("model.d2 = 1.2717493191102978e-05\ngrid.n_cells = 13\nrun.steps = 1\n"
+                   "run.alpha0 = 56.52043974277678\nrun.amplitude = 0.7147564613041372\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "limit_study.csv")
+    assert meta["classification"] == "Incomplete"
+    assert float(meta["limit_comparison"]) < 1e-12
+
+
+def test_a_nan_level_set_root_is_not_applicable(tmp_path, capsys):
+    # U(v) has NaN coefficients at c1 = 1e300, a2 = 1e-300: bounds has no
+    # certificate to give (exit 4), and solve writes its state uncertified
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("model.c1 = 1e300\nmodel.a2 = 1e-300\n")
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    assert "a level-set root is NaN" in capsys.readouterr().err
+    assert main(["solve", "--config", str(cfg), "--grid", "64", "--out", str(tmp_path)]) == 0
+    assert _metadata(tmp_path / "state.csv")["certificate_ok"] == "None"
 
 
 @pytest.mark.parametrize("command, length, code", [

@@ -1,7 +1,7 @@
 """No closure of the package rebuilds per-solve records on every call.
 
 An AST scan over `src/sktlab`: a function or lambda nested in another
-function (the residual, step, done and feasible closures that
+function (the residual, step and feasible closures that
 `linalg._damped_newton` calls once per trial) must not call
 `LimitParams(...)`, `.with_d1(...)` or `constant_state(...)`.  The first two
 build and validate a parameter record, the third re-solves the kinetic

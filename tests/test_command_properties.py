@@ -67,6 +67,8 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
 @example(command="limit-study", model={}, run={"grid.n_cells": 8, "grid.length": 1e-200})
 @example(command="bifurcate", model={}, run={"grid.n_cells": 8, "grid.length": 1e-160})
 @example(command="bifurcate", model={}, run={"grid.n_cells": 8, "grid.length": 1e300})
+@example(command="limit-study", model={"model.gamma": 1e300},
+         run={"grid.n_cells": 16, "run.alpha0": 1e-300})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))

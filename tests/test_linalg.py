@@ -207,18 +207,17 @@ def test_solve_bordered_keeps_checks(rng):
 def _scalar_residual(target):
     def residual(x):
         r = x - target
-        return float(np.max(np.abs(r))), r
+        return float(np.max(np.abs(r))), 0.0, r
     return residual
 
 
 def test_damped_newton_returns_on_stop_test():
     def residual(x):
         r = x * x - 2.0
-        return float(np.max(np.abs(r))), r
+        return float(np.max(np.abs(r))), 0.0, r
 
-    x, r, rnorm, it, history = _damped_newton(
-        residual, lambda x, r: -r / (2.0 * x), np.array([1.0]),
-        lambda x, rnorm: rnorm <= 1e-14, 20, "test Newton")
+    x, r, rnorm, it, history, _ = _damped_newton(
+        residual, lambda x, r: -r / (2.0 * x), np.array([1.0]), 1e-14, 20, "test Newton")
     assert abs(x[0] - np.sqrt(2.0)) < 1e-14
     assert rnorm <= 1e-14 and rnorm == history[-1] == abs(r[0])
     assert it == len(history) - 1 >= 4
@@ -227,24 +226,25 @@ def test_damped_newton_returns_on_stop_test():
 
 def test_damped_newton_accepts_trial_that_only_meets_stop_test():
     # the residual norm never falls, so no trial meets Armijo; the full
-    # step lands where the stop test holds and must be taken
-    x, _, rnorm, it, history = _damped_newton(
-        lambda x: (1.0, None), lambda x, r: np.ones(1), np.zeros(1),
-        lambda x, rnorm: x[0] >= 1.0, 5, "test Newton")
+    # step lands where the residual reports a floor that meets the stop test
+    # and must be taken
+    x, _, rnorm, it, history, _ = _damped_newton(
+        lambda x: (1.0, 1.0 if x[0] >= 1.0 else 0.0, None), lambda x, r: np.ones(1),
+        np.zeros(1), 0.0, 5, "test Newton")
     assert x[0] == 1.0 and it == 1 and history == [1.0, 1.0]
 
 
 def test_damped_newton_stalled_line_search_and_max_iter():
     with pytest.raises(NoConvergence, match="line search stalled") as e:
-        _damped_newton(lambda x: (1.0, None), lambda x, r: np.ones(1), np.zeros(1),
-                       lambda x, rnorm: False, 5, "test Newton")
+        _damped_newton(lambda x: (1.0, 0.0, None), lambda x, r: np.ones(1), np.zeros(1),
+                       0.0, 5, "test Newton")
     assert e.value.residual == 1.0 and e.value.iterations == 0
 
     # each step halves the residual of x -> x - 1: Armijo holds, the stop
     # test never does
     with pytest.raises(NoConvergence, match="did not converge") as e:
         _damped_newton(_scalar_residual(1.0), lambda x, r: -0.5 * r, np.array([2.0]),
-                       lambda x, rnorm: False, 3, "test Newton")
+                       0.0, 3, "test Newton")
     assert e.value.residual == 0.125 and e.value.iterations == 3
 
 
@@ -265,9 +265,40 @@ def test_damped_newton_halves_infeasible_trials():
     # to x = 0; from there every trial is negative, so the step underflows
     with pytest.raises(ValueError) as e:
         _damped_newton(counted, lambda x, r: -r, np.array([1.0]),
-                       lambda x, rnorm: rnorm <= 1e-12, 10, "test Newton", feasible)
+                       1e-12, 10, "test Newton", feasible)
     assert e.value is err
     assert seen == [1.0, 0.0]
+
+
+def test_damped_newton_stall_at_rounding_level_has_converged():
+    # the residual never falls, so every line search stalls; a stall whose
+    # full step is within 1e4 ulps of x (relative to max(1, |x|)) ends the
+    # solve at x, a larger step or one whose trials are infeasible does not
+    eps = np.finfo(float).eps
+
+    def solve(x0, ulps, feasible=None):
+        dx = np.array([ulps * eps * max(1.0, x0)])
+        return _damped_newton(lambda x: (1.0, 0.0, None), lambda x, r: dx,
+                              np.array([x0]), 0.0, 5, "test Newton", feasible)
+
+    x, _, rnorm, it, history, floor = solve(4.0, 5e3)
+    assert x[0] == 4.0 and (rnorm, it, history, floor) == (1.0, 0, [1.0], 0.0)
+    with pytest.raises(NoConvergence, match="line search stalled"):
+        solve(4.0, 2e4)
+    # from x = 0 every trial x > 0 is infeasible: its exception is raised
+    err = ValueError("left the feasible set")
+    with pytest.raises(ValueError) as e:
+        solve(0.0, 5e3, lambda x: err if x[0] > 0.0 else None)
+    assert e.value is err
+
+
+def test_damped_newton_does_not_stop_on_an_infeasible_start():
+    # the start meets the residual test but is infeasible, so it is not
+    # returned: one step is taken to the feasible x = 1
+    x, _, _, it, history, _ = _damped_newton(
+        lambda x: (0.0, 0.0, None), lambda x, r: np.ones(1), np.zeros(1), 1e-12, 5,
+        "test Newton", lambda x: ValueError("x < 1") if x[0] < 1.0 else None)
+    assert x[0] == 1.0 and it == 1 and history == [0.0, 0.0]
 
 
 def test_solve_bordered_on_a_pair_band_matches_dense(rng):

@@ -71,7 +71,7 @@ def _ref_branch_newton(lp, w, tau, d1, phi, s_target, g, tol=1e-11, max_iter=30)
         fld, con = _ref_is_residual_values(lp1, w, tau, h)
         phase = h * float(np.sum(phi * (w - w_star(lp, d1)))) - s_target
         return max(float(np.max(np.abs(fld))), abs(con), abs(phase)), \
-            (fld, con, phase, lp1)
+            residual_floor(h, float(np.max(np.abs(w)))), (fld, con, phase, lp1)
 
     def step(x, data):
         w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
@@ -94,15 +94,12 @@ def _ref_branch_newton(lp, w, tau, d1, phi, s_target, g, tol=1e-11, max_iter=30)
                                      np.array([-con, -phase]))
         return np.concatenate((dw, dy))
 
-    def done(x, rnorm):
-        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:-2])))))
-
     def feasible(x):
         if x[-2] <= 1e-12 or x[-1] <= 0.0:
             return TauCollapse("branch iterate left the admissible cone", tau=x[-2])
 
-    x, _, _, it, _ = _damped_newton(residual, step, np.concatenate((w, [tau, d1])),
-                                    done, max_iter, "branch corrector", feasible)
+    x, _, _, it, _, _ = _damped_newton(residual, step, np.concatenate((w, [tau, d1])),
+                                       tol, max_iter, "branch corrector", feasible)
     return x[:-2], float(x[-2]), float(x[-1]), it
 
 
@@ -112,7 +109,8 @@ def _ref_is_newton(lp, w0, tau0, tol=1e-11, max_iter=40):
 
     def residual(x):
         fld, con = _ref_is_residual_values(lp, x[:-1], float(x[-1]), h)
-        return max(float(np.max(np.abs(fld))), abs(con)), (fld, con)
+        return max(float(np.max(np.abs(fld))), abs(con)), \
+            residual_floor(h, float(np.max(np.abs(x[:-1])))), (fld, con)
 
     def step(x, data):
         fld, con = data
@@ -124,15 +122,12 @@ def _ref_is_newton(lp, w0, tau0, tol=1e-11, max_iter=40):
                                        np.array([-con]))
         return np.concatenate((dw, dtau))
 
-    def done(x, rnorm):
-        return rnorm <= max(tol, residual_floor(h, float(np.max(np.abs(x[:-1])))))
-
     def feasible(x):
         if x[-1] < limits._TAU_FLOOR:
             return TauCollapse("tau fell below the collapse floor", tau=float(x[-1]))
 
     return _damped_newton(residual, step, np.concatenate((w0.values, [float(tau0)])),
-                          done, max_iter, "bordered Newton", feasible)
+                          tol, max_iter, "bordered Newton", feasible)
 
 
 def _outcome(solve):
@@ -200,8 +195,8 @@ def test_is_newton_bit_equal_to_reference(p1_limit, monkeypatch, mode, n):
             assert new == ref
             continue
         assert len(runs) == 1
-        x, (fld, con, _), rnorm, it, history = runs[0]
-        x_ref, (fld_ref, con_ref), rnorm_ref, it_ref, history_ref = ref
+        x, (fld, con, _), rnorm, it, history, _ = runs[0]
+        x_ref, (fld_ref, con_ref), rnorm_ref, it_ref, history_ref, _ = ref
         assert np.array_equal(x, x_ref) and np.array_equal(fld, fld_ref)
         assert (con, rnorm, it, history) == (con_ref, rnorm_ref, it_ref, history_ref)
         assert np.array_equal(new.w.values, x_ref[:-1]) and new.tau == x_ref[-1]
@@ -215,13 +210,13 @@ def test_branch_newton_halves_an_infeasible_trial(p1_limit, monkeypatch, s, n):
     # and converges instead of raising
     rejected = []
 
-    def spy(residual, step, x, done, max_iter, what, feasible=None):
+    def spy(residual, step, x, tol, max_iter, what, feasible=None):
         def counted(xt):
             err = feasible(xt)
             if err is not None:
                 rejected.append(err)
             return err
-        return _damped_newton(residual, step, x, done, max_iter, what, counted)
+        return _damped_newton(residual, step, x, tol, max_iter, what, counted)
 
     g = Grid(n)
     bp = detect_crossing(p1_limit, 2, g)

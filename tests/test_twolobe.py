@@ -226,7 +226,7 @@ def _fd_lobe(d, a, b, ell, m, tol=1e-12, max_iter=80):
         r[1:m - 1] = inv * (w[0:m - 2] - 2.0 * w[1:m - 1] + w[2:m]) \
             + w[1:m - 1] * (a - b * w[1:m - 1])
         r[m - 1] = inv * (w[m - 2] - 2.0 * w[m - 1]) + w[m - 1] * (a - b * w[m - 1])
-        return float(np.max(np.abs(r))), r
+        return float(np.max(np.abs(r))), residual_floor(h, d * float(np.max(np.abs(w)))), r
 
     def step(w, r):
         ab = np.zeros((3, m))
@@ -236,12 +236,9 @@ def _fd_lobe(d, a, b, ell, m, tol=1e-12, max_iter=80):
         ab[2, :-1] = inv
         return solve_tridiag(ab, -r)
 
-    def done(w, rnorm):
-        return rnorm <= max(tol * max(a * a / b, 1.0),
-                            residual_floor(h, d * float(np.max(np.abs(w)))))
-
     w0 = (a / b) * np.cos(math.pi * x[:m] / (2.0 * ell))
-    w = _damped_newton(residual, step, w0, done, max_iter, "lobe Newton")[0]
+    w = _damped_newton(residual, step, w0, tol * max(a * a / b, 1.0), max_iter,
+                       "lobe Newton")[0]
     return x, np.append(w, 0.0)
 
 
