@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, NoConvergence, NoThreshold, TauCollapse
+from .errors import NoConvergence, NoThreshold, TauCollapse
 from .grid import Grid, GridFn, discrete_eigenvalue, neumann_eigenpair
 from .limits import LimitParams, _is_corrector
 from .model import constant_state
@@ -68,70 +68,64 @@ def kinetic_strength(lp: LimitParams) -> float:
             - lp.b1 * cs.u_star * cs.u_star - lp.gamma * lp.c2 * cs.v_star * cs.v_star)
 
 
-def _threshold(lp: LimitParams, lam: float) -> float:
+def _threshold(lp: LimitParams, j: int, lam: float) -> float:
     """The d1 at which the potential K / (d1*u* + gamma*d2*v*), the scalar
     multiplying the identity in the linearized field operator at the
-    constant state, equals lam: (K/lam - gamma*d2*v*)/u*.  Raises
-    NoThreshold when lam underflowed to 0 or K or the threshold is not a
-    finite float."""
+    constant state, equals the mode-j eigenvalue lam: (K/lam -
+    gamma*d2*v*)/u*.  The threshold exists iff this returns; NoThreshold is
+    raised when K <= 0, lam underflowed to 0, or the root is not a finite
+    positive float."""
+    k = kinetic_strength(lp)
+    if k <= 0.0:
+        raise NoThreshold("K <= 0: no positive threshold for any mode")
     if not lam > 0.0:
         raise NoThreshold(f"eigenvalue {lam!r} is not positive in floating point")
     cs = constant_state(lp)
-    k = kinetic_strength(lp)
     d1 = (k / lam - lp.gamma * lp.d2 * cs.v_star) / cs.u_star
     if not math.isfinite(d1):
         raise NoThreshold(f"threshold not finite in floating point (K = {k!r})")
-    return d1
-
-
-def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
-    """Closed-form threshold for mode j: (K/lambda_j - gamma*d2*v*)/u*.
-
-    Uses the continuum eigenvalue (j*pi/L)^2; raises NoThreshold when K <= 0
-    or the rearrangement is nonpositive.
-    """
-    if j < 1:
-        raise ValueError("mode index must be >= 1")
-    if kinetic_strength(lp) <= 0.0:
-        raise NoThreshold("K <= 0: no positive threshold for any mode")
-    k = j * math.pi / length
-    d1 = _threshold(lp, k * k)           # inf, not OverflowError, past 1e308
     if d1 <= 0.0:
         raise NoThreshold(f"mode {j}: rearranged threshold is nonpositive")
     return d1
 
 
-def detect_crossing(lp: LimitParams, j: int, g: Grid,
-                    bracket: tuple[float, float] = (0.0, math.inf)) -> BifurcationPoint:
+def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
+    """Closed-form threshold for mode j: _threshold at the continuum
+    eigenvalue (j*pi/L)^2."""
+    if j < 1:
+        raise ValueError("mode index must be >= 1")
+    k = j * math.pi / length
+    return _threshold(lp, j, k * k)      # inf, not OverflowError, past 1e308
+
+
+def detect_crossing(lp: LimitParams, j: int, g: Grid) -> BifurcationPoint:
     """The discrete threshold: the d1 where potential(d1) = lambda_j^h.
 
     The closed form of delta_j with the discrete eigenvalue in place of the
     continuum one.  There the discrete linearized field operator, restricted
     to mean-zero fields, becomes singular in the direction of the j-th
     cosine mode (the tests check this by inverse iteration).  Raises
-    BracketError when the threshold lies outside bracket (by default, when
-    it is not positive).
+    NoThreshold where _threshold does.
     """
     if j < 1:
         raise ValueError("mode index must be >= 1 (the constant mode is excluded)")
     lam_h = discrete_eigenvalue(g, j)
-    root = _threshold(lp, lam_h)
-    if not bracket[0] <= root <= bracket[1]:
-        raise BracketError(f"potential - lambda_{j}^h has no root on {bracket}")
+    root = _threshold(lp, j, lam_h)
     _, phi = neumann_eigenpair(g, j)
     return BifurcationPoint(j=j, lambda_j=lam_h, delta_j=root, phi_j=phi)
 
 
 def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
-                   tol=1e-11, max_iter=30, fold=1):
+                   tol=1e-11, fold=1):
     """Corrector of the amplitude-parametrized branch: limits._is_corrector
     with d1 as an unknown and the phase row fixing the Phi_j-amplitude of
-    w - w*(d1) at s_target.  Trials with tau < 1e-10 or d1 <= 0 are
-    halved; TauCollapse is raised if no step stays admissible.  fold = k:
-    w and phi are the first n/k cells of g, k mirror images of which tile it.
+    w - w*(d1) at s_target, in at most 30 iterations.  Trials with tau <
+    1e-10 or d1 <= 0 are halved; TauCollapse is raised if no step stays
+    admissible.  fold = k: w and phi are the first n/k cells of g, k mirror
+    images of which tile it.
     """
     x, _, _, it, _, _ = _is_corrector(lp, np.concatenate((w, [tau, d1])), g.h, tol,
-                                      max_iter, "branch corrector", phase=(phi, s_target),
+                                      30, "branch corrector", phase=(phi, s_target),
                                       fold=fold)
     return x[:-2], float(x[-2]), float(x[-1]), it
 

@@ -17,11 +17,10 @@ import sys
 import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
-from .errors import (AssemblyError, BandError, BlowUp, BracketError,
-                     CheckFailed, DegenerateError, DomainError, NegativeState,
-                     NoBracket, NoConvergence, NonFiniteSystem, NoThreshold,
-                     ParseError, RegimeError, SktlabError, TauCollapse,
-                     ValidationError)
+from .errors import (AssemblyError, BandError, BlowUp, CheckFailed,
+                     DegenerateError, DomainError, NegativeState, NoBracket,
+                     NoConvergence, NonFiniteSystem, NoThreshold, ParseError,
+                     RegimeError, SktlabError, TauCollapse, ValidationError)
 from .grid import (MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair,
                    neumann_laplacian)
 from .limits import LimitParams
@@ -77,8 +76,8 @@ _FLAGS = {
 # ValueError is not caught, since it would relabel solver faults.
 _EXITS = {
     (ParseError, ValidationError, OSError): (3, "config error"),
-    (RegimeError, DegenerateError, DomainError, NoThreshold, BracketError,
-     NoBracket, BandError): (4, "not applicable"),
+    (RegimeError, DegenerateError, DomainError, NoThreshold, NoBracket,
+     BandError): (4, "not applicable"),
     (NoConvergence, NegativeState): (2, "no convergence"),
     (TauCollapse,): (2, "no convergence: tau collapse"),
     (AssemblyError, BlowUp): (2, "no solution built"),

@@ -54,10 +54,6 @@ class NoThreshold(SktlabError):
     """No positive bifurcation threshold exists for the requested mode."""
 
 
-class BracketError(SktlabError):
-    """The supplied interval does not bracket a sign change."""
-
-
 class NoBracket(SktlabError):
     """The flux mismatch does not change sign over the search interval."""
 

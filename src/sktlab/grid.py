@@ -57,10 +57,6 @@ class GridFn:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFn":
-        return cls(grid, np.asarray(fn(grid.x), dtype=float))
-
-    @classmethod
     def constant(cls, grid: Grid, c: float) -> "GridFn":
         return cls(grid, np.full(grid.n_cells, float(c)))
 

@@ -13,7 +13,7 @@ tends to the incomplete one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class LimitParams:
             gamma = p.gamma()
         return cls(a1=p.a1, a2=p.a2, b1=p.b1, b2=p.b2, c1=p.c1, c2=p.c2,
                    d1=p.d1, d2=p.d2, gamma=gamma)
-
-    def with_d1(self, d1: float) -> "LimitParams":
-        return replace(self, d1=d1)
 
 
 @dataclass(frozen=True)
@@ -211,36 +208,36 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
 
 
 def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
-              tol: float = 1e-11, max_iter: int = 40) -> ISState:
+              tol: float = 1e-11) -> ISState:
     """Bordered Newton (_is_corrector) on the field equations plus the
-    integral constraint, for (w, tau) at lp.d1.  A line-search trial whose
-    tau falls below 1e-10 is halved; TauCollapse, the complete-segregation
-    signature, is raised only when halving reaches a step below 2**-20, or
-    at once when tau0 is not positive (a tau* = u* v* that underflowed).
+    integral constraint, for (w, tau) at lp.d1, in at most 40 iterations.
+    A line-search trial whose tau falls below 1e-10 is halved; TauCollapse,
+    the complete-segregation signature, is raised only when halving reaches
+    a step below 2**-20, or at once when tau0 is already below that floor
+    (a tau* = u* v* that is tiny or underflowed).
     """
-    if not tau0 > 0.0:
-        raise TauCollapse("start tau is not positive", tau=tau0)
+    if not tau0 >= _TAU_FLOOR:
+        raise TauCollapse(f"start tau is below the collapse floor {_TAU_FLOOR:g}", tau=tau0)
     g = w0.grid
     x, (fld, con, _), _, it, _, _ = _is_corrector(
-        lp, np.concatenate((w0.values, [float(tau0)])), g.h, tol, max_iter,
-        "bordered Newton")
+        lp, np.concatenate((w0.values, [float(tau0)])), g.h, tol, 40, "bordered Newton")
     return ISState(w=GridFn(g, x[:-1]), tau=float(x[-1]),
                    residual_inf=float(np.max(np.abs(fld))), constraint=con,
                    newton_iters=it)
 
 
-def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float,
-                tol: float, max_iter: int = 40):
-    """Damped Newton on the full system at alpha = 1/eps in its regular form:
-    x = (w, zeta, T), tau = uv = T + eps*zeta, (u, v) = _uv_root(lp, w, tau,
-    lp.d1), rows lap(w) + f - gamma g, lap(d1 u + zeta) + f (the first
-    equation: lap(alpha tau) = lap(zeta)) and h*sum(zeta), all O(1) as eps
-    -> 0; the (w, zeta) pair band is bordered by the T column and mean row,
-    and the floor is that of max|w| + max|d1 u + zeta|.  x is infeasible
-    where tau <= 0 at a node or its (u, v) lose tau (v or u is lost where
-    4 gamma d1 d2 tau is below the rounding of w^2): it never counts as
-    converged, and a trial is halved (TauCollapse if no step stays
-    feasible).  Returns _damped_newton's result, data (r1, r2, mean, (u, v, S)).
+def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float, tol: float):
+    """Damped Newton (at most 40 iterations) on the full system at alpha =
+    1/eps in its regular form: x = (w, zeta, T), tau = uv = T + eps*zeta,
+    (u, v) = _uv_root(lp, w, tau, lp.d1), rows lap(w) + f - gamma g,
+    lap(d1 u + zeta) + f (the first equation: lap(alpha tau) = lap(zeta))
+    and h*sum(zeta), all O(1) as eps -> 0; the (w, zeta) pair band is
+    bordered by the T column and mean row, and the floor is that of max|w|
+    + max|d1 u + zeta|.  x is infeasible where tau <= 0 at a node or its
+    (u, v) lose tau (v or u is lost where 4 gamma d1 d2 tau is below the
+    rounding of w^2): it never counts as converged, and a trial is halved
+    (TauCollapse if no step stays feasible).  Returns _damped_newton's
+    result, data (r1, r2, mean, (u, v, S)).
     """
     n = (x.size - 1) // 2
     d1 = lp.d1
@@ -274,7 +271,7 @@ def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float,
         if not float(np.max(np.abs(u * v - tau))) <= 1e-8 * float(np.max(tau)):
             return TauCollapse("the (u, v) of (w, tau) lose tau", tau=float(x[-1]))
 
-    return _damped_newton(residual, step, x, tol, max_iter, "regular-form Newton", feasible)
+    return _damped_newton(residual, step, x, tol, 40, "regular-form Newton", feasible)
 
 
 def _cs_residual_values(lp: LimitParams, w: np.ndarray, h: float):
@@ -293,9 +290,9 @@ def _cs_q_w(lp: LimitParams, w: np.ndarray):
     return (fu - lp.gamma * gu) * u_w + (fv - lp.gamma * gv) * v_w
 
 
-def cs_solve(lp: LimitParams, w0: GridFn, tol: float = 1e-10,
-             max_iter: int = 60) -> CSState:
-    """Solve the complete-segregation system by semismooth damped Newton.
+def cs_solve(lp: LimitParams, w0: GridFn, tol: float = 1e-10) -> CSState:
+    """Solve the complete-segregation system by semismooth damped Newton in
+    at most 60 iterations.
 
     The positive/negative parts are differentiated with a fixed subgradient
     (_cs_q_w), which makes Newton locally superlinear without smoothing
@@ -313,5 +310,5 @@ def cs_solve(lp: LimitParams, w0: GridFn, tol: float = 1e-10,
         return solve_tridiag(lap_band(g.n_cells, h, diag=_cs_q_w(lp, w)), -fld)
 
     w, _, rnorm, _, _, _ = _damped_newton(residual, step, w0.values.copy(), tol,
-                                          max_iter, "semismooth Newton")
+                                          60, "semismooth Newton")
     return CSState(w=GridFn(g, w), residual_inf=rnorm)

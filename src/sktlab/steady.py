@@ -95,8 +95,8 @@ def _steady_state(p, g, u, v, rnorm, floor, it, history) -> SteadyState:
 
 
 def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
-                 tol: float = 1e-11, max_iter: int = 60) -> SteadyState:
-    """Damped Newton on the stacked residual.
+                 tol: float = 1e-11) -> SteadyState:
+    """Damped Newton on the stacked residual, in at most 60 iterations.
 
     Line-search trial residuals are evaluated with the negative part
     clipped at zero; a trial more than 1e-12 outside the nonnegative cone is
@@ -125,7 +125,7 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
             return NegativeState("no Newton step stays in the nonnegative cone")
 
     x, _, rnorm, it, history, floor = _damped_newton(
-        residual, step, np.concatenate((u0.values, v0.values)), tol, max_iter,
+        residual, step, np.concatenate((u0.values, v0.values)), tol, 60,
         "Newton", feasible)
     return _steady_state(p, g, np.maximum(x[:n], 0.0), np.maximum(x[n:], 0.0),
                          rnorm, floor, it, history)

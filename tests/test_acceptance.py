@@ -236,8 +236,9 @@ def test_criterion_08_bifurcation_threshold():
     lp = LimitParams(gamma=1.0, **P1)
     K = 206660.0 / 9801.0
     delta1 = (K / math.pi ** 2 - 0.1 * V_STAR) / U_STAR
-    bp256 = bifurcation.detect_crossing(lp, 1, Grid(256), (0.3, 1.0))
-    bp512 = bifurcation.detect_crossing(lp, 1, Grid(512), (0.3, 1.0))
+    bp256 = bifurcation.detect_crossing(lp, 1, Grid(256))
+    bp512 = bifurcation.detect_crossing(lp, 1, Grid(512))
+    assert 0.3 <= bp256.delta_j <= 1.0 and 0.3 <= bp512.delta_j <= 1.0
     e256 = abs(bp256.delta_j - delta1)
     e512 = abs(bp512.delta_j - delta1)
     ratio = e256 / e512
@@ -250,7 +251,8 @@ def test_criterion_08_bifurcation_threshold():
 def test_criterion_09_branch_tangency():
     lp = LimitParams(gamma=1.0, **P1)
     g = Grid(256)
-    bp = bifurcation.detect_crossing(lp, 1, g, (0.3, 1.0))
+    bp = bifurcation.detect_crossing(lp, 1, g)
+    assert 0.3 <= bp.delta_j <= 1.0
     br = bifurcation.switch_and_continue(lp, bp, s_max=0.1, ds=0.002)
     pts = [pt for pt in br.points if 1e-3 <= pt.s <= 0.1]
     s = np.array([pt.s for pt in pts])

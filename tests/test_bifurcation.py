@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sktlab.bifurcation import (Branch, delta_j, detect_crossing,
                                 kinetic_strength, switch_and_continue, w_star)
-from sktlab.errors import BracketError, NoThreshold
+from sktlab.errors import NoThreshold
 from sktlab.grid import Grid, GridFn, integrate, neumann_eigenpair
 from sktlab.limits import LimitParams, _is_linearization, _uv_root
 
@@ -62,33 +63,42 @@ def test_l21_vanishes_on_mean_zero(p1_limit):
     # f_w * integrate(psi) and vanishes on mean-zero fields
     g = Grid(64)
     _, phi = neumann_eigenpair(g, 3)
-    lp = p1_limit.with_d1(0.7)
+    lp = replace(p1_limit, d1=0.7)
     root = _uv_root(lp, np.array([w_star(lp, 0.7)]), TAU_STAR, 0.7)
     f_w = float(_is_linearization(lp, root, 0.7)[2][0])
     assert abs(f_w * integrate(phi)) < 1e-12
 
 
 def test_detect_crossing_matches_closed_form(p1_limit):
-    bp = detect_crossing(p1_limit, 1, Grid(256), (0.3, 1.0))
+    bp = detect_crossing(p1_limit, 1, Grid(256))
+    assert 0.3 <= bp.delta_j <= 1.0
     # discrete threshold differs from the closed form at O(h^2)
     assert abs(bp.delta_j - DELTA1_P1) < 5e-5
     assert bp.delta_j != DELTA1_P1
     err_256 = abs(bp.delta_j - DELTA1_P1)
-    bp2 = detect_crossing(p1_limit, 1, Grid(512), (0.3, 1.0))
+    bp2 = detect_crossing(p1_limit, 1, Grid(512))
+    assert 0.3 <= bp2.delta_j <= 1.0
     err_512 = abs(bp2.delta_j - DELTA1_P1)
     assert 3.0 < err_256 / err_512 < 5.0
 
 
-def test_detect_crossing_bracket_guard(p1_limit):
-    with pytest.raises(BracketError):
-        detect_crossing(p1_limit, 1, Grid(64), (0.9, 1.5))
+def test_detect_crossing_without_a_positive_threshold(p1_limit):
+    # P1 at mode 10: lambda_10^h is so large that the root is negative
+    with pytest.raises(NoThreshold, match="mode 10: rearranged threshold is nonpositive"):
+        detect_crossing(p1_limit, 10, Grid(64))
+    # weak competition: K = -26.52, no mode has a threshold
+    lpw = LimitParams(gamma=1.0, **PW)
+    assert -26.6 < kinetic_strength(lpw) < -26.5
+    with pytest.raises(NoThreshold, match="K <= 0"):
+        detect_crossing(lpw, 1, Grid(64))
     with pytest.raises(ValueError):
-        detect_crossing(p1_limit, 0, Grid(64), (0.3, 1.0))
+        detect_crossing(p1_limit, 0, Grid(64))
 
 
 def test_l11_singular_at_discrete_threshold(p1_limit):
     g = Grid(256)
-    bp = detect_crossing(p1_limit, 1, g, (0.3, 1.0))
+    bp = detect_crossing(p1_limit, 1, g)
+    assert 0.3 <= bp.delta_j <= 1.0
     ev = l11_min_eigenvalue(p1_limit, bp.delta_j, g)
     assert abs(ev) < 1e-10
     # off the threshold the restricted operator is boundedly invertible
@@ -98,7 +108,8 @@ def test_l11_singular_at_discrete_threshold(p1_limit):
 
 def test_branch_tangency_and_symmetry(p1_limit):
     g = Grid(128)
-    bp = detect_crossing(p1_limit, 1, g, (0.3, 1.0))
+    bp = detect_crossing(p1_limit, 1, g)
+    assert 0.3 <= bp.delta_j <= 1.0
     br = switch_and_continue(p1_limit, bp, s_max=0.08, ds=0.005)
     assert isinstance(br, Branch)
     assert not br.truncated
@@ -130,10 +141,11 @@ def test_branch_tangency_and_symmetry(p1_limit):
 def test_branch_points_solve_field_equation(p1_limit):
     from sktlab.limits import ISState, is_residual
     g = Grid(128)
-    bp = detect_crossing(p1_limit, 1, g, (0.3, 1.0))
+    bp = detect_crossing(p1_limit, 1, g)
+    assert 0.3 <= bp.delta_j <= 1.0
     br = switch_and_continue(p1_limit, bp, s_max=0.05, ds=0.01)
     pt = max(br.points, key=lambda q: q.s)
-    lp = p1_limit.with_d1(pt.d1)
+    lp = replace(p1_limit, d1=pt.d1)
     _, sup = is_residual(lp, ISState(w=pt.w, tau=pt.tau))
     assert sup < 1e-8
 

@@ -185,6 +185,26 @@ def test_is_solve_tau_collapse_exits_2(tmp_path, capsys):
     assert not (tmp_path / "is_state.csv").exists()
 
 
+def test_is_solve_start_below_the_collapse_floor_exits_2_at_once(tmp_path, capsys,
+                                                                 monkeypatch):
+    # tau* = u* v* = 1.26e-308 is positive but below limits._TAU_FLOOR: the
+    # start is not admissible, so no Newton step is taken
+    calls = []
+    corrector = limits._is_corrector
+    monkeypatch.setattr(limits, "_is_corrector",
+                        lambda *a, **k: calls.append(1) or corrector(*a, **k))
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("model.a1 = 4.2136006673059524e-10\nmodel.c1 = 0.8735754586555506\n"
+                   "model.c2 = 1e300\nmodel.d1 = 1.0332222161076256e-12\n"
+                   "grid.n_cells = 12\nrun.amplitude = 1e-300\nrun.mode = 4\n")
+    assert main(["is-solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: tau collapse: start tau is below the "
+                          f"collapse floor {limits._TAU_FLOOR:g}")
+    assert calls == []
+    assert not (tmp_path / "is_state.csv").exists()
+
+
 def test_is_solve_halves_an_overshooting_step_and_converges(tmp_path):
     # the same P1 start at a smaller amplitude: the first full Newton steps
     # overshoot to tau < 0, and the halved trials reach a nonconstant state

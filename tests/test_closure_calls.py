@@ -3,8 +3,9 @@
 An AST scan over `src/sktlab`: a function or lambda nested in another
 function (the residual, step and feasible closures that
 `linalg._damped_newton` calls once per trial) must not call
-`LimitParams(...)`, `.with_d1(...)` or `constant_state(...)`.  The first two
-build and validate a parameter record, the third re-solves the kinetic
+`LimitParams(...)`, `replace(...)` (`dataclasses.replace`, how a record with
+another d1 is built), `.with_d1(...)` or `constant_state(...)`.  The first
+three build and validate a parameter record, the last re-solves the kinetic
 nullclines; what they produce is fixed for a whole solve, or (d1 in the
 branch corrector) is passed to the helpers as a plain number, so these
 calls belong in the enclosing function.
@@ -17,7 +18,7 @@ import sktlab
 
 MODULES = sorted(pathlib.Path(sktlab.__file__).parent.glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-FORBIDDEN = {"LimitParams", "with_d1", "constant_state"}
+FORBIDDEN = {"LimitParams", "replace", "with_d1", "constant_state"}
 
 
 def _callee(call: ast.Call) -> str | None:

@@ -19,7 +19,7 @@ def test_grid_geometry(grid64):
 def test_integrate_exact_for_cosine_modes(grid64):
     # midpoint rule integrates the discrete cosine modes exactly
     for j in range(1, 6):
-        f = GridFn.from_callable(grid64, lambda x: np.cos(j * np.pi * x))
+        f = GridFn(grid64, np.cos(j * np.pi * grid64.x))
         assert abs(integrate(f)) < 1e-14
     const = GridFn.constant(grid64, 3.5)
     assert abs(integrate(const) - 3.5) < 1e-14
@@ -53,7 +53,7 @@ def test_eigenvalue_index_bounds(grid64):
 
 
 def test_gradient_of_linear_field(grid64):
-    f = GridFn.from_callable(grid64, lambda x: 2.0 * x)
+    f = GridFn(grid64, 2.0 * grid64.x)
     g = gradient(f).values
     # exact in the interior; one-sided at the ends
     assert np.max(np.abs(g[1:-1] - 2.0)) < 1e-12

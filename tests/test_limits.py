@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ def test_is_newton_recovers_constant(p1_limit):
 def test_is_newton_finds_nonconstant_branch_state(p1_limit):
     # below the first threshold the constant state is no longer the only
     # incomplete-segregation solution
-    lp = p1_limit.with_d1(0.5)
+    lp = replace(p1_limit, d1=0.5)
     g = Grid(128)
     p = ModelParams(**dict(P1, d1=0.5))
     cs = constant_state(p)

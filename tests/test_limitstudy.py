@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -218,7 +220,7 @@ def _branch_seed(n):
                                              s_max=0.3, ds=0.05)
     pt = branch.points[-1]
     assert pt.s == pytest.approx(0.3)
-    u, v = uv_from_w_tau(lp.with_d1(pt.d1), pt.w.values, pt.tau)
+    u, v = uv_from_w_tau(replace(lp, d1=pt.d1), pt.w.values, pt.tau)
     base = ModelParams(**{**P1, "d1": pt.d1})
     return base, steady.newton_solve(base.with_rates(1e2, 1e2), GridFn(g, u), GridFn(g, v))
 

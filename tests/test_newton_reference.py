@@ -11,6 +11,8 @@ bit-equal, including on starts where the line search damps or a trial is
 rejected.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -67,7 +69,7 @@ def _ref_branch_newton(lp, w, tau, d1, phi, s_target, g, tol=1e-11, max_iter=30)
 
     def residual(x):
         w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
-        lp1 = lp.with_d1(d1)
+        lp1 = replace(lp, d1=d1)
         fld, con = _ref_is_residual_values(lp1, w, tau, h)
         phase = h * float(np.sum(phi * (w - w_star(lp, d1)))) - s_target
         return max(float(np.max(np.abs(fld))), abs(con), abs(phase)), \
@@ -186,7 +188,7 @@ def test_is_newton_bit_equal_to_reference(p1_limit, monkeypatch, mode, n):
     # the full steps from the last start overshoot tau < 0: halved, they
     # converge for mode 1 and collapse tau for mode 2
     for d1, amp in ((0.5, 0.1), (0.66, 0.5), (1.0, 2.0), (0.5, 10.0)):
-        lp = p1_limit.with_d1(d1)
+        lp = replace(p1_limit, d1=d1)
         w0 = GridFn(g, w_star(lp, d1) + amp * phi.values)
         runs.clear()
         new = _outcome(lambda: is_newton(lp, w0, tau0))

@@ -1,8 +1,9 @@
-"""Every public top-level definition of the package is used by the program.
+"""Every public definition of the package is used by the program.
 
-An AST scan over `src/sktlab`: a top-level `def name` or `class Name` that
-does not start with `_` must occur as a Name node or an attribute name
-outside its own body, somewhere in the package or in the benchmark scripts
+An AST scan over `src/sktlab`: a top-level `def name` or `class Name`, and
+a method or property `def name` of a public top-level class, that does not
+start with `_` must occur as a Name node or an attribute name outside its
+own body, somewhere in the package or in the benchmark scripts
 `perfbench/*.py` (which are only read).  Uses in tests do not count, so code
 that only tests reach lives under `tests/` (`tests/oracles.py`), and the
 package stays what the command line and the benchmark run.
@@ -32,14 +33,17 @@ def _unreferenced(package: dict[str, str], readers: dict[str, str]) -> list[str]
     trees = {name: ast.parse(text, filename=name) for name, text in package.items()}
     used = _names([*trees.values(),
                    *(ast.parse(text, filename=name) for name, text in readers.items())])
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     dead = []
     for name, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+        members = [(f"{node.name}.", sub) for node in tree.body
+                   if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                   for sub in node.body]
+        for prefix, node in [("", node) for node in tree.body] + members:
+            if isinstance(node, defs) and not node.name.startswith("_"):
                 own = _names(node.body + node.decorator_list).count(node.name)
                 if used.count(node.name) == own:
-                    dead.append(f"{name}:{node.name}")
+                    dead.append(f"{name}:{prefix}{node.name}")
     return sorted(dead)
 
 
@@ -56,8 +60,13 @@ def test_scan_flags_an_unreferenced_definition():
                  "def bench_only():\n    pass\n\n"
                  "def dead(k):\n    return dead(k - 1)\n\n"
                  "class Dead:\n    def make(self):\n        return Dead()\n\n"
+                 "class Rec:\n    def used_by_bench(self):\n        pass\n\n"
+                 "    @property\n    def spare(self):\n        return self.spare\n\n"
+                 "    def _helper(self):\n        pass\n\n"
+                 "class _Hook:\n    def error(self):\n        pass\n\n"
                  "def _private():\n    pass\n"),
-        "b.py": "from a import used, dead\n\ndef run():\n    return used()\n",
+        "b.py": "from a import Rec, used, dead\n\ndef run():\n    return used(), Rec()\n",
     }
-    readers = {"bench.py": "import a\n\nprint(a.bench_only())\n"}
-    assert _unreferenced(package, readers) == ["a.py:Dead", "a.py:dead", "b.py:run"]
+    readers = {"bench.py": "import a\n\nprint(a.bench_only(), a.Rec().used_by_bench())\n"}
+    assert _unreferenced(package, readers) == [
+        "a.py:Dead", "a.py:Dead.make", "a.py:Rec.spare", "a.py:dead", "b.py:run"]
