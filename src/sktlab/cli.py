@@ -181,6 +181,7 @@ def _cmd_solve(cfg) -> dict:
                           {"residual_inf": state.residual_inf,
                            "residual_floor": state.residual_floor,
                            "newton_iters": state.newton_iters,
+                           "march_steps": state.march_steps,
                            "u_max": state.u_max, "v_max": state.v_max,
                            "certificate_ok": state.certificate_ok})}
 

@@ -83,14 +83,23 @@ def lap_band(n: int, h: float, mult=1.0, diag=0.0) -> np.ndarray:
     """Band of f -> laplacian(mult * f) + diag * f with the Neumann stencil
     (mirror ghosts), in solve_banded's (1, 1) layout; mult and diag are
     nodal arrays or scalars."""
-    ab = np.zeros((3, n))
-    ab[0] = 1.0 / (h * h) * mult
-    ab[2, :-1] = ab[0, :-1]
-    ab[0, 0] = 0.0
-    stencil = np.full(n, -2.0 / (h * h))
-    stencil[0] = stencil[-1] = -1.0 / (h * h)
-    ab[1] = stencil * mult + diag
+    ab = np.empty((3, n))
+    write_lap_bands(ab, h, mult, diag)
     return ab
+
+
+def write_lap_bands(ab: np.ndarray, h: float, mult, diag) -> None:
+    """Write into ab, shaped (3, n) or (3, m, n), the lap_band of one or m
+    operators (mult and diag broadcast against ab[0]).  Read as (3, m*n), a
+    (3, m, n) ab is their block-diagonal band: coupling entries are zero."""
+    np.multiply(1.0 / (h * h), mult, out=ab[0])
+    np.multiply(-2.0 / (h * h), mult, out=ab[1])
+    ab[1, ..., 0] = -ab[0, ..., 0]
+    ab[1, ..., -1] = -ab[0, ..., -1]
+    ab[1] += diag
+    ab[2, ..., :-1] = ab[0, ..., :-1]
+    ab[2, ..., -1] = 0.0
+    ab[0, ..., 0] = 0.0
 
 
 def pair_band(n: int, h: float, blocks) -> np.ndarray:

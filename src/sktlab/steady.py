@@ -13,15 +13,15 @@ the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bounds
-from .errors import BandError, BlowUp, DomainError, NegativeState
+from .errors import BandError, BlowUp, DomainError, NegativeState, ValidationError
 from .grid import Grid, GridFn, laplacian_values
-from .linalg import (_damped_newton, lap_band, pair_band, residual_floor,
-                     solve_pair, solve_tridiag)
+from .linalg import (_damped_newton, pair_band, residual_floor, solve_pair,
+                     solve_tridiag, write_lap_bands)
 from .model import ModelParams, kinetic_partials, reaction_f, reaction_g
 
 
@@ -35,6 +35,7 @@ class SteadyState:
     residual_floor: float    # the rounding floor the stop rule allowed
     newton_iters: int
     certificate_ok: bool | None
+    march_steps: int = 0     # time-march steps before the Newton polish
     residual_history: tuple = field(default=(), repr=False)
 
     @property
@@ -94,6 +95,16 @@ def _steady_state(p, g, u, v, rnorm, floor, it, history) -> SteadyState:
                        certificate_ok=ok, residual_history=tuple(history))
 
 
+def _stop_norm(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
+    """(sup norm of the residual at u, v clipped at 0, its residual_floor,
+    (r1, r2)); Newton's stop test is norm <= max(tol, floor)."""
+    r1, r2 = _residual_values(p, np.maximum(u, 0.0), np.maximum(v, 0.0), h)
+    u, v = np.abs(u), np.abs(v)
+    floor = residual_floor(h, float(np.max((p.d1 + p.alpha * v) * u))
+                           + float(np.max((p.d2 + p.beta * u) * v)))
+    return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))), floor, (r1, r2)
+
+
 def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
                  tol: float = 1e-11) -> SteadyState:
     """Damped Newton on the stacked residual, in at most 60 iterations.
@@ -110,12 +121,7 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
     n = g.n_cells
 
     def residual(x):
-        r1, r2 = _residual_values(p, np.maximum(x[:n], 0.0),
-                                  np.maximum(x[n:], 0.0), h)
-        u, v = np.abs(x[:n]), np.abs(x[n:])
-        floor = residual_floor(h, float(np.max((p.d1 + p.alpha * v) * u))
-                               + float(np.max((p.d2 + p.beta * u) * v)))
-        return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))), floor, (r1, r2)
+        return _stop_norm(p, x[:n], x[n:], h)
 
     def step(x, r):
         return solve_pair(_jacobian_banded(p, x[:n], x[n:], h), *r)
@@ -136,41 +142,65 @@ def _blowup_cap(p: ModelParams) -> float:
     return 1e8 if cert is None else 10.0 * max(cert.u_bound, cert.v_bound)
 
 
-def time_march(p: ModelParams, u0: GridFn, v0: GridFn,
-               dt: float, t_end: float) -> tuple[GridFn, GridFn]:
+def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
+               t_end: float, tol: float) -> tuple[GridFn, GridFn, int]:
     """Positive semi-implicit marching (Patankar split): lagged diffusion
     coefficients, production a1*u / a2*v explicit, loss (b1*u + c1*v)*u /
-    (b2*u + c2*v)*v implicit on the diagonal.  Each step solves two
-    M-matrix systems with positive right-hand sides, so positive fields
-    stay strictly positive for any dt; fixed points are exactly the discrete
-    steady states.  Used as a basin finder for the Newton polish."""
+    (b2*u + c2*v)*v implicit on the diagonal.  Each step solves the two
+    M-matrix systems with positive right-hand sides, stacked as one
+    block-diagonal tridiagonal system, so positive fields stay strictly
+    positive for any dt; fixed points are exactly the discrete steady
+    states.  Used as a basin finder for the Newton polish.
+
+    Runs round(t_end/dt) >= 1 steps, at most 10^6 (else ValidationError on
+    run.dt).  Every 16th step checks for blow-up, and ends the march once
+    the state meets Newton's stop test at tol and its residual has fallen
+    1e6-fold from the start's, so that it does not stop on an unstable
+    state it starts near.  Returns (u, v, steps run).
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not t_end / dt <= 1e6:
+        raise ValidationError(f"run.dt: run.t_march / run.dt = {t_end / dt:g} march "
+                              "steps, more than 1e6", key="run.dt")
     g = u0.grid
     h = g.h
-    u = u0.values.copy()
-    v = v0.values.copy()
+    n = g.n_cells
+    x = np.array((u0.values, v0.values))            # u's equation in row 0, v's in 1
+    ab = np.empty((3, 2 * n))                       # one band for both fields
+    blocks, (mult, diag) = ab.reshape(3, 2, n), np.empty((2, 2, n))
+    d, rate, own, other, growth = np.array(
+        [[p.d1, p.alpha, p.b1, p.c1, 1.0 + dt * p.a1],
+         [p.d2, p.beta, p.c2, p.b2, 1.0 + dt * p.a2]]).T[:, :, None]
     cap = _blowup_cap(p)
     steps = max(1, int(round(t_end / dt)))
     # an overflow reaches solve_tridiag as NonFiniteSystem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        start = _stop_norm(p, x[0], x[1], h)[0]
         for k in range(steps):
-            ab_u = lap_band(g.n_cells, h, -dt * (p.d1 + p.alpha * v),
-                            1.0 + dt * (p.b1 * u + p.c1 * v))
-            ab_v = lap_band(g.n_cells, h, -dt * (p.d2 + p.beta * u),
-                            1.0 + dt * (p.b2 * u + p.c2 * v))
-            rhs_u = (1.0 + dt * p.a1) * u
-            rhs_v = (1.0 + dt * p.a2) * v
-            u = solve_tridiag(ab_u, rhs_u)
-            v = solve_tridiag(ab_v, rhs_v)
+            y = x[::-1]
+            np.multiply(rate, y, out=mult)          # -dt * (d1 + alpha v), ...
+            mult += d
+            mult *= -dt
+            np.multiply(own, x, out=diag)           # 1 + dt * (b1 u + c1 v), ...
+            diag += other * y
+            diag *= dt
+            diag += 1.0
+            write_lap_bands(blocks, h, mult, diag)
+            x *= growth                             # (1 + dt a1) u, ...
+            x = solve_tridiag(ab, x.ravel(), overwrite_rhs=True).reshape(2, n)
             if k % 16 == 0 or k == steps - 1:
-                if max(float(np.max(np.abs(u))), float(np.max(np.abs(v)))) > cap:
+                if float(np.max(np.abs(x))) > cap:
                     raise BlowUp(f"state exceeded 10x the certificate cap {cap:g}")
-    return GridFn(g, u), GridFn(g, v)
+                norm, floor, _ = _stop_norm(p, x[0], x[1], h)
+                if norm <= max(tol, floor) and norm <= 1e-6 * start:
+                    steps = k + 1
+                    break
+    return GridFn(g, x[0]), GridFn(g, x[1]), steps
 
 
 def march_then_newton(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
                       t_end: float, tol: float = 1e-11) -> SteadyState:
     """Convenience pipeline: time march into a basin, then polish."""
-    u, v = time_march(p, u0, v0, dt, t_end)
-    return newton_solve(p, u, v, tol=tol)
+    u, v, steps = time_march(p, u0, v0, dt, t_end, tol)
+    return replace(newton_solve(p, u, v, tol=tol), march_steps=steps)

@@ -382,6 +382,27 @@ def test_grid_length_extremes_exit_documented_codes(command, length, code, tmp_p
     assert main(argv) == code
 
 
+@pytest.mark.parametrize("dt", [5e-324, 1e-300])
+@pytest.mark.parametrize("command, lines", [
+    ("solve", ""),
+    # the seed polish leaves the nonnegative cone, so the march fallback runs
+    ("limit-study", "run.amplitude = 10\nrun.alpha0 = 10\n")], ids=["solve", "limit-study"])
+def test_a_march_above_the_step_ceiling_is_config_error(command, lines, dt, tmp_path,
+                                                        monkeypatch, capsys):
+    # t_march/dt = inf (5e-324) or 2e301 (1e-300) march steps: rejected
+    # before any step runs, not an OverflowError or an endless march
+    def no_step(*args, **kwargs):
+        raise AssertionError("a march step ran")
+
+    monkeypatch.setattr(steady, "solve_tridiag", no_step)
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text(f"{lines}run.dt = {dt!r}\ngrid.n_cells = 64\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("config error: run.dt: ")
+    assert not out.exists()
+
+
 def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch):
     # P1 from a large seed amplitude: the seed polish leaves the nonnegative
     # cone, the march reaches the exclusion state u = a1/b1, v = 0, and each

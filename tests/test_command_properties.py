@@ -5,10 +5,12 @@ Hypothesis draws configs for `solve`, `bounds`, `is-solve`, `bifurcate`,
 must end in one of the documented exit codes, and none may raise.  Any
 subset of the model keys is drawn, with finite values over fifteen decades,
 1e-300, 1e300 and non-finite values, and `grid.length` log-uniform over
-[1e-300, 1e300].  The grid, `run.steps`, `run.s_max` and `run.t_march` are
-capped so that one draw stays cheap, and `run.dt` is never drawn: a tiny
-time step makes `t_march / dt` march steps, which would hang rather than
-fail.  The examples are configs that once ended in a traceback.
+[1e-300, 1e300].  The grid, `run.steps` and `run.s_max` are capped so that
+one draw stays cheap.  `run.t_march` and `run.dt` are drawn together, so
+that `t_march / dt` is either at most 2 000 march steps or above the
+ceiling of 10^6 steps (dt in [5e-324, 1e-300]), which is a config error
+before any step runs; a count in between would be a valid but slow march.
+The examples are configs that once ended in a traceback or did not end.
 """
 
 import math
@@ -37,8 +39,14 @@ RUN = st.fixed_dictionaries({}, optional={
     "run.steps": st.integers(1, 4),
     "run.ratio": st.floats(0.5, 1e3),
     "run.s_max": st.floats(1e-3, 1.0),
-    "run.t_march": st.floats(0.0, 20.0),
 })
+# t_march / dt at most 2 000 steps, or above the 10^6-step ceiling
+MARCH = st.one_of(
+    st.fixed_dictionaries({}, optional={"run.t_march": st.floats(0.0, 20.0),
+                                        "run.dt": st.floats(1e-2, 10.0)}),
+    st.fixed_dictionaries({"run.dt": st.floats(5e-324, 1e-300)},
+                          optional={"run.t_march": st.floats(1.0, 20.0)}))
+RUN = st.tuples(RUN, MARCH).map(lambda t: {**t[0], **t[1]})
 COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest"]
 
 
@@ -69,6 +77,8 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
 @example(command="bifurcate", model={}, run={"grid.n_cells": 8, "grid.length": 1e300})
 @example(command="limit-study", model={"model.gamma": 1e300},
          run={"grid.n_cells": 16, "run.alpha0": 1e-300})
+@example(command="solve", model={}, run={"run.dt": 5e-324})
+@example(command="solve", model={}, run={"run.dt": 1e-300})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))

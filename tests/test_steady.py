@@ -104,7 +104,7 @@ def test_time_march_preserves_positivity(grid64, pw):
     p = pw.with_rates(5.0, 5.0)
     u0 = GridFn(grid64, np.full(64, 0.5))
     v0 = GridFn(grid64, np.full(64, 0.5))
-    u, v = steady.time_march(p, u0, v0, dt=1e-3, t_end=1.0)
+    u, v, _ = steady.time_march(p, u0, v0, dt=1e-3, t_end=1.0, tol=1e-11)
     assert np.min(u.values) > 0.0
     assert np.min(v.values) > 0.0
 
@@ -129,7 +129,7 @@ def test_time_march_positive_for_any_dt(grid64, params, dt, t_end):
     x = grid64.x
     u0 = GridFn(grid64, cs.u_star * (1 + 0.1 * np.cos(np.pi * x)))
     v0 = GridFn(grid64, cs.v_star * (1 - 0.1 * np.cos(2 * np.pi * x)))
-    u, v = steady.time_march(p, u0, v0, dt=dt, t_end=t_end)
+    u, v, _ = steady.time_march(p, u0, v0, dt=dt, t_end=t_end, tol=1e-11)
     assert np.min(u.values) > 0.0
     assert np.min(v.values) > 0.0
 
@@ -138,7 +138,7 @@ def test_time_march_blowup_check(grid64, pw, monkeypatch):
     monkeypatch.setattr(steady, "_blowup_cap", lambda p: 1e-3)
     u0 = GridFn(grid64, np.full(64, 0.5))
     with pytest.raises(BlowUp):
-        steady.time_march(pw.with_rates(5.0, 5.0), u0, u0, dt=0.1, t_end=1.0)
+        steady.time_march(pw.with_rates(5.0, 5.0), u0, u0, dt=0.1, t_end=1.0, tol=1e-11)
 
 
 def _cli_solve(tmp_path, overrides):
@@ -170,6 +170,34 @@ def test_cli_solve_weak_reaches_coexistence(tmp_path):
     u, v = _cli_solve(tmp_path, {f"model.{k}": val for k, val in PW.items()})
     assert np.max(np.abs(u - 250.0 / 99.0)) < 1e-8
     assert np.max(np.abs(v - 470.0 / 99.0)) < 1e-8
+    # the residual barely falls in 200 steps, so the march runs in full
+    assert _solve_metadata(tmp_path)["march_steps"] == "200"
+
+
+def _solve_metadata(tmp_path):
+    lines = (tmp_path / "out" / "state.csv").read_text().splitlines()
+    return dict(l[2:].split(": ", 1) for l in lines if l.startswith("# ") and ": " in l)
+
+
+def test_cli_solve_stops_the_march_at_newtons_stop_test(tmp_path):
+    # P1 at the defaults meets Newton's stop test after ~100 of the 200
+    # steps; the march ends there and Newton takes no step
+    u, v = _cli_solve(tmp_path, {})
+    assert np.max(np.abs(u - 50.0)) < 1e-8
+    assert np.max(v) < 1e-8
+    meta = _solve_metadata(tmp_path)
+    assert int(meta["march_steps"]) < 200
+    assert meta["newton_iters"] == "0"
+
+
+def test_cli_solve_near_the_unstable_state_keeps_the_full_march(tmp_path):
+    # 1e-12 off the constant state the start already meets Newton's stop
+    # test; it is unstable, and the 1e6-fold fall the stop also asks for
+    # keeps the march going to the v-exclusion state u = 0, v = a2/c2
+    u, v = _cli_solve(tmp_path, {"run.amplitude": 1e-12, "grid.n_cells": 1024})
+    assert np.max(u) < 1e-8
+    assert np.max(np.abs(v - 30.0)) < 1e-8
+    assert _solve_metadata(tmp_path)["march_steps"] == "200"
 
 
 # a rate ratio r = alpha/beta > 1 for which 1/(1/r) rounds below r
