@@ -175,13 +175,14 @@ def _cmd_solve(cfg) -> dict:
     p = _model(cfg)
     g = _grid(cfg)
     u0, v0 = _seeded_fields(p, g, cfg["run.seed"], cfg["run.amplitude"])
-    state = steady.march_then_newton(p, u0, v0, dt=cfg["run.dt"],
-                                     t_end=cfg["run.t_march"], tol=cfg["run.tol"])
+    state = steady.solve(p, u0, v0, dt=cfg["run.dt"], t_end=cfg["run.t_march"],
+                         tol=cfg["run.tol"])
     return {"state.csv": ({"x": g.x, "u": state.u.values, "v": state.v.values},
                           {"residual_inf": state.residual_inf,
                            "residual_floor": state.residual_floor,
                            "newton_iters": state.newton_iters,
                            "march_steps": state.march_steps,
+                           "constant_rate": state.constant_rate,
                            "u_max": state.u_max, "v_max": state.v_max,
                            "certificate_ok": state.certificate_ok})}
 
@@ -321,12 +322,13 @@ def _cmd_selftest(cfg) -> dict:
 
     lp = _limit_params(cfg)
     w, tau = np.full(g.n_cells, bifurcation.w_star(lp, lp.d1)), cs.tau_star
-    u, v = limits.uv_from_w_tau(lp, w, tau)
-    prod_err = float(np.max(np.abs(u * v - tau)))
     # u v - tau is the rounding of the inversion: with S^2 = w^2 + 4 gamma
     # d1 d2 tau, (S - w) loses digits when w^2 >> 4 gamma d1 d2 tau, and to
-    # first order |u v - tau| <= 5.5 eps S^2 / (4 gamma d1 d2); allow 8 eps
-    with np.errstate(over="ignore", divide="ignore"):
+    # first order |u v - tau| <= 5.5 eps S^2 / (4 gamma d1 d2); allow 8 eps.
+    # Where S^2 or the allowance overflows, the check fails on inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u, v = limits.uv_from_w_tau(lp, w, tau)
+        prod_err = float(np.max(np.abs(u * v - tau)))
         prod_tol = 8.0 * np.finfo(float).eps * (
             tau + w[0] * w[0] / (4.0 * lp.gamma * lp.d1 * lp.d2))
     _require("product identity", prod_err, prod_tol)

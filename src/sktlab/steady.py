@@ -1,28 +1,36 @@
 """Steady states of the full cross-diffusion system.
 
-The pipeline is semi-implicit time marching into a basin of attraction
-followed by one damped Newton in the densities (u, v), with an
-analytically assembled block-tridiagonal Jacobian (interleaved unknown
-ordering, direct banded factorization).  Along a large-rate schedule,
-limitstudy solves each step in the regular form of limits._eps_newton and
-calls newton_solve only where that form cannot hold the state.  The
-reduction identity and the maximum-principle sign check on F and G at the
-density maxima are oracles of the tests (tests/oracles.py), not part of
-the solver.
+`solve` is Newton first.  At the constant coexistence state (u*, v*) the
+Jacobian splits exactly over the discrete cosine modes, so its spectrum
+is that of one 2x2 matrix per mode; where every mode is stable, damped
+Newton in the densities (u, v) runs straight from the start and its state
+is kept when it is (u*, v*).  Otherwise, or when that Newton fails, a
+semi-implicit time march finds a basin of attraction and the same Newton
+polishes it (`march_then_newton`).  Newton uses an analytically assembled
+block-tridiagonal Jacobian (interleaved unknown ordering, direct banded
+factorization).  Along a large-rate schedule, limitstudy solves each step
+in the regular form of limits._eps_newton and calls newton_solve only
+where that form cannot hold the state.  The reduction identity and the
+maximum-principle sign check on F and G at the density maxima are oracles
+of the tests (tests/oracles.py), not part of the solver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bounds
-from .errors import BandError, BlowUp, DomainError, NegativeState, ValidationError
+from .errors import (BandError, BlowUp, DegenerateError, DomainError,
+                     NegativeState, NoConvergence, NonFiniteSystem,
+                     RegimeError, ValidationError)
 from .grid import Grid, GridFn, laplacian_values
 from .linalg import (_damped_newton, pair_band, residual_floor, solve_pair,
                      solve_tridiag, write_lap_bands)
-from .model import ModelParams, kinetic_partials, reaction_f, reaction_g
+from .model import (ConstantState, ModelParams, constant_state,
+                    kinetic_partials, reaction_f, reaction_g)
 
 
 @dataclass(frozen=True)
@@ -36,6 +44,7 @@ class SteadyState:
     newton_iters: int
     certificate_ok: bool | None
     march_steps: int = 0     # time-march steps before the Newton polish
+    constant_rate: float = math.nan   # set by solve: see _constant_rate
     residual_history: tuple = field(default=(), repr=False)
 
     @property
@@ -142,6 +151,17 @@ def _blowup_cap(p: ModelParams) -> float:
     return 1e8 if cert is None else 10.0 * max(cert.u_bound, cert.v_bound)
 
 
+def _step_count(dt: float, t_end: float) -> int:
+    """round(t_end/dt) >= 1 march steps; ValidationError on run.dt above
+    10^6 steps."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if not t_end / dt <= 1e6:
+        raise ValidationError(f"run.dt: run.t_march / run.dt = {t_end / dt:g} march "
+                              "steps, more than 1e6", key="run.dt")
+    return max(1, int(round(t_end / dt)))
+
+
 def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
                t_end: float, tol: float) -> tuple[GridFn, GridFn, int]:
     """Positive semi-implicit marching (Patankar split): lagged diffusion
@@ -158,11 +178,7 @@ def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
     1e6-fold from the start's, so that it does not stop on an unstable
     state it starts near.  Returns (u, v, steps run).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if not t_end / dt <= 1e6:
-        raise ValidationError(f"run.dt: run.t_march / run.dt = {t_end / dt:g} march "
-                              "steps, more than 1e6", key="run.dt")
+    steps = _step_count(dt, t_end)
     g = u0.grid
     h = g.h
     n = g.n_cells
@@ -173,7 +189,6 @@ def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
         [[p.d1, p.alpha, p.b1, p.c1, 1.0 + dt * p.a1],
          [p.d2, p.beta, p.c2, p.b2, 1.0 + dt * p.a2]]).T[:, :, None]
     cap = _blowup_cap(p)
-    steps = max(1, int(round(t_end / dt)))
     # an overflow reaches solve_tridiag as NonFiniteSystem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         start = _stop_norm(p, x[0], x[1], h)[0]
@@ -204,3 +219,65 @@ def march_then_newton(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
     """Convenience pipeline: time march into a basin, then polish."""
     u, v, steps = time_march(p, u0, v0, dt, t_end, tol)
     return replace(newton_solve(p, u, v, tol=tol), march_steps=steps)
+
+
+def _constant_rate(p: ModelParams, cs: ConstantState, g: Grid) -> tuple[float, bool]:
+    """(rightmost real part of the spectrum of the Jacobian at the constant
+    state, whether that state is shown linearly stable).
+
+    At a constant state the cosine modes are exact eigenfunctions of the
+    Neumann Laplacian, so the Jacobian splits over them: mode j contributes
+    the eigenvalues of K - lambda_j D, with K the kinetic partials at
+    (u*, v*), D = [[d1 + alpha v*, alpha u*], [beta v*, d2 + beta u*]] and
+    lambda_j = (2/h^2)(1 - cos(j pi h/L)).  The state is shown stable when
+    every mode has a finite trace < 0 and a finite determinant > 0.  The
+    determinant is expanded in lambda_j, with det D = d1 d2 + d1 beta u* +
+    d2 alpha v* formed without cancellation.
+    """
+    u, v, h = cs.u_star, cs.v_star, g.h
+    lam = (2.0 / (h * h)) * (1.0 - np.cos(np.arange(g.n_cells) * math.pi * h / g.length))
+    k11, k12, k21, k22 = kinetic_partials(p, u, v)
+    d11, d12, d21, d22 = p.d1 + p.alpha * v, p.alpha * u, p.beta * v, p.d2 + p.beta * u
+    # an overflow is a non-finite trace or determinant: not shown stable
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = (k11 + k22) - lam * (d11 + d22)
+        det = ((k11 * k22 - k12 * k21) - lam * (k11 * d22 + k22 * d11 - k12 * d21 - k21 * d12)
+               + lam * lam * (p.d1 * p.d2 + p.d1 * p.beta * u + p.d2 * p.alpha * v))
+        disc = tr * tr - 4.0 * det
+        rate = float(np.max(0.5 * (tr + np.sqrt(np.maximum(disc, 0.0)))))
+    stable = bool(np.all(np.isfinite(tr) & np.isfinite(det) & (tr < 0.0) & (det > 0.0)))
+    return rate, stable
+
+
+def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
+          tol: float) -> SteadyState:
+    """Newton first where the constant state is the stable attractor, else
+    march_then_newton.
+
+    Where the constant coexistence state exists, is positive and is shown
+    stable by _constant_rate, newton_solve runs from (u0, v0), and its state
+    is kept when it equals (u*, v*) to 1e-8 relative in each field, with
+    march_steps = 0.  Otherwise, or when that Newton fails, the march runs
+    as in march_then_newton.  A march of more than 10^6 steps is a
+    ValidationError on either path.  constant_rate is the rightmost real
+    part of the constant state's spectrum, NaN where no positive constant
+    state exists.
+    """
+    _step_count(dt, t_end)
+    rate, stable = math.nan, False
+    try:
+        cs = constant_state(p)
+    except (RegimeError, DegenerateError):
+        cs = None
+    if cs is not None and cs.u_star > 0.0 and cs.v_star > 0.0:
+        rate, stable = _constant_rate(p, cs, u0.grid)
+    if stable:
+        try:
+            st = newton_solve(p, u0, v0, tol=tol)
+        except (NoConvergence, NegativeState, NonFiniteSystem, np.linalg.LinAlgError):
+            st = None
+        if st is not None \
+                and float(np.max(np.abs(st.u.values - cs.u_star))) <= 1e-8 * cs.u_star \
+                and float(np.max(np.abs(st.v.values - cs.v_star))) <= 1e-8 * cs.v_star:
+            return replace(st, constant_rate=rate)
+    return replace(march_then_newton(p, u0, v0, dt, t_end, tol), constant_rate=rate)

@@ -546,6 +546,23 @@ def test_selftest_passes_where_tau_star_underflows(tmp_path, capsys):
     assert capsys.readouterr().out == "selftest: ok\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_selftest_whose_inversion_overflows_exits_2_without_a_warning(tmp_path, capsys):
+    # w^2 overflows in the (w, tau) -> (u, v) inversion and in the
+    # allowance: the check fails on inf, with one stderr line
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("model.a1 = 1e300\nmodel.c1 = 1e300\nmodel.d1 = 1e300\n"
+                   "model.alpha = 1e-300\nmodel.beta = 1e-300\nmodel.gamma = 1e-300\n"
+                   "model.d2 = 1e-300\n")
+    out = tmp_path / "out"
+    assert main(["selftest", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["selftest failed: product identity: inf is not "
+                                         "below inf"]
+    assert not out.exists()
+
+
 def test_selftest_flags_a_perturbed_inversion(tmp_path, monkeypatch, capsys):
     exact = limits.uv_from_w_tau
 

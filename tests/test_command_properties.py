@@ -11,10 +11,13 @@ that `t_march / dt` is either at most 2 000 march steps or above the
 ceiling of 10^6 steps (dt in [5e-324, 1e-300]), which is a config error
 before any step runs; a count in between would be a valid but slow march.
 The examples are configs that once ended in a traceback or did not end.
+A numpy RuntimeWarning is an error here: output outside the documented
+stderr line fails the draw instead of passing as a warning count.
 """
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +53,7 @@ RUN = st.tuples(RUN, MARCH).map(lambda t: {**t[0], **t[1]})
 COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(COMMANDS), model=MODEL, run=RUN)
@@ -79,6 +83,10 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
          run={"grid.n_cells": 16, "run.alpha0": 1e-300})
 @example(command="solve", model={}, run={"run.dt": 5e-324})
 @example(command="solve", model={}, run={"run.dt": 1e-300})
+@example(command="selftest", model={"model.a1": 1e300, "model.c1": 1e300,
+                                    "model.d1": 1e300, "model.alpha": 1e-300,
+                                    "model.beta": 1e-300, "model.gamma": 1e-300,
+                                    "model.d2": 1e-300}, run={})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))

@@ -13,7 +13,8 @@ residual has fallen 1e6-fold from the start's.  The sweep slice below
 checks that the pipeline (march, then Newton) still reaches the attractor
 of the fixed-length march followed by Newton, on starts from 1e-1 down to
 1e-13 of the constant state, where the stop must not fire on the unstable
-constant state.
+constant state, and that the Newton-first `steady.solve` reaches the same
+state to 1e-8 of its sup norm.
 """
 
 import numpy as np
@@ -130,3 +131,21 @@ def test_march_then_newton_reaches_the_fixed_length_attractor(params, seed):
         assert st.residual_inf <= max(1e-11, st.residual_floor)
         if params is PW:
             assert st.march_steps == 200
+
+
+@pytest.mark.parametrize("params", [P1, PW], ids=["P1", "PW"])
+@pytest.mark.parametrize("seed", [5, 31])
+def test_solve_reaches_the_fixed_length_attractor(params, seed):
+    # the same slice through the Newton-first pipeline: PW's constant state
+    # is stable and Newton alone reaches it, P1's is not and it marches
+    p = ModelParams(**params).with_rates(100.0, 100.0)
+    g = Grid(256)
+    for k in range(1, 14):
+        u0, v0 = cli._seeded_fields(p, g, seed, 10.0 ** -k)
+        st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+        ur, vr = _ref_march(p, u0, v0, 0.1, 20.0)
+        ref = steady.newton_solve(p, ur, vr, 1e-11)
+        scale = max(ref.u_max, ref.v_max)
+        assert np.max(np.abs(st.u.values - ref.u.values)) <= 1e-8 * scale
+        assert np.max(np.abs(st.v.values - ref.v.values)) <= 1e-8 * scale
+        assert (st.march_steps == 0) == (params is PW)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sktlab import cli, steady
-from sktlab.errors import BlowUp, NoConvergence
+from sktlab.errors import BlowUp, NoConvergence, SktlabError
 from sktlab.grid import Grid, GridFn, integrate
 from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
 
@@ -170,8 +170,11 @@ def test_cli_solve_weak_reaches_coexistence(tmp_path):
     u, v = _cli_solve(tmp_path, {f"model.{k}": val for k, val in PW.items()})
     assert np.max(np.abs(u - 250.0 / 99.0)) < 1e-8
     assert np.max(np.abs(v - 470.0 / 99.0)) < 1e-8
-    # the residual barely falls in 200 steps, so the march runs in full
-    assert _solve_metadata(tmp_path)["march_steps"] == "200"
+    # the constant state is stable in every mode: Newton from the seed, no march
+    meta = _solve_metadata(tmp_path)
+    assert meta["march_steps"] == "0"
+    assert int(meta["newton_iters"]) >= 1
+    assert float(meta["constant_rate"]) < 0.0
 
 
 def _solve_metadata(tmp_path):
@@ -198,6 +201,66 @@ def test_cli_solve_near_the_unstable_state_keeps_the_full_march(tmp_path):
     assert np.max(u) < 1e-8
     assert np.max(np.abs(v - 30.0)) < 1e-8
     assert _solve_metadata(tmp_path)["march_steps"] == "200"
+
+
+# weak competition with a cross-diffusion instability in mode 1: the
+# kinetics alone are stable, the constant state at these rates is not
+TURING = dict(a1=1.988, a2=2.250, b1=0.446, b2=0.375, c1=0.411, c2=1.004,
+              d1=0.0238, d2=0.0108, alpha=364.0, beta=0.391)
+
+
+@pytest.mark.parametrize("params, rate", [(P1, 3.1005977901), (PW, -2.4725536746)],
+                         ids=["P1", "PW"])
+def test_constant_rate_is_the_rightmost_eigenvalue_of_the_jacobian(params, rate):
+    # the closed form over the cosine modes against the dense spectrum
+    p = ModelParams(**params).with_rates(100.0, 100.0)
+    g = Grid(64)
+    cs = constant_state(p)
+    J = _dense_from_band(steady._jacobian_banded(
+        p, np.full(64, cs.u_star), np.full(64, cs.v_star), g.h), (3, 3))
+    dense = float(np.max(np.linalg.eigvals(J).real))
+    closed, stable = steady._constant_rate(p, cs, g)
+    assert abs(closed - dense) <= 1e-8 * abs(dense)
+    assert abs(closed - rate) <= 1e-8 * abs(rate)
+    assert stable == (rate < 0.0)
+
+
+def test_a_cross_diffusion_instability_takes_the_march_path():
+    p = ModelParams(**TURING)
+    g = Grid(256)
+    cs = constant_state(p)
+    assert steady._constant_rate(p, cs, g)[1] is False
+    assert steady._constant_rate(p.with_rates(0.0, 0.0), cs, g)[1] is True
+    u0, v0 = cli._seeded_fields(p, g, 5, 1e-3)
+    st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    assert st.march_steps == 200
+    assert st.constant_rate > 0.0
+
+
+def _solved(fn, *args):
+    try:
+        return fn(*args)
+    except SktlabError:
+        return None
+
+
+@pytest.mark.parametrize("params", [P1, PW, TURING], ids=["P1", "PW", "TURING"])
+@pytest.mark.parametrize("seed", [5, 31])
+def test_solve_reaches_the_state_of_march_then_newton(params, seed):
+    # an n = 256 slice of the sweep: where both exit 0, the Newton-first
+    # pipeline ends on the state of the march followed by Newton
+    p = ModelParams(**{"alpha": 100.0, "beta": 100.0, **params})
+    g = Grid(256)
+    for amplitude in (1e-3, 0.1, 0.9):
+        u0, v0 = cli._seeded_fields(p, g, seed, amplitude)
+        st = _solved(steady.solve, p, u0, v0, 0.1, 20.0, 1e-11)
+        ref = _solved(steady.march_then_newton, p, u0, v0, 0.1, 20.0, 1e-11)
+        if st is None or ref is None:
+            continue
+        scale = max(ref.u_max, ref.v_max)
+        assert np.max(np.abs(st.u.values - ref.u.values)) <= 1e-8 * scale
+        assert np.max(np.abs(st.v.values - ref.v.values)) <= 1e-8 * scale
+        assert st.march_steps == (0 if params is PW else ref.march_steps)
 
 
 # a rate ratio r = alpha/beta > 1 for which 1/(1/r) rounds below r
