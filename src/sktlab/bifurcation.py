@@ -115,21 +115,6 @@ def detect_crossing(lp: LimitParams, j: int, g: Grid) -> BifurcationPoint:
     return BifurcationPoint(j=j, lambda_j=lam_h, delta_j=root, phi_j=phi)
 
 
-def _branch_newton(lp: LimitParams, w, tau, d1, phi, s_target, g,
-                   tol=1e-11, fold=1):
-    """Corrector of the amplitude-parametrized branch: limits._is_corrector
-    with d1 as an unknown and the phase row fixing the Phi_j-amplitude of
-    w - w*(d1) at s_target, in at most 30 iterations.  Trials with tau <
-    1e-10 or d1 <= 0 are halved; TauCollapse is raised if no step stays
-    admissible.  fold = k: w and phi are the first n/k cells of g, k mirror
-    images of which tile it.
-    """
-    x, _, _, it, _, _ = _is_corrector(lp, np.concatenate((w, [tau, d1])), g.h, tol,
-                                      30, "branch corrector", phase=(phi, s_target),
-                                      fold=fold)
-    return x[:-2], float(x[-2]), float(x[-1]), it
-
-
 _PREDICTOR_NODES = 5     # points the branch predictor extrapolates through
 
 
@@ -152,8 +137,10 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
 
     The predictor is linear at the first step (constant state plus s times
     the eigenfunction), then extrapolates (w, tau, d1) in s through the
-    side's last _PREDICTOR_NODES points, s = 0 among them.  The amplitude
-    step adapts to the corrector's iteration count.  A side ends short of
+    side's last _PREDICTOR_NODES points, s = 0 among them.  The corrector,
+    limits._is_corrector with d1 and the phase row at s in at most 30
+    iterations, works on that (w, tau, d1) vector, and the amplitude step
+    adapts to its iteration count.  A side ends short of
     s_max at its last corrected point where the corrector fails with the
     step below 1e-6*ds ("corrector", which sets truncated) or the predictor
     leaves d1 > 0 / tau > 0 ("predictor"); end_reason is the first such end
@@ -191,19 +178,20 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
                 ends.append("predictor")
                 break
             try:
-                w, tau, d1, iters = _branch_newton(
-                    lp, pred[:-2], pred[-2], pred[-1], phi, s_next, g, tol=tol, fold=k)
+                x, _, _, iters, _, _ = _is_corrector(
+                    lp, pred, g.h, tol, 30, "branch corrector", phase=(phi, s_next), fold=k)
             except (NoConvergence, TauCollapse):
                 step *= 0.5
                 if step < 1e-6 * ds:
                     ends.append("corrector")
                     break
                 continue
+            w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
             arclen += math.sqrt(k * g.h * float(np.sum((w - prev[:-2]) ** 2))
                                 + (tau - prev[-2]) ** 2 + (d1 - prev[-1]) ** 2)
             pts.append(BranchPoint(s=s_next, d1=d1, tau=tau, w=unfold(w),
                                    arclength=arclen, newton_iters=iters))
-            hist.append((s_next, np.concatenate((w, [tau, d1]))))
+            hist.append((s_next, x))
             if iters <= 3:
                 step = min(step * 1.5, 10.0 * ds)
             elif iters >= 7:

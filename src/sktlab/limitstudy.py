@@ -3,7 +3,8 @@
 Solves the full system along a schedule of growing rate pairs with warm
 starts, tracks the transformed fields w_n, z_n, estimates the limiting
 density product from the mean of z_n, and classifies the run as incomplete
-or complete segregation.  Each step is solved in the regular form of
+or complete segregation.  The seed, solved at the first rate pair by the
+caller, is step 0; each later step is solved once, in the regular form of
 limits._eps_newton; a state that form cannot hold, or a failed solve, falls
 back to the (u, v) Newton, and the report counts those steps.  The matched
 limiting-system solve quantifies how well the final member of the sequence
@@ -45,7 +46,7 @@ class LimitRunReport:
     final_w: GridFn
     tau_star: float
     complete_tol: float
-    fallback_steps: int = 0        # schedule steps the (u, v) Newton solved
+    fallback_steps: int = 0        # solved steps the (u, v) Newton took
 
 
 def geometric_schedule(alpha0: float, gamma: float, n_steps: int,
@@ -74,7 +75,10 @@ def geometric_schedule(alpha0: float, gamma: float, n_steps: int,
 def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
                  gamma_target: float, newton_tol: float = 1e-11) -> LimitRunReport:
     """Warm-start continuation in the rates along a strictly increasing
-    schedule; per step computes (w_n, z_n) and the segregation diagnostics.
+    schedule from seed_state, which must already be solved at the first
+    pair (else ValueError) and is reported as step 0; each later pair is
+    solved once.  Per step computes (w_n, z_n) and the segregation
+    diagnostics; w_drift is sup|w_k - w_(k-1)|, NaN at step 0.
 
     Classification at the final step: Complete if the mean of z fell below
     complete_tol = 1e-3 * tau* and w changes sign; Incomplete if it
@@ -86,27 +90,25 @@ def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
     for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
         if not (a1 > a0 and b1 > b0):
             raise ValueError("schedule must be strictly increasing in both rates")
+    if seed_state.params != base.with_rates(*pairs[0]):
+        raise ValueError("the seed state must be solved at the first rate pair")
     cs = constant_state(base)
     complete_tol = 1e-3 * cs.tau_star
 
-    state = seed_state
-    p0 = base.with_rates(*pairs[0])
-    w_prev = limits.w_z_from_uv(p0, state.u, state.v)[0].values
-    records = []
-    fallback_steps = 0
-    w = z = None
+    state, records, fallback_steps, w_prev = seed_state, [], 0, None
     for k, (alpha, beta) in enumerate(pairs):
-        p = base.with_rates(alpha, beta)
-        try:
-            state, fell_back = _solve_step(p, state, newton_tol)
-        except NoConvergence as exc:
-            raise NoConvergence(f"schedule step {k} (alpha={alpha:g}, beta={beta:g}): {exc}",
-                                residual=exc.residual, iterations=exc.iterations) from exc
-        fallback_steps += fell_back
-        w, z = limits.w_z_from_uv(p, state.u, state.v)
+        if k:
+            try:
+                state, fell_back = _solve_step(base.with_rates(alpha, beta), state, newton_tol)
+            except NoConvergence as exc:
+                raise NoConvergence(f"schedule step {k} (alpha={alpha:g}, "
+                                    f"beta={beta:g}): {exc}", residual=exc.residual,
+                                    iterations=exc.iterations) from exc
+            fallback_steps += fell_back
+        w, z = limits.w_z_from_uv(state.params, state.u, state.v)
         tau_hat = integrate(z) / w.grid.length
         uv_defect = float(np.max(np.abs(state.u.values * state.v.values - tau_hat)))
-        drift = float(np.max(np.abs(w.values - w_prev)))
+        drift = math.nan if w_prev is None else float(np.max(np.abs(w.values - w_prev)))
         records.append(StepRecord(alpha=alpha, beta=beta, gamma=alpha / beta,
                                   tau_hat=tau_hat, uv_defect=uv_defect,
                                   w_drift=drift, residual_inf=state.residual_inf))

@@ -146,9 +146,16 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
                          rnorm, floor, it, history)
 
 
-def _blowup_cap(p: ModelParams) -> float:
+def _blowup_cap(p: ModelParams, start: float) -> tuple[float, str]:
+    """The march's cap on |u| and |v| and BlowUp's name for it: 10x the
+    level-set certificate where one applies, else max(1e8, 10x the largest
+    of a1/b1, a2/c2 and start, the largest entry of the start).  The latter
+    is proven at alpha = beta = 0: there each Patankar step keeps max u at
+    most max(the previous max u, a1/b1), and likewise v with a2/c2."""
     cert = _levelset_certificate(p)
-    return 1e8 if cert is None else 10.0 * max(cert.u_bound, cert.v_bound)
+    if cert is None:
+        return max(1e8, 10.0 * max(p.a1 / p.b1, p.a2 / p.c2, start)), "the march cap"
+    return 10.0 * max(cert.u_bound, cert.v_bound), "10x the certificate cap"
 
 
 def _step_count(dt: float, t_end: float) -> int:
@@ -188,7 +195,7 @@ def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
     d, rate, own, other, growth = np.array(
         [[p.d1, p.alpha, p.b1, p.c1, 1.0 + dt * p.a1],
          [p.d2, p.beta, p.c2, p.b2, 1.0 + dt * p.a2]]).T[:, :, None]
-    cap = _blowup_cap(p)
+    cap, cap_name = _blowup_cap(p, float(np.max(np.abs(x))))
     # an overflow reaches solve_tridiag as NonFiniteSystem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         start = _stop_norm(p, x[0], x[1], h)[0]
@@ -206,7 +213,7 @@ def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
             x = solve_tridiag(ab, x.ravel(), overwrite_rhs=True).reshape(2, n)
             if k % 16 == 0 or k == steps - 1:
                 if float(np.max(np.abs(x))) > cap:
-                    raise BlowUp(f"state exceeded 10x the certificate cap {cap:g}")
+                    raise BlowUp(f"state exceeded {cap_name} {cap:g}")
                 norm, floor, _ = _stop_norm(p, x[0], x[1], h)
                 if norm <= max(tol, floor) and norm <= 1e-6 * start:
                     steps = k + 1

@@ -19,16 +19,17 @@ from collections import deque
 import numpy as np
 import pytest
 
-from sktlab import bifurcation
+from sktlab import bifurcation, limits
 from sktlab.bifurcation import (_PREDICTOR_NODES, Branch, BranchPoint,
-                                _branch_newton, _extrapolation_weights,
-                                detect_crossing, switch_and_continue, w_star)
+                                _extrapolation_weights, detect_crossing,
+                                switch_and_continue, w_star)
 from sktlab.errors import NoConvergence, TauCollapse
 from sktlab.grid import Grid, GridFn
 from sktlab.limits import LimitParams
 from sktlab.model import constant_state
 
 from conftest import P1
+from test_newton_reference import _branch_corrector
 
 
 def _ref_switch_and_continue(lp, bp, s_max, ds, tol=1e-11):
@@ -63,14 +64,15 @@ def _ref_switch_and_continue(lp, bp, s_max, ds, tol=1e-11):
                 raise NoConvergence("branch predictor left d1 > 0 / tau > 0 "
                                     f"at s = {s_next:.6g}")
             try:
-                w, tau, d1, iters = _branch_newton(
-                    lp, w_pred.copy(), tau_pred, d1_pred, phi, s_next, g, tol=tol)
+                x, iters = _branch_corrector(lp, np.concatenate((w_pred, [tau_pred, d1_pred])),
+                                             phi, s_next, g, tol=tol)
             except (NoConvergence, TauCollapse):
                 step *= 0.5
                 if step < 1e-6 * ds:
                     truncated = True
                     break
                 continue
+            w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
             dl = math.sqrt(g.h * float(np.sum((w - prev[0]) ** 2))
                            + (tau - prev[1]) ** 2 + (d1 - prev[2]) ** 2)
             arclen += dl
@@ -118,14 +120,14 @@ def _ref_two_sided(lp, bp, s_max, ds, tol=1e-11):
                 raise NoConvergence("branch predictor left d1 > 0 / tau > 0 "
                                     f"at s = {s_next:.6g}")
             try:
-                w, tau, d1, iters = _branch_newton(
-                    lp, pred[:-2], pred[-2], pred[-1], phi, s_next, g, tol=tol)
+                x, iters = _branch_corrector(lp, pred, phi, s_next, g, tol=tol)
             except (NoConvergence, TauCollapse):
                 step *= 0.5
                 if step < 1e-6 * ds:
                     truncated = True
                     break
                 continue
+            w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
             arclen += math.sqrt(g.h * float(np.sum((w - prev[:-2]) ** 2))
                                 + (tau - prev[-2]) ** 2 + (d1 - prev[-1]) ** 2)
             pts.append(BranchPoint(s=s_next, d1=d1, tau=tau, w=GridFn(g, w),
@@ -226,16 +228,36 @@ def test_folded_branch_matches_the_two_sided_loop(params, mode, n, s_max, ds,
 @pytest.mark.parametrize("params, mode, n, s_max, ds, fold, mirrored", FOLDS)
 def test_corrector_runs_only_on_the_sides_no_symmetry_supplies(
         params, mode, n, s_max, ds, fold, mirrored, monkeypatch):
-    targets = []
+    # one _is_corrector call per attempted point, on the reduced (w, tau, d1)
+    # vector, at the targets of the two-sided loop where no reflection
+    # supplies the point; each traced point keeps its call's iterations
+    calls, ref_targets = [], []
+    is_corrector = limits._is_corrector
 
-    def spy(lp, w, tau, d1, phi, s_target, g, **kwargs):
-        targets.append(s_target)
-        assert w.size == phi.size == n // fold and kwargs["fold"] == fold
-        return _branch_newton(lp, w, tau, d1, phi, s_target, g, **kwargs)
+    def recorder(into):
+        def spy(lp, x, h, tol, max_iter, what, phase, fold):
+            try:
+                x_new, data, rnorm, it, history, floor = is_corrector(
+                    lp, x, h, tol, max_iter, what, phase=phase, fold=fold)
+            except (NoConvergence, TauCollapse):
+                into.append((phase[1], x.size, fold, None))
+                raise
+            into.append((phase[1], x.size, fold, it))
+            return x_new, data, rnorm, it, history, floor
+        return spy
 
     lp = LimitParams(gamma=1.0, **params)
     bp = detect_crossing(lp, mode, Grid(n))
-    monkeypatch.setattr(bifurcation, "_branch_newton", spy)
-    switch_and_continue(lp, bp, s_max=s_max, ds=ds)
+    monkeypatch.setattr(bifurcation, "_is_corrector", recorder(calls))
+    monkeypatch.setattr(limits, "_is_corrector", recorder(ref_targets))
+    branch = switch_and_continue(lp, bp, s_max=s_max, ds=ds)
+    _ref_two_sided(lp, bp, s_max=s_max, ds=ds)
+    assert all((size, k) == (n // fold + 2, fold) for _, size, k, _ in calls)
+    targets = [s for s, _, _, _ in calls]
+    assert targets == [s for s, _, _, _ in ref_targets if s > 0.0 or not mirrored]
     assert any(s > 0.0 for s in targets)
     assert any(s < 0.0 for s in targets) != mirrored
+    zero = next(i for i, pt in enumerate(branch.points) if pt.s == 0.0)
+    traced = branch.points[zero + 1:] + (() if mirrored else branch.points[:zero][::-1])
+    assert [(s, it) for s, _, _, it in calls if it is not None] == \
+        [(pt.s, pt.newton_iters) for pt in traced]

@@ -406,7 +406,8 @@ def test_a_march_above_the_step_ceiling_is_config_error(command, lines, dt, tmp_
 def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch):
     # P1 from a large seed amplitude: the seed polish leaves the nonnegative
     # cone, the march reaches the exclusion state u = a1/b1, v = 0, and each
-    # schedule step, with u*v = 0, is solved by the direct Newton
+    # schedule step after that seed, with u*v = 0, is solved by the direct
+    # Newton
     calls = []
     newton_solve = steady.newton_solve
 
@@ -430,8 +431,8 @@ def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch)
     assert calls[:2] == [("_cmd_limit_study", "NegativeState"),
                          ("march_then_newton", "ok")]
     steps = parse_config("")["run.steps"]
-    assert calls[2:] == [("_solve_step", "ok")] * steps
-    assert meta["fallback_steps"] == str(steps)
+    assert calls[2:] == [("_solve_step", "ok")] * (steps - 1)
+    assert meta["fallback_steps"] == str(steps - 1)
 
 
 def test_bifurcate_threshold_far_from_the_continuum_one(tmp_path):

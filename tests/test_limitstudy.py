@@ -1,11 +1,13 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sktlab import bifurcation, bounds, limits, limitstudy, steady
-from sktlab.errors import ValidationError
-from sktlab.grid import Grid, GridFn, laplacian_values
+from sktlab.cli import main
+from sktlab.errors import NoConvergence, ValidationError
+from sktlab.grid import Grid, GridFn, integrate, laplacian_values
 from sktlab.limits import LimitParams, uv_from_w_tau
 from sktlab.limitstudy import geometric_schedule, match_limit, run_sequence
 from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
@@ -49,6 +51,52 @@ def test_schedule_validation(grid64, p1):
         run_sequence(base, [], st, gamma_target=1.0)
     with pytest.raises(ValueError):
         run_sequence(base, [(10.0, 10.0), (5.0, 20.0)], st, gamma_target=1.0)
+
+
+def test_the_seed_is_step_0_and_each_later_pair_is_solved_once(monkeypatch):
+    # the seed is already solved at the first pair: step 0 reports it as
+    # it is, and only the N - 1 later pairs are solved
+    base, seed = _branch_seed(64)
+    sched = geometric_schedule(1e2, 1.0, 4)
+    solved, solve_step = [], limitstudy._solve_step
+
+    def spy(p, state, tol):
+        solved.append((p.alpha, p.beta))
+        return solve_step(p, state, tol)
+
+    monkeypatch.setattr(limitstudy, "_solve_step", spy)
+    rep = run_sequence(base, sched, seed, gamma_target=1.0)
+    assert solved == sched[1:] and len(rep.steps) == len(sched)
+    _, z = limits.w_z_from_uv(seed.params, seed.u, seed.v)
+    tau_hat = integrate(z) / z.grid.length
+    first = rep.steps[0]
+    assert (first.alpha, first.beta) == sched[0]
+    assert first.tau_hat == tau_hat and first.residual_inf == seed.residual_inf
+    assert first.uv_defect == float(np.max(np.abs(seed.u.values * seed.v.values - tau_hat)))
+    assert math.isnan(first.w_drift)
+    assert all(0.0 < r.w_drift < math.inf for r in rep.steps[1:])
+    with pytest.raises(ValueError, match="first rate pair"):
+        run_sequence(base, sched[1:], seed, gamma_target=1.0)
+    with pytest.raises(ValueError, match="first rate pair"):
+        run_sequence(replace(base, a1=base.a1 * 2), sched, seed, gamma_target=1.0)
+
+
+def test_a_failing_step_names_its_schedule_step(grid64, p1, monkeypatch, tmp_path, capsys):
+    def fail(*args):
+        raise NoConvergence("x", residual=1.0, iterations=3)
+
+    monkeypatch.setattr(limitstudy, "_solve_step", fail)
+    sched = geometric_schedule(10.0, 1.0, 3)
+    with pytest.raises(NoConvergence) as info:
+        run_sequence(p1, sched, _seed(p1.with_rates(*sched[0]), grid64), gamma_target=1.0)
+    assert str(info.value) == "schedule step 1 (alpha=100, beta=100): x"
+    assert (info.value.residual, info.value.iterations) == (1.0, 3)
+    cfg = tmp_path / "ls.cfg"
+    cfg.write_text("grid.n_cells = 64\n")
+    out = tmp_path / "out"
+    assert main(["limit-study", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: schedule step 1 (alpha=") and err.count("\n") == 1
 
 
 def test_strong_regime_sequence_incomplete(grid64, p1):

@@ -47,7 +47,7 @@ def _ref_march(p, u0, v0, dt, t_end):
     h = g.h
     u = u0.values.copy()
     v = v0.values.copy()
-    cap = steady._blowup_cap(p)
+    cap, _ = steady._blowup_cap(p, max(float(np.max(np.abs(u))), float(np.max(np.abs(v)))))
     steps = max(1, int(round(t_end / dt)))
     # an overflow reaches solve_tridiag as NonFiniteSystem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -18,7 +18,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from sktlab import limits
-from sktlab.bifurcation import _branch_newton, detect_crossing, w_star
+from sktlab.bifurcation import detect_crossing, w_star
 from sktlab.errors import NoConvergence, TauCollapse
 from sktlab.grid import Grid, GridFn, laplacian_values, neumann_eigenpair
 from sktlab.limits import is_newton
@@ -61,7 +61,7 @@ def _ref_solve_bordered(ab, cols, rows, corner, rhs_top, rhs_bot):
     return X[:, 0] - X[:, 1:] @ y, y
 
 
-def _ref_branch_newton(lp, w, tau, d1, phi, s_target, g, tol=1e-11, max_iter=30):
+def _ref_branch_newton(lp, x0, phi, s_target, g, tol=1e-11, max_iter=30):
     h = g.h
     cs = constant_state(lp)
     lap = lap_band(g.n_cells, h)
@@ -100,9 +100,17 @@ def _ref_branch_newton(lp, w, tau, d1, phi, s_target, g, tol=1e-11, max_iter=30)
         if x[-2] <= 1e-12 or x[-1] <= 0.0:
             return TauCollapse("branch iterate left the admissible cone", tau=x[-2])
 
-    x, _, _, it, _, _ = _damped_newton(residual, step, np.concatenate((w, [tau, d1])),
-                                       tol, max_iter, "branch corrector", feasible)
-    return x[:-2], float(x[-2]), float(x[-1]), it
+    x, _, _, it, _, _ = _damped_newton(residual, step, x0, tol, max_iter,
+                                       "branch corrector", feasible)
+    return x, it
+
+
+def _branch_corrector(lp, x0, phi, s_target, g, tol=1e-11, fold=1):
+    """The branch corrector as switch_and_continue calls it, from x0 = (w,
+    tau, d1): (x, iterations)."""
+    x, _, _, it, _, _ = limits._is_corrector(lp, x0, g.h, tol, 30, "branch corrector",
+                                             phase=(phi, s_target), fold=fold)
+    return x, it
 
 
 def _ref_is_newton(lp, w0, tau0, tol=1e-11, max_iter=40):
@@ -162,8 +170,8 @@ def test_branch_newton_bit_equal_to_reference(p1_limit, mode, n):
     iters = []
     # the linear predictor of the first continuation step, near and far
     for s in (0.005, 0.05, 0.2, 0.45):
-        args = (p1_limit, w_base + s * phi, tau0, bp.delta_j, phi, s, g)
-        new = _outcome(lambda: _branch_newton(*args))
+        args = (p1_limit, np.concatenate((w_base + s * phi, [tau0, bp.delta_j])), phi, s, g)
+        new = _outcome(lambda: _branch_corrector(*args))
         ref = _outcome(lambda: _ref_branch_newton(*args))
         _assert_bit_equal(new, ref)
         if isinstance(new[-1], int):
@@ -224,13 +232,14 @@ def test_branch_newton_halves_an_infeasible_trial(p1_limit, monkeypatch, s, n):
     bp = detect_crossing(p1_limit, 2, g)
     phi = bp.phi_j.values
     tau0 = constant_state(p1_limit).tau_star
-    args = (p1_limit, np.full(n, w_star(p1_limit, bp.delta_j)) + s * phi, tau0,
-            bp.delta_j, phi, s, g)
+    args = (p1_limit, np.concatenate((np.full(n, w_star(p1_limit, bp.delta_j)) + s * phi,
+                                      [tau0, bp.delta_j])), phi, s, g)
     ref = _ref_branch_newton(*args)
     monkeypatch.setattr(limits, "_damped_newton", spy)
-    new = _branch_newton(*args)
+    new = _branch_corrector(*args)
     _assert_bit_equal(new, ref)
-    assert new[-1] == 7 and new[2] > 0.0
+    x, it = new
+    assert it == 7 and x[-1] > 0.0
     assert rejected and all(isinstance(err, TauCollapse) for err in rejected)
     if (s, n) == (0.48, 64):
-        assert new[2] == 0.0008770066516938191
+        assert x[-1] == 0.0008770066516938191

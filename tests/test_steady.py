@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sktlab import cli, steady
-from sktlab.errors import BlowUp, NoConvergence, SktlabError
+from sktlab.errors import BlowUp, NegativeState, NoConvergence, SktlabError
 from sktlab.grid import Grid, GridFn, integrate
 from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
 
@@ -135,7 +135,7 @@ def test_time_march_positive_for_any_dt(grid64, params, dt, t_end):
 
 
 def test_time_march_blowup_check(grid64, pw, monkeypatch):
-    monkeypatch.setattr(steady, "_blowup_cap", lambda p: 1e-3)
+    monkeypatch.setattr(steady, "_blowup_cap", lambda p, start: (1e-3, "the cap"))
     u0 = GridFn(grid64, np.full(64, 0.5))
     with pytest.raises(BlowUp):
         steady.time_march(pw.with_rates(5.0, 5.0), u0, u0, dt=0.1, t_end=1.0, tol=1e-11)
@@ -201,6 +201,41 @@ def test_cli_solve_near_the_unstable_state_keeps_the_full_march(tmp_path):
     assert np.max(u) < 1e-8
     assert np.max(np.abs(v - 30.0)) < 1e-8
     assert _solve_metadata(tmp_path)["march_steps"] == "200"
+
+
+def test_cli_solve_at_zero_rates_is_capped_by_the_kinetics(tmp_path):
+    # P1's kinetics scaled by 1e9 at alpha = beta = 0: no certificate
+    # applies, and the march's maximum principle keeps u <= a1/b1 = 5e10
+    # and v <= a2/c2 = 3e10, below its cap of 10x that but above 1e8
+    u, v = _cli_solve(tmp_path, {"model.alpha": 0, "model.beta": 0,
+                                 "model.a1": 5e9, "model.a2": 3e9})
+    assert _solve_metadata(tmp_path)["certificate_ok"] == "None"
+    assert np.max(u) <= 5e10 * (1 + 1e-14) and np.max(v) <= 3e10 * (1 + 1e-14)
+    assert np.max(u) > 1e8
+
+
+def test_cli_solve_without_a_certificate_reports_none(tmp_path):
+    # alpha = 0: the level-set certificate needs both rates positive
+    _cli_solve(tmp_path, {"model.alpha": 0})
+    assert _solve_metadata(tmp_path)["certificate_ok"] == "None"
+
+
+def test_a_failed_newton_falls_back_to_the_march():
+    # weak competition whose constant state is stable in every mode; Newton
+    # from the amplitude-3 seed leaves the nonnegative cone, so solve
+    # marches the full 200 steps and polishes onto (u*, v*)
+    p = ModelParams(a1=0.30480044989138183, a2=2.7159879106745946, b1=0.8656383428185848,
+                    b2=0.3055356700727753, c1=0.29982191726302143, c2=5.276829007736922,
+                    d1=0.04219248327986911, d2=0.012093964722795903, alpha=10.0, beta=10.0)
+    g = Grid(256)
+    cs = constant_state(p)
+    u0, v0 = cli._seeded_fields(p, g, 5, 3.0)
+    with pytest.raises(NegativeState):
+        steady.newton_solve(p, u0, v0, tol=1e-11)
+    st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    assert st.constant_rate < 0.0 and st.march_steps == 200
+    assert np.max(np.abs(st.u.values - cs.u_star)) <= 1e-8 * cs.u_star
+    assert np.max(np.abs(st.v.values - cs.v_star)) <= 1e-8 * cs.v_star
 
 
 # weak competition with a cross-diffusion instability in mode 1: the
