@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
-from .errors import (AssemblyError, BandError, BlowUp, CheckFailed,
-                     DegenerateError, DomainError, NegativeState, NoBracket,
-                     NoConvergence, NonFiniteSystem, NoThreshold, ParseError,
-                     RegimeError, SktlabError, TauCollapse, ValidationError)
+from .errors import (AssemblyError, BandError, CheckFailed, DegenerateError,
+                     DomainError, NegativeState, NoBracket, NoConvergence,
+                     NonFiniteSystem, NoThreshold, ParseError, RegimeError,
+                     SktlabError, TauCollapse, ValidationError)
 from .grid import (MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair,
                    neumann_laplacian)
 from .limits import LimitParams
@@ -80,7 +80,7 @@ _EXITS = {
      BandError): (4, "not applicable"),
     (NoConvergence, NegativeState): (2, "no convergence"),
     (TauCollapse,): (2, "no convergence: tau collapse"),
-    (AssemblyError, BlowUp): (2, "no solution built"),
+    (AssemblyError,): (2, "no solution built"),
     (CheckFailed,): (2, "selftest failed"),
     (np.linalg.LinAlgError,): (2, "no convergence: singular linear system"),
     (NonFiniteSystem,): (2, "no convergence: non-finite linear system"),

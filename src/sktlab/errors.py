@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types of the package: each is raised, and cli._EXITS gives its exit code."""
 
 
 class SktlabError(Exception):
@@ -36,10 +36,6 @@ class NegativeState(SktlabError):
 
 class NonFiniteSystem(SktlabError, ValueError):
     """A linear system reached the solver with an infinite or NaN entry."""
-
-
-class BlowUp(SktlabError):
-    """Time marching exceeded ten times the a priori bound certificate."""
 
 
 class TauCollapse(SktlabError):

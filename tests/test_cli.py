@@ -11,8 +11,7 @@ import sktlab
 from sktlab import cli, errors, limits, steady, twolobe
 from sktlab.bifurcation import w_star
 from sktlab.cli import main, parse_config
-from sktlab.errors import (AssemblyError, BlowUp, NegativeState, ParseError,
-                           ValidationError)
+from sktlab.errors import AssemblyError, NegativeState, ParseError, ValidationError
 from sktlab.grid import Grid, GridFn, neumann_eigenpair
 from sktlab.linalg import residual_floor
 from sktlab.model import constant_state
@@ -88,16 +87,6 @@ def test_exit_code_negative_state(tmp_path, monkeypatch):
     monkeypatch.setattr(steady, "newton_solve", negative)
     assert main(["solve", "--grid", "16", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "state.csv").exists()
-
-
-def test_exit_code_blow_up(tmp_path, monkeypatch, capsys):
-    def blow_up(*args, **kwargs):
-        raise BlowUp("state exceeded 10x the certificate cap")
-
-    monkeypatch.setattr(steady, "time_march", blow_up)
-    assert main(["solve", "--grid", "16", "--out", str(tmp_path)]) == 2
-    assert "no solution built: state exceeded" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
 
 
 def test_dhmp_assembly_error_writes_no_partial_output(tmp_path, monkeypatch):

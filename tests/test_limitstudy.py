@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sktlab import bifurcation, bounds, limits, limitstudy, steady
+from sktlab import bifurcation, bounds, limits, limitstudy, steady, twolobe
 from sktlab.cli import main
 from sktlab.errors import NoConvergence, ValidationError
 from sktlab.grid import Grid, GridFn, integrate, laplacian_values
@@ -160,6 +160,24 @@ def test_match_limit_rejects_undetermined(grid64, p1):
         complete_tol=rep.complete_tol)
     with pytest.raises(ValueError):
         match_limit(rep2)
+
+
+def test_a_segregated_seed_is_complete_and_matches_its_limit():
+    # the fg two-lobe pattern of dhmp at d1 = d2 = 0.01, read back as the
+    # tau = 0 densities u = w_+/d1, v = w_-/(gamma d2) at rates 1e3: its
+    # mean product lies far below 1e-3 tau* and w changes sign, and the
+    # matched complete-segregation solve stays within 1e-4 of w
+    base = ModelParams(**{**P1, "d1": 0.01, "d2": 0.01})
+    lp = LimitParams.from_model(base, gamma=1.0)
+    g = Grid(256)
+    w = twolobe.assemble(twolobe.solve_unit(lp, 1), lp, "fg", g).w
+    u, v = limits.CSState(w).densities(lp)
+    seed = steady._steady_state(base.with_rates(1e3, 1e3), g, u.values, v.values,
+                                np.nan, np.nan, 0, ())
+    rep = run_sequence(base, [(1e3, 1e3)], seed, gamma_target=1.0)
+    assert rep.classification == "Complete"
+    assert rep.steps[-1].tau_hat < 1e-2 * rep.complete_tol
+    assert match_limit(rep) < 1e-4
 
 
 def test_segregation_diagnostics(grid64, p1):

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from sktlab import cli, steady
-from sktlab.errors import BlowUp
 from sktlab.grid import Grid, GridFn
 from sktlab.linalg import lap_band, solve_tridiag
 from sktlab.model import ModelParams, constant_state
@@ -47,11 +46,10 @@ def _ref_march(p, u0, v0, dt, t_end):
     h = g.h
     u = u0.values.copy()
     v = v0.values.copy()
-    cap, _ = steady._blowup_cap(p, max(float(np.max(np.abs(u))), float(np.max(np.abs(v)))))
     steps = max(1, int(round(t_end / dt)))
     # an overflow reaches solve_tridiag as NonFiniteSystem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(steps):
+        for _ in range(steps):
             ab_u = _ref_lap_band(g.n_cells, h, -dt * (p.d1 + p.alpha * v),
                                  1.0 + dt * (p.b1 * u + p.c1 * v))
             ab_v = _ref_lap_band(g.n_cells, h, -dt * (p.d2 + p.beta * u),
@@ -60,9 +58,6 @@ def _ref_march(p, u0, v0, dt, t_end):
             rhs_v = (1.0 + dt * p.a2) * v
             u = solve_tridiag(ab_u, rhs_u)
             v = solve_tridiag(ab_v, rhs_v)
-            if k % 16 == 0 or k == steps - 1:
-                if max(float(np.max(np.abs(u))), float(np.max(np.abs(v)))) > cap:
-                    raise BlowUp(f"state exceeded 10x the certificate cap {cap:g}")
     return GridFn(g, u), GridFn(g, v)
 
 

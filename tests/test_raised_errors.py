@@ -1,0 +1,71 @@
+"""Every package error is raised by the program.
+
+An AST scan over `src/sktlab`: each class of `errors.py` that derives,
+directly or through another of its classes, from `SktlabError` must be
+constructed in a `raise` or a `return` statement (`raise X(...)`,
+`raise err or X(...)`, `return X(...)`) in some other module of the
+package.  A class named only in an import, an `except` clause or the exit
+table `cli._EXITS` fails, so an error whose last raise is deleted does not
+linger with an exit code of its own.  Raises in tests do not count.
+"""
+
+import ast
+import pathlib
+
+import sktlab
+
+MODULES = sorted(pathlib.Path(sktlab.__file__).parent.glob("*.py"))
+
+
+def _error_classes(tree) -> list[str]:
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    errors = {"SktlabError"}
+    while True:
+        more = {name for name, parents in bases.items() if parents & errors} - errors
+        if not more:
+            return sorted(errors - {"SktlabError"})
+        errors |= more
+
+
+def _constructed(tree) -> set[str]:
+    """Names called anywhere in the value of a raise or return statement."""
+    values = [node.exc if isinstance(node, ast.Raise) else node.value
+              for node in ast.walk(tree) if isinstance(node, (ast.Raise, ast.Return))]
+    return {sub.func.id if isinstance(sub.func, ast.Name) else getattr(sub.func, "attr", "")
+            for value in values if value is not None
+            for sub in ast.walk(value) if isinstance(sub, ast.Call)}
+
+
+def _never_raised(errors_text: str, package: dict[str, str]) -> list[str]:
+    raised = set().union(*(_constructed(ast.parse(text, filename=name))
+                           for name, text in package.items()))
+    return [name for name in _error_classes(ast.parse(errors_text)) if name not in raised]
+
+
+def test_every_package_error_is_raised():
+    package = {p.name: p.read_text(encoding="utf-8") for p in MODULES
+               if p.name != "errors.py"}
+    errors_text = (pathlib.Path(sktlab.__file__).parent / "errors.py").read_text(
+        encoding="utf-8")
+    assert len(_error_classes(ast.parse(errors_text))) >= 10
+    assert _never_raised(errors_text, package) == []
+
+
+def test_scan_flags_an_error_that_is_only_mapped_and_caught():
+    errors_text = ("class SktlabError(Exception):\n    pass\n\n"
+                   "class Raised(SktlabError):\n    pass\n\n"
+                   "class Returned(SktlabError):\n    pass\n\n"
+                   "class Chained(Raised):\n    pass\n\n"
+                   "class Mapped(SktlabError):\n    pass\n\n"
+                   "class Other(Exception):\n    pass\n")
+    package = {
+        "a.py": ("from errors import Chained, Mapped, Raised, Returned\n\n"
+                 "def f(x):\n    if x:\n        raise Raised('no')\n"
+                 "    return Returned('no')\n\n"
+                 "def g(err):\n    raise err or Chained('no')\n"),
+        "cli.py": ("import errors\n\n_EXITS = {(errors.Mapped,): (2, 'x')}\n\n"
+                   "def main():\n    try:\n        pass\n"
+                   "    except errors.Mapped as exc:\n        return str(exc)\n"),
+    }
+    assert _never_raised(errors_text, package) == ["Mapped"]
