@@ -9,18 +9,15 @@ explicit construction of sign-changing complete-segregation solutions.
 
 __version__ = "0.1.0"
 
-from .errors import (AssemblyError, BandError, CheckFailed, DegenerateError,
-                     DomainError, NegativeState, NoBracket, NoConvergence,
-                     NonFiniteSystem, NoThreshold, ParseError, RegimeError,
-                     SktlabError, TauCollapse, ValidationError)
+from .errors import (AssemblyError, CheckFailed, NoConvergence, NonFiniteSystem,
+                     NotApplicable, SktlabError, TauCollapse, ValidationError)
 from .grid import Grid, GridFn
 from .limits import CSState, ISState, LimitParams
 from .model import CompetitionRegime, ConstantState, ModelParams
 
 __all__ = [
-    "AssemblyError", "BandError", "CheckFailed", "CompetitionRegime", "ConstantState",
-    "CSState", "DegenerateError", "DomainError", "Grid", "GridFn", "ISState",
-    "LimitParams", "ModelParams", "NegativeState", "NoBracket", "NoConvergence",
-    "NonFiniteSystem", "NoThreshold", "ParseError", "RegimeError", "SktlabError",
-    "TauCollapse", "ValidationError", "__version__",
+    "AssemblyError", "CheckFailed", "CompetitionRegime", "ConstantState", "CSState",
+    "Grid", "GridFn", "ISState", "LimitParams", "ModelParams", "NoConvergence",
+    "NonFiniteSystem", "NotApplicable", "SktlabError", "TauCollapse",
+    "ValidationError", "__version__",
 ]

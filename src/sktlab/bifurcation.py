@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NoThreshold, TauCollapse
+from .errors import NoConvergence, NotApplicable, TauCollapse
 from .grid import Grid, GridFn, discrete_eigenvalue, neumann_eigenpair
 from .limits import LimitParams, _is_corrector
 from .model import constant_state
@@ -72,20 +72,20 @@ def _threshold(lp: LimitParams, j: int, lam: float) -> float:
     """The d1 at which the potential K / (d1*u* + gamma*d2*v*), the scalar
     multiplying the identity in the linearized field operator at the
     constant state, equals the mode-j eigenvalue lam: (K/lam -
-    gamma*d2*v*)/u*.  The threshold exists iff this returns; NoThreshold is
-    raised when K <= 0, lam underflowed to 0, or the root is not a finite
+    gamma*d2*v*)/u*.  The threshold exists iff this returns; NotApplicable
+    is raised when K <= 0, lam underflowed to 0, or the root is not a finite
     positive float."""
     k = kinetic_strength(lp)
     if k <= 0.0:
-        raise NoThreshold("K <= 0: no positive threshold for any mode")
+        raise NotApplicable("K <= 0: no positive threshold for any mode")
     if not lam > 0.0:
-        raise NoThreshold(f"eigenvalue {lam!r} is not positive in floating point")
+        raise NotApplicable(f"eigenvalue {lam!r} is not positive in floating point")
     cs = constant_state(lp)
     d1 = (k / lam - lp.gamma * lp.d2 * cs.v_star) / cs.u_star
     if not math.isfinite(d1):
-        raise NoThreshold(f"threshold not finite in floating point (K = {k!r})")
+        raise NotApplicable(f"threshold not finite in floating point (K = {k!r})")
     if d1 <= 0.0:
-        raise NoThreshold(f"mode {j}: rearranged threshold is nonpositive")
+        raise NotApplicable(f"mode {j}: rearranged threshold is nonpositive")
     return d1
 
 
@@ -105,7 +105,7 @@ def detect_crossing(lp: LimitParams, j: int, g: Grid) -> BifurcationPoint:
     continuum one.  There the discrete linearized field operator, restricted
     to mean-zero fields, becomes singular in the direction of the j-th
     cosine mode (the tests check this by inverse iteration).  Raises
-    NoThreshold where _threshold does.
+    NotApplicable where _threshold does.
     """
     if j < 1:
         raise ValueError("mode index must be >= 1 (the constant mode is excluded)")

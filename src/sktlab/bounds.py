@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BandError, DomainError
+from .errors import NotApplicable
 from .model import ModelParams
 
 
@@ -34,7 +34,7 @@ def _larger_root(a, b, c):
         return math.inf
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        raise DomainError("quadratic has no real roots")
+        raise NotApplicable("quadratic has no real roots")
     sq = math.sqrt(disc)
     if b <= 0.0:
         return (-b + sq) / (2.0 * a)
@@ -76,30 +76,17 @@ def _u_of_v_raw(p: ModelParams, v: float) -> float:
 
 
 def v_tilde0(p: ModelParams) -> float:
-    """Threshold below which F(0, v) may be nonpositive.
-
-    Zero when c1/c2 < a1/a2 and alpha lies strictly between the two rate
-    values at which F(0, .) becomes tangent to zero; otherwise the larger
-    root of F(0, v) = 0.
+    """Threshold below which F(0, v) may be nonpositive: the larger root of
+    F(0, v) = 0, or 0 where it has no real root (which happens when c1/c2 <
+    a1/a2 and alpha lies strictly between the two rates at which F(0, .)
+    becomes tangent to zero).  The discriminant of _larger_root decides it.
     """
     if p.alpha <= 0.0:
-        raise DomainError("v_tilde0 needs alpha > 0")
-    gap = p.a1 * p.c2 - p.a2 * p.c1   # sign of a1/a2 - c1/c2, cross-multiplied
-    if gap > 0.0:
-        root = 2.0 * p.d2 * math.sqrt(p.a1 * p.c2 * gap)
-        mid = p.d2 * (2.0 * p.a1 * p.c2 - p.a2 * p.c1)
-        alpha_hi = (mid + root) / p.a2 / p.a2     # inf where a2^2 underflows
-        # alpha_lo = (d2 c1)^2 / (mid + root), from alpha_lo * alpha_hi =
-        # (d2 c1 / a2)^2: no cancellation in mid - root and no division by
-        # a2; squared as a product (a float ** raises on overflow) and formed
-        # only once alpha < alpha_hi has shown mid + root > 0
-        dc = p.d2 * p.c1
-        if p.alpha < alpha_hi and dc * dc / (mid + root) < p.alpha:
-            return 0.0
-    a = p.alpha * p.c2
-    b = -(p.alpha * p.a2 + p.d2 * p.c1)
-    c = p.d2 * p.a1
-    return _larger_root(a, b, c)
+        raise NotApplicable("v_tilde0 needs alpha > 0")
+    try:
+        return _larger_root(p.alpha * p.c2, -(p.alpha * p.a2 + p.d2 * p.c1), p.d2 * p.a1)
+    except NotApplicable:
+        return 0.0
 
 
 def _one_sided_bound(p: ModelParams) -> float:
@@ -107,7 +94,7 @@ def _one_sided_bound(p: ModelParams) -> float:
     v0 = v_tilde0(p)
     root = _u_of_v_raw(p, max(corner, v0))
     if math.isnan(v0) or math.isnan(root):      # max would drop it
-        raise DomainError("a level-set root is NaN in floating point")
+        raise NotApplicable("a level-set root is NaN in floating point")
     return max(p.a1 / p.b1, root)
 
 
@@ -121,12 +108,12 @@ def sup_bound(p: ModelParams, eta: float) -> BoundCertificate:
     swapped.
     """
     if not 0.0 < eta <= 1.0:
-        raise BandError("eta must lie in (0, 1]")
+        raise NotApplicable("eta must lie in (0, 1]")
     if p.beta <= 0.0 or p.alpha <= 0.0:
-        raise BandError("certificate needs alpha, beta > 0")
+        raise NotApplicable("certificate needs alpha, beta > 0")
     ratio = p.alpha / p.beta         # 0.0 where it underflows
     if not (ratio > 0.0 and eta <= min(ratio, 1.0 / ratio)):
-        raise BandError(f"alpha/beta = {ratio} outside [{eta}, {1.0 / eta}]")
+        raise NotApplicable(f"alpha/beta = {ratio} outside [{eta}, {1.0 / eta}]")
     if p.alpha <= eta or p.beta <= eta:
         return BoundCertificate(
             eta=eta, alpha=p.alpha, beta=p.beta,

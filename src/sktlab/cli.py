@@ -17,10 +17,8 @@ import sys
 import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
-from .errors import (AssemblyError, BandError, CheckFailed, DegenerateError,
-                     DomainError, NegativeState, NoBracket, NoConvergence,
-                     NonFiniteSystem, NoThreshold, ParseError, RegimeError,
-                     SktlabError, TauCollapse, ValidationError)
+from .errors import (AssemblyError, CheckFailed, NoConvergence, NonFiniteSystem,
+                     NotApplicable, SktlabError, TauCollapse, ValidationError)
 from .grid import (MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair,
                    neumann_laplacian)
 from .limits import LimitParams
@@ -75,10 +73,9 @@ _FLAGS = {
 # that no state exists, so it exits 2, not 4.  LinAlgError is also scipy's;
 # ValueError is not caught, since it would relabel solver faults.
 _EXITS = {
-    (ParseError, ValidationError, OSError): (3, "config error"),
-    (RegimeError, DegenerateError, DomainError, NoThreshold, NoBracket,
-     BandError): (4, "not applicable"),
-    (NoConvergence, NegativeState): (2, "no convergence"),
+    (ValidationError, OSError): (3, "config error"),
+    (NotApplicable,): (4, "not applicable"),
+    (NoConvergence,): (2, "no convergence"),
     (TauCollapse,): (2, "no convergence: tau collapse"),
     (AssemblyError,): (2, "no solution built"),
     (CheckFailed,): (2, "selftest failed"),
@@ -91,15 +88,15 @@ def _checked(key: str, value):
     """value if it satisfies the constraint of key, else ValidationError."""
     _, constraint, _ = _KNOWN_KEYS[key]
     if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{key} must be finite, got {value}", key=key)
+        raise ValidationError(f"{key} must be finite, got {value}")
     if constraint == _POS and not value > 0:
-        raise ValidationError(f"{key} must be positive, got {value}", key=key)
+        raise ValidationError(f"{key} must be positive, got {value}")
     if constraint == _NONNEG and value < 0:
-        raise ValidationError(f"{key} must be nonnegative, got {value}", key=key)
+        raise ValidationError(f"{key} must be nonnegative, got {value}")
     if key == "run.eta" and value > 1.0:
-        raise ValidationError(f"{key} must be at most 1, got {value}", key=key)
+        raise ValidationError(f"{key} must be at most 1, got {value}")
     if key == "grid.n_cells" and value < MIN_CELLS:
-        raise ValidationError(f"{key} must be at least {MIN_CELLS}, got {value}", key=key)
+        raise ValidationError(f"{key} must be at least {MIN_CELLS}, got {value}")
     return value
 
 
@@ -111,16 +108,15 @@ def parse_config(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value'", line=lineno)
+            raise ValidationError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _KNOWN_KEYS:
-            raise ValidationError(f"line {lineno}: unknown key {key!r}", key=key)
+            raise ValidationError(f"line {lineno}: unknown key {key!r}")
         try:
             value = _KNOWN_KEYS[key][0](val)
         except ValueError:
-            raise ParseError(f"line {lineno}: cannot parse {val!r} for {key}",
-                             line=lineno) from None
+            raise ValidationError(f"line {lineno}: cannot parse {val!r} for {key}") from None
         cfg[key] = _checked(key, value)
     return cfg
 
@@ -142,14 +138,23 @@ def _grid(cfg: dict) -> Grid:
     try:
         return Grid(n_cells=cfg["grid.n_cells"], length=cfg["grid.length"])
     except ValueError as exc:
-        raise ValidationError(f"grid.length: {exc}", key="grid.length") from None
+        raise ValidationError(f"grid.length: {exc}") from None
+
+
+def _unit_grid(cfg: dict) -> Grid:
+    """The grid of a two-lobe pattern, which twolobe tiles on the unit
+    interval: ValidationError unless grid.length is 1."""
+    if cfg["grid.length"] != 1.0:
+        raise ValidationError("grid.length must be 1 for the two-lobe patterns, "
+                              f"got {cfg['grid.length']}")
+    return _grid(cfg)
 
 
 def _mode(cfg: dict, g: Grid) -> int:
     """run.mode, which indexes a Neumann eigenpair of g: below its n_cells."""
     if cfg["run.mode"] >= g.n_cells:
         raise ValidationError(f"run.mode must be below grid.n_cells = {g.n_cells}, "
-                              f"got {cfg['run.mode']}", key="run.mode")
+                              f"got {cfg['run.mode']}")
     return cfg["run.mode"]
 
 
@@ -209,7 +214,7 @@ def _cmd_limit_study(cfg) -> dict:
     # which at strong competition is an exclusion state
     try:
         seed_state = steady.newton_solve(p0, u0, v0, tol=cfg["run.tol"])
-    except (NoConvergence, NegativeState):
+    except NoConvergence:
         seed_state = steady.march_then_newton(p0, u0, v0, dt=cfg["run.dt"],
                                               t_end=cfg["run.t_march"],
                                               tol=cfg["run.tol"])
@@ -245,7 +250,7 @@ def _cmd_is_solve(cfg) -> dict:
 
 def _cmd_cs_solve(cfg) -> dict:
     lp = _limit_params(cfg)
-    g = _grid(cfg)
+    g = _unit_grid(cfg)
     n = cfg["run.n"]
     lobe = twolobe.solve_unit(lp, n)
     start = twolobe.assemble(lobe, lp, "fg", g)
@@ -283,7 +288,7 @@ def _cmd_bifurcate(cfg) -> dict:
 
 def _cmd_dhmp(cfg) -> dict:
     lp = _limit_params(cfg)
-    g = _grid(cfg)
+    g = _unit_grid(cfg)
     n = cfg["run.n"]
     lobe = twolobe.solve_unit(lp, n)
     files = {}

@@ -1,41 +1,29 @@
-"""Exception types of the package: each is raised, and cli._EXITS gives its exit code."""
+"""Exception types of the package: one per row of cli._EXITS, each raised."""
 
 
 class SktlabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class RegimeError(SktlabError):
-    """Operation requires weak or strong competition, but the parameters are neither."""
+class ValidationError(SktlabError):
+    """Config text could not be parsed, or a key failed validation."""
 
 
-class DegenerateError(SktlabError):
-    """b2*c1 - b1*c2 is (numerically) zero; the coexistence state is undefined."""
-
-
-class DomainError(SktlabError):
-    """Argument outside the admissible range of a level-set function."""
-
-
-class BandError(SktlabError):
-    """Cross-diffusion rates violate the ratio band or rate floor of the bound certificate."""
+class NotApplicable(SktlabError):
+    """The requested object provably does not exist for the parameters: no
+    competition regime or constant state, an argument outside a level-set
+    function's domain, rates outside the certificate's band, no bifurcation
+    threshold, or no sign change of the lobe flux mismatch."""
 
 
 class NoConvergence(SktlabError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver exhausted its iteration budget, or no Newton step
+    stayed in the nonnegative cone."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-class NegativeState(SktlabError):
-    """An accepted Newton iterate left the nonnegative cone."""
-
-
-class NonFiniteSystem(SktlabError, ValueError):
-    """A linear system reached the solver with an infinite or NaN entry."""
 
 
 class TauCollapse(SktlabError):
@@ -46,33 +34,13 @@ class TauCollapse(SktlabError):
         self.tau = tau
 
 
-class NoThreshold(SktlabError):
-    """No positive bifurcation threshold exists for the requested mode."""
-
-
-class NoBracket(SktlabError):
-    """The flux mismatch does not change sign over the search interval."""
+class AssemblyError(SktlabError):
+    """Lobe tiling produced inconsistent supports."""
 
 
 class CheckFailed(SktlabError):
     """An embedded invariant check of selftest exceeded its bound."""
 
 
-class AssemblyError(SktlabError):
-    """Lobe tiling produced inconsistent supports."""
-
-
-class ParseError(SktlabError):
-    """Config text could not be parsed."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
-
-
-class ValidationError(SktlabError):
-    """Config key failed validation."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
+class NonFiniteSystem(SktlabError, ValueError):
+    """A linear system reached the solver with an infinite or NaN entry."""

@@ -55,20 +55,19 @@ def geometric_schedule(alpha0: float, gamma: float, n_steps: int,
     alpha/beta held at gamma.  ValidationError unless ratio > 1 and the
     pairs are finite, positive and rise strictly in both rates."""
     if n_steps > 1 and not ratio > 1.0:
-        raise ValidationError(f"run.ratio must exceed 1, got {ratio}",
-                              key="run.ratio")
+        raise ValidationError(f"run.ratio must exceed 1, got {ratio}")
     try:
         last = alpha0 * ratio ** (n_steps - 1)
     except OverflowError:
         last = math.inf
     if not (math.isfinite(last) and math.isfinite(last / gamma)):
         raise ValidationError(f"the last rate pair overflows: alpha0 = {alpha0}, "
-                              f"ratio = {ratio}, {n_steps} steps", key="run.steps")
+                              f"ratio = {ratio}, {n_steps} steps")
     pairs = [(alpha0 * ratio ** k, alpha0 * ratio ** k / gamma) for k in range(n_steps)]
     rising = all(a1 > a0 and b1 > b0 for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]))
     if not (pairs[0][1] > 0.0 and rising):
         raise ValidationError("the rate pairs are not positive and strictly rising: "
-                              f"alpha0 = {alpha0}, gamma = {gamma}", key="run.alpha0")
+                              f"alpha0 = {alpha0}, gamma = {gamma}")
     return pairs
 
 

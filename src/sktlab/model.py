@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .errors import DegenerateError, RegimeError
+from .errors import NotApplicable
 
 
 class CompetitionRegime(enum.Enum):
@@ -126,10 +126,10 @@ def constant_state(p: ModelParams) -> ConstantState:
     """
     reg = regime(p)
     if reg is CompetitionRegime.NEITHER:
-        raise RegimeError("constant coexistence state requires weak or strong competition")
+        raise NotApplicable("constant coexistence state requires weak or strong competition")
     den = p.b2 * p.c1 - p.b1 * p.c2
     if abs(den) < 1e-14 * max(abs(p.b2 * p.c1), abs(p.b1 * p.c2)):
-        raise DegenerateError("b2*c1 - b1*c2 vanishes; nullclines are parallel")
+        raise NotApplicable("b2*c1 - b1*c2 vanishes; nullclines are parallel")
     u_star = (p.a2 * p.c1 - p.a1 * p.c2) / den
     v_star = (p.a1 * p.b2 - p.a2 * p.b1) / den
     return ConstantState(u_star=u_star, v_star=v_star, tau_star=u_star * v_star)

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds
-from .errors import (BandError, DegenerateError, DomainError, NegativeState,
-                     NoConvergence, NonFiniteSystem, RegimeError, ValidationError)
+from .errors import NoConvergence, NonFiniteSystem, NotApplicable, ValidationError
 from .grid import Grid, GridFn, laplacian_values
 from .linalg import (_EPS, _damped_newton, pair_band, residual_floor,
                      solve_pair, solve_tridiag, write_lap_bands)
@@ -89,7 +88,7 @@ def _levelset_certificate(p: ModelParams):
         return None
     try:
         cert = bounds.sup_bound(p, min(ratio, 1.0 / ratio, 1.0))
-    except (BandError, DomainError):
+    except NotApplicable:
         return None
     return cert if cert.kind == "levelset" else None
 
@@ -122,7 +121,7 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
 
     Line-search trial residuals are evaluated with the negative part
     clipped at zero; a trial more than 1e-12 outside the nonnegative cone is
-    halved, and NegativeState is raised if no step stays inside.  The
+    halved, and NoConvergence is raised if no step stays inside.  The
     accepted iterate itself is never clipped; the returned densities are.
     """
     if tol <= 0.0:
@@ -139,7 +138,7 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
 
     def feasible(x):
         if float(np.min(x)) < -1e-12:
-            return NegativeState("no Newton step stays in the nonnegative cone")
+            return NoConvergence("no Newton step stays in the nonnegative cone")
 
     x, _, rnorm, it, history, floor = _damped_newton(
         residual, step, np.concatenate((u0.values, v0.values)), tol, 60,
@@ -155,7 +154,7 @@ def _step_count(dt: float, t_end: float) -> int:
         raise ValueError("dt must be positive")
     if not t_end / dt <= 1e6:
         raise ValidationError(f"run.dt: run.t_march / run.dt = {t_end / dt:g} march "
-                              "steps, more than 1e6", key="run.dt")
+                              "steps, more than 1e6")
     return max(1, int(round(t_end / dt)))
 
 
@@ -261,14 +260,14 @@ def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
     rate, stable = math.nan, False
     try:
         cs = constant_state(p)
-    except (RegimeError, DegenerateError):
+    except NotApplicable:
         cs = None
     if cs is not None and cs.u_star > 0.0 and cs.v_star > 0.0:
         rate, stable = _constant_rate(p, cs, u0.grid)
     if stable:
         try:
             st = newton_solve(p, u0, v0, tol=tol)
-        except (NoConvergence, NegativeState, NonFiniteSystem, np.linalg.LinAlgError):
+        except (NoConvergence, NonFiniteSystem, np.linalg.LinAlgError):
             st = None
         if st is not None \
                 and float(np.max(np.abs(st.u.values - cs.u_star))) <= 1e-8 * cs.u_star \

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssemblyError, NoBracket, NoConvergence
+from .errors import AssemblyError, NoConvergence, NotApplicable
 from .grid import Grid, GridFn
 from .limits import LimitParams, _cs_residual_values
 
@@ -176,22 +176,22 @@ def solve_unit(lp: LimitParams, n: int) -> UnitLobe:
     The lobe profiles are built once, at the returned theta.
     """
     if not existence_check(lp, n):
-        raise NoBracket(f"no {n}-node solution exists: "
-                        f"sqrt(d1/a1) + sqrt(d2/a2) >= 2/({n}*pi)")
+        raise NotApplicable(f"no {n}-node solution exists: "
+                            f"sqrt(d1/a1) + sqrt(d2/a2) >= 2/({n}*pi)")
     lo_q = (math.pi / 2.0) * math.sqrt(lp.d1 / lp.a1)
     hi_q = 1.0 / n - (math.pi / 2.0) * math.sqrt(lp.d2 / lp.a2)
     pad = 1e-3 * (hi_q - lo_q)
     lo = max(0.02 / n, lo_q + pad)
     hi = min(0.98 / n, hi_q - pad)
     if not lo < hi:
-        raise NoBracket("admissible theta window is empty")
+        raise NotApplicable("admissible theta window is empty")
     f, amps = _mismatch(lp, n, lo)
     theta, f_lo = lo, f
     if f_lo != 0.0:
         f, amps = _mismatch(lp, n, hi)
         theta, f_hi = hi, f
         if not (f_lo > 0.0 > f_hi or f_hi == 0.0):
-            raise NoBracket("flux mismatch does not change sign on the theta window")
+            raise NotApplicable("flux mismatch does not change sign on the theta window")
     # Illinois false position (Dowell & Jarratt 1971), written out rather
     # than scipy.optimize.brentq: brentq leaks the frame of a callback that
     # raises, and the amplitude root-find raises NoConvergence through it.

@@ -16,7 +16,7 @@ import numpy as np
 
 from sktlab.bifurcation import kinetic_strength
 from sktlab.bounds import _larger_root, _u_of_v_raw, v_tilde0
-from sktlab.errors import DomainError
+from sktlab.errors import NotApplicable
 from sktlab.grid import Grid, GridFn, laplacian_values
 from sktlab.limits import LimitParams
 from sktlab.linalg import lap_band, solve_tridiag
@@ -146,9 +146,9 @@ def v_of_u(p: ModelParams, u: float) -> float:
     quadratic in v.
     """
     if p.alpha <= 0.0 or p.beta <= 0.0:
-        raise DomainError("level-set branches need alpha, beta > 0")
+        raise NotApplicable("level-set branches need alpha, beta > 0")
     if u <= p.a1 / p.b1:
-        raise DomainError(f"v_of_u requires u > a1/b1 = {p.a1 / p.b1}")
+        raise NotApplicable(f"v_of_u requires u > a1/b1 = {p.a1 / p.b1}")
     a = p.alpha * p.c2
     b = -(p.c1 * (p.d2 + p.beta * u) + p.alpha * (p.a2 - p.b2 * u))
     c = (p.d2 + p.beta * u) * (p.a1 - p.b1 * u)
@@ -161,9 +161,9 @@ def u_of_v(p: ModelParams, v: float) -> float:
     Defined for v > v_tilde0; inverse of v_of_u on the mutual range.
     """
     if p.alpha <= 0.0 or p.beta <= 0.0:
-        raise DomainError("level-set branches need alpha, beta > 0")
+        raise NotApplicable("level-set branches need alpha, beta > 0")
     if v <= v_tilde0(p):
-        raise DomainError(f"u_of_v requires v > v_tilde0 = {v_tilde0(p)}")
+        raise NotApplicable(f"u_of_v requires v > v_tilde0 = {v_tilde0(p)}")
     return _u_of_v_raw(p, v)
 
 
@@ -191,7 +191,7 @@ def uv_from_w_z(p: ModelParams, w: GridFn, z: GridFn) -> tuple[GridFn, GridFn]:
     disc = (wv - c) ** 2 + 4.0 * gamma * p.d1 * p.d2 * zv
     slack = 1e-14 * np.maximum(1.0, (wv - c) ** 2 + 4.0 * gamma * p.d1 * p.d2 * np.abs(zv))
     if np.any(disc < -slack):
-        raise DomainError("negative discriminant in the inverse transform")
+        raise NotApplicable("negative discriminant in the inverse transform")
     s = np.sqrt(np.maximum(disc, 0.0))
 
     # u = (s + (w - c)) / (2 d1), rationalized where w - c < 0

@@ -6,7 +6,7 @@ import pytest
 
 from sktlab.bifurcation import (Branch, delta_j, detect_crossing,
                                 kinetic_strength, switch_and_continue, w_star)
-from sktlab.errors import NoThreshold
+from sktlab.errors import NotApplicable
 from sktlab.grid import Grid, GridFn, integrate, neumann_eigenpair
 from sktlab.limits import LimitParams, _is_linearization, _uv_root
 
@@ -26,7 +26,7 @@ def test_kinetic_strength_value(p1_limit):
 def test_kinetic_strength_sign_weak():
     lpw = LimitParams(gamma=1.0, **PW)
     assert kinetic_strength(lpw) < 0.0
-    with pytest.raises(NoThreshold):
+    with pytest.raises(NotApplicable, match="K <= 0: no positive threshold for any mode"):
         delta_j(lpw, 1)
 
 
@@ -35,7 +35,7 @@ def test_delta1_closed_form(p1_limit):
     assert abs(d1 - DELTA1_P1) < 1e-12
     # thresholds decrease with the mode index
     assert delta_j(p1_limit, 1) > delta_j(p1_limit, 2)
-    with pytest.raises(NoThreshold):
+    with pytest.raises(NotApplicable, match="mode 50: rearranged threshold is nonpositive"):
         delta_j(p1_limit, 50)
 
 
@@ -84,12 +84,12 @@ def test_detect_crossing_matches_closed_form(p1_limit):
 
 def test_detect_crossing_without_a_positive_threshold(p1_limit):
     # P1 at mode 10: lambda_10^h is so large that the root is negative
-    with pytest.raises(NoThreshold, match="mode 10: rearranged threshold is nonpositive"):
+    with pytest.raises(NotApplicable, match="mode 10: rearranged threshold is nonpositive"):
         detect_crossing(p1_limit, 10, Grid(64))
     # weak competition: K = -26.52, no mode has a threshold
     lpw = LimitParams(gamma=1.0, **PW)
     assert -26.6 < kinetic_strength(lpw) < -26.5
-    with pytest.raises(NoThreshold, match="K <= 0"):
+    with pytest.raises(NotApplicable, match="K <= 0"):
         detect_crossing(lpw, 1, Grid(64))
     with pytest.raises(ValueError):
         detect_crossing(p1_limit, 0, Grid(64))
@@ -156,7 +156,7 @@ def test_kinetic_strength_at_a_huge_constant_state():
     lp = LimitParams(gamma=1.0, **dict(P1, b1=1e-300, b2=1e-300))
     k = kinetic_strength(lp)
     assert math.isfinite(k) and k < 0.0
-    with pytest.raises(NoThreshold):
+    with pytest.raises(NotApplicable, match="K <= 0: no positive threshold for any mode"):
         delta_j(lp, 1)
 
 
@@ -165,9 +165,10 @@ def test_non_finite_threshold_is_no_threshold():
     # overflow: K is inf - inf, and no delta_j is returned as NaN
     lp = LimitParams(gamma=1e308, **P1)
     assert math.isnan(kinetic_strength(lp))
-    with pytest.raises(NoThreshold):
+    message = r"threshold not finite in floating point \(K = nan\)"
+    with pytest.raises(NotApplicable, match=message):
         delta_j(lp, 1)
-    with pytest.raises(NoThreshold):
+    with pytest.raises(NotApplicable, match=message):
         detect_crossing(lp, 1, Grid(64))
 
 
@@ -176,10 +177,12 @@ def test_threshold_at_an_extreme_length_is_no_threshold(p1_limit, length):
     # (pi/L)^2 overflows to inf (the threshold is then -gamma d2 v*/u* < 0)
     # or underflows to 0, where K/lambda has no value: never an
     # OverflowError or ZeroDivisionError
-    with pytest.raises(NoThreshold):
+    message = ("eigenvalue 0.0 is not positive" if length > 1.0
+               else "mode 1: rearranged threshold is nonpositive")
+    with pytest.raises(NotApplicable, match=message):
         delta_j(p1_limit, 1, length)
 
 
 def test_discrete_threshold_where_the_eigenvalue_underflows(p1_limit):
-    with pytest.raises(NoThreshold):
+    with pytest.raises(NotApplicable, match="eigenvalue 0.0 is not positive"):
         detect_crossing(p1_limit, 1, Grid(8, 1e300))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sktlab.bounds import BoundCertificate, _larger_root, sup_bound, v_tilde0
-from sktlab.errors import BandError, DomainError
+from sktlab.errors import NotApplicable
 from sktlab.model import ModelParams
 
-from conftest import P1, TANGENCY
+from conftest import P1, PW, TANGENCY
 from oracles import big_F, in_sigma, sigma_affine, u_of_v, v_of_u
 
 
@@ -69,11 +69,11 @@ def test_branches_are_mutually_inverse(rng):
 
 def test_domain_guards():
     p = _p1_rates()
-    with pytest.raises(DomainError):
+    with pytest.raises(NotApplicable, match="v_of_u requires u > a1/b1"):
         v_of_u(p, 0.5 * p.a1 / p.b1)
-    with pytest.raises(DomainError):
+    with pytest.raises(NotApplicable, match="u_of_v requires v > v_tilde0"):
         u_of_v(p, 0.5 * v_tilde0(p))
-    with pytest.raises(DomainError):
+    with pytest.raises(NotApplicable, match="level-set branches need alpha, beta > 0"):
         v_of_u(ModelParams(**P1), 100.0)  # zero rates
 
 
@@ -108,11 +108,11 @@ def test_sup_bound_uniform_in_rates():
 
 def test_sup_bound_band_checks():
     p = _p1_rates(100.0, 10.0)
-    with pytest.raises(BandError):
+    with pytest.raises(NotApplicable, match=r"alpha/beta = 10\.0 outside \[0\.5, 2\.0\]"):
         sup_bound(p, 0.5)  # ratio 10 outside [0.5, 2]
-    with pytest.raises(BandError):
+    with pytest.raises(NotApplicable, match=r"eta must lie in \(0, 1\]"):
         sup_bound(p, 1.5)
-    with pytest.raises(BandError):
+    with pytest.raises(NotApplicable, match="certificate needs alpha, beta > 0"):
         sup_bound(ModelParams(**P1), 0.5)  # zero rates
 
 
@@ -158,9 +158,37 @@ def test_v_tilde0_window_end_squared_as_a_product():
     assert v_tilde0(q) > 0.0
 
 
+# PW's upper tangency rate alpha_hi = (d2 (2 a1 c2 - a2 c1) + 2 d2 sqrt(a1 c2
+# (a1 c2 - a2 c1))) / a2^2 = 0.0439089023002066..., where F(0, .) touches 0
+PW_EDGE = 0.043908902300206644
+
+
+def test_v_tilde0_is_zero_where_f0_has_no_real_root():
+    # inside PW's window F(0, v) > 0 for every v >= 0: no threshold
+    p = ModelParams(**PW)
+    for alpha in (1e-3, 0.01, math.nextafter(PW_EDGE, 0.0), PW_EDGE):
+        q = p.with_rates(alpha, alpha)
+        assert v_tilde0(q) == 0.0
+        assert np.all(big_F(q, 0.0, np.geomspace(1e-6, 1e6, 241)) > 0.0)
+    assert v_tilde0(p.with_rates(math.nextafter(PW_EDGE, 1.0), 1.0)) > 0.0
+
+
+def test_sup_bound_at_the_tangency_edge_is_continuous():
+    # the edge rate and the ones one ulp either side all certify, with
+    # ceilings that agree to rounding
+    p = ModelParams(**PW)
+    certs = [sup_bound(p.with_rates(a, a), 0.04)
+             for a in (math.nextafter(PW_EDGE, 0.0), PW_EDGE, math.nextafter(PW_EDGE, 1.0))]
+    assert all(c.kind == "levelset" for c in certs)
+    assert certs[0].u_bound == 24.250138650247905
+    for c in certs[1:]:
+        assert c.u_bound == pytest.approx(certs[0].u_bound, rel=1e-14)
+        assert c.v_bound == pytest.approx(certs[0].v_bound, rel=1e-14)
+
+
 def test_sup_bound_underflowing_rate_ratio_is_outside_the_band():
     # alpha/beta = 1e-300/1e300 is 0.0 in floating point, in no band
-    with pytest.raises(BandError):
+    with pytest.raises(NotApplicable, match=r"alpha/beta = 0\.0 outside"):
         sup_bound(_p1_rates(1e-300, 1e300), 1e-300)
 
 

@@ -11,7 +11,7 @@ import sktlab
 from sktlab import cli, errors, limits, steady, twolobe
 from sktlab.bifurcation import w_star
 from sktlab.cli import main, parse_config
-from sktlab.errors import AssemblyError, NegativeState, ParseError, ValidationError
+from sktlab.errors import AssemblyError, NoConvergence, ValidationError
 from sktlab.grid import Grid, GridFn, neumann_eigenpair
 from sktlab.linalg import residual_floor
 from sktlab.model import constant_state
@@ -49,9 +49,9 @@ def test_parse_config_rejects_unknown_key():
 
 
 def test_parse_config_rejects_garbage():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="line 1: expected 'key = value'"):
         parse_config("model.alpha\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="line 1: cannot parse 'abc' for model.alpha"):
         parse_config("model.alpha = abc\n")
     with pytest.raises(ValidationError):
         parse_config("model.a1 = -3\n")
@@ -82,7 +82,7 @@ def test_exit_code_threshold_failure(tmp_path):
 
 def test_exit_code_negative_state(tmp_path, monkeypatch):
     def negative(*args, **kwargs):
-        raise NegativeState("no Newton step stays in the nonnegative cone")
+        raise NoConvergence("no Newton step stays in the nonnegative cone")
 
     monkeypatch.setattr(steady, "newton_solve", negative)
     assert main(["solve", "--grid", "16", "--out", str(tmp_path)]) == 2
@@ -371,6 +371,37 @@ def test_grid_length_extremes_exit_documented_codes(command, length, code, tmp_p
     assert main(argv) == code
 
 
+@pytest.mark.parametrize("length", [0.5, 2.0])
+@pytest.mark.parametrize("command", ["dhmp", "cs-solve"])
+def test_two_lobe_patterns_need_the_unit_interval(command, length, tmp_path, capsys):
+    # twolobe tiles [0, 1]; on another length the tiling once failed as
+    # "no solution built" (exit 2) instead of a config error
+    cfg = tmp_path / "len.cfg"
+    cfg.write_text("model.a1 = 1\nmodel.a2 = 1\nmodel.b1 = 1\nmodel.b2 = 1\n"
+                   "model.c1 = 1\nmodel.c2 = 1\nmodel.d1 = 0.004\nmodel.d2 = 0.004\n"
+                   f"grid.length = {length!r}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--n", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("config error: grid.length must be 1 for the "
+                                       f"two-lobe patterns, got {length!r}\n")
+    assert not out.exists()
+
+
+def test_bounds_at_the_tangency_edge_is_certified(tmp_path):
+    # PW at a float next to its upper tangency rate, where F(0, .) touches
+    # 0: its discriminant is just negative, so v_tilde0 is 0 and a level-set
+    # certificate is given
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("".join(f"model.{k} = {v!r}\n" for k, v in PW.items())
+                   + "model.alpha = 0.043908902300206644\n"
+                   "model.beta = 0.043908902300206644\nrun.eta = 0.04\n")
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / "bounds.txt").read_text().splitlines() if " = " in line)
+    assert meta["kind"] == "levelset"
+    assert float(meta["u_bound"]) == pytest.approx(24.250138650247905, rel=1e-14)
+
+
 @pytest.mark.parametrize("dt", [5e-324, 1e-300])
 @pytest.mark.parametrize("command, lines", [
     ("solve", ""),
@@ -404,8 +435,8 @@ def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch)
         caller = sys._getframe(1).f_code.co_name
         try:
             state = newton_solve(*args, **kwargs)
-        except NegativeState:
-            calls.append((caller, "NegativeState"))
+        except NoConvergence as exc:
+            calls.append((caller, str(exc)))
             raise
         calls.append((caller, "ok"))
         return state
@@ -417,7 +448,7 @@ def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch)
     meta = _metadata(tmp_path / "limit_study.csv")
     assert meta["classification"] == "Undetermined"
     assert "limit_comparison" not in meta
-    assert calls[:2] == [("_cmd_limit_study", "NegativeState"),
+    assert calls[:2] == [("_cmd_limit_study", "no Newton step stays in the nonnegative cone"),
                          ("march_then_newton", "ok")]
     steps = parse_config("")["run.steps"]
     assert calls[2:] == [("_solve_step", "ok")] * (steps - 1)

@@ -5,7 +5,7 @@ import pytest
 
 from sktlab import limits, twolobe
 from sktlab.cli import main as cli_main
-from sktlab.errors import DomainError, TauCollapse
+from sktlab.errors import NotApplicable, TauCollapse
 from sktlab.grid import Grid, GridFn, integrate
 from sktlab.linalg import residual_floor
 from sktlab.limits import (CSState, ISState, LimitParams, cs_solve,
@@ -68,7 +68,7 @@ def test_inversion_feasibility_guard():
     g = Grid(16)
     w = GridFn(g, np.zeros(16))
     z = GridFn(g, np.full(16, -1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(NotApplicable, match="negative discriminant in the inverse transform"):
         uv_from_w_z(p, w, z)
 
 

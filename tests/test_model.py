@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sktlab.errors import RegimeError
+from sktlab.errors import NotApplicable
 from sktlab.limits import LimitParams
 from sktlab.model import (CompetitionRegime, ModelParams, constant_state,
                           kinetic_partials, reaction_f, reaction_g, regime)
@@ -38,7 +38,7 @@ def test_p1_constant_state_values(p1):
 def test_constant_state_requires_regime():
     tie = ModelParams(a1=1.0, a2=1.0, b1=1.0, b2=1.0, c1=1.0, c2=1.0,
                       d1=1.0, d2=1.0)
-    with pytest.raises(RegimeError):
+    with pytest.raises(NotApplicable, match="constant coexistence state requires weak or"):
         constant_state(tie)
 
 

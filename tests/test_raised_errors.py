@@ -7,12 +7,18 @@ constructed in a `raise` or a `return` statement (`raise X(...)`,
 package.  A class named only in an import, an `except` clause or the exit
 table `cli._EXITS` fails, so an error whose last raise is deleted does not
 linger with an exit code of its own.  Raises in tests do not count.
+
+Each such class is also named in exactly one row of `cli._EXITS`, and no
+row names two of them: one type per exit outcome, so an `except` never
+has to list two types that end the same way.
 """
 
 import ast
+import inspect
 import pathlib
 
 import sktlab
+from sktlab import cli, errors
 
 MODULES = sorted(pathlib.Path(sktlab.__file__).parent.glob("*.py"))
 
@@ -48,7 +54,7 @@ def test_every_package_error_is_raised():
                if p.name != "errors.py"}
     errors_text = (pathlib.Path(sktlab.__file__).parent / "errors.py").read_text(
         encoding="utf-8")
-    assert len(_error_classes(ast.parse(errors_text))) >= 10
+    assert len(_error_classes(ast.parse(errors_text))) == 7
     assert _never_raised(errors_text, package) == []
 
 
@@ -69,3 +75,37 @@ def test_scan_flags_an_error_that_is_only_mapped_and_caught():
                    "    except errors.Mapped as exc:\n        return str(exc)\n"),
     }
     assert _never_raised(errors_text, package) == ["Mapped"]
+
+
+def _exit_table_faults(exits: dict, classes: list[type]) -> list[str]:
+    """Package classes named in no row or in several, and rows that name
+    more than one package class."""
+    rows = [[t for t in types if t in classes] for types in exits]
+    faults = [f"{cls.__name__} in {n} rows" for cls in classes
+              if (n := sum(cls in row for row in rows)) != 1]
+    return faults + [" and ".join(t.__name__ for t in row) + " share a row"
+                     for row in rows if len(row) > 1]
+
+
+def test_one_exit_row_per_package_error():
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.SktlabError) and cls is not errors.SktlabError]
+    assert _exit_table_faults(cli._EXITS, classes) == []
+
+
+def test_exit_table_check_flags_shared_and_missing_rows():
+    class A(Exception):
+        pass
+
+    class B(Exception):
+        pass
+
+    class C(Exception):
+        pass
+
+    class D(Exception):
+        pass
+
+    exits = {(A, OSError): (3, "a"), (B, C): (4, "bc"), (B,): (2, "b")}
+    assert _exit_table_faults(exits, [A, B, C, D]) == [
+        "B in 2 rows", "D in 0 rows", "B and C share a row"]

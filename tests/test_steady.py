@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sktlab import cli, steady
-from sktlab.errors import NegativeState, NoConvergence, SktlabError
+from sktlab import cli, limits, steady, twolobe
+from sktlab.errors import NoConvergence, SktlabError
 from sktlab.grid import Grid, GridFn, integrate
+from sktlab.limits import LimitParams
 from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
 
 from conftest import P1, PW, U_STAR, V_STAR
@@ -260,7 +261,7 @@ def test_a_failed_newton_falls_back_to_the_march():
     g = Grid(256)
     cs = constant_state(p)
     u0, v0 = cli._seeded_fields(p, g, 5, 3.0)
-    with pytest.raises(NegativeState):
+    with pytest.raises(NoConvergence, match="no Newton step stays in the nonnegative cone"):
         steady.newton_solve(p, u0, v0, tol=1e-11)
     st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
     assert st.constant_rate < 0.0 and st.march_steps == 200
@@ -375,3 +376,32 @@ def test_newton_reports_nonconvergence(grid64, monkeypatch):
                         real(residual, step, x, tol, 0, *rest))
     with pytest.raises(NoConvergence):
         steady.newton_solve(p, u0, v0)
+
+
+@pytest.mark.parametrize("kinetics", [P1, PW], ids=["P1", "PW"])
+def test_kinetics_integrate_to_the_residual_on_steady_states(kinetics):
+    # the Neumann stencil sums to exactly 0, so on a steady state h*sum(f)
+    # = h*sum(r1) lies within L*residual_inf, up to the rounding of the
+    # stencil, of r1 = lap + f and of the sums: at most ~30 eps x (the
+    # larger of flux/h^2 and the kinetic terms) per unit length, which
+    # 8 L residual_floor (32 eps x the same) covers.  P1 lands on its
+    # exclusion state, PW on its constant state.
+    p = ModelParams(**kinetics).with_rates(100.0, 100.0)
+    g = Grid(1024)
+    u0, v0 = cli._seeded_fields(p, g, 42, 0.1)
+    st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    bound = g.length * (st.residual_inf + 8.0 * st.residual_floor)
+    assert abs(g.h * np.sum(reaction_f(p, st.u.values, st.v.values))) <= bound
+    assert abs(g.h * np.sum(reaction_g(p, st.u.values, st.v.values))) <= bound
+
+
+def test_two_lobe_densities_do_not_integrate_f_to_zero():
+    # the premise of the complete-segregation obstruction: the fg dhmp
+    # pattern read as u = w_+/d1, v = w_-/(gamma d2) has h*sum(f) near 3,
+    # so it is no full-system steady state at any rates
+    base = ModelParams(**{**P1, "d1": 0.01, "d2": 0.01})
+    lp = LimitParams.from_model(base, gamma=1.0)
+    g = Grid(256)
+    w = twolobe.assemble(twolobe.solve_unit(lp, 1), lp, "fg", g).w
+    u, v = limits.CSState(w).densities(lp)
+    assert g.h * np.sum(reaction_f(base, u.values, v.values)) > 1.0

@@ -5,7 +5,7 @@ import pytest
 
 from sktlab import twolobe
 from sktlab.cli import main as cli_main
-from sktlab.errors import AssemblyError, NoBracket, NoConvergence
+from sktlab.errors import AssemblyError, NoConvergence, NotApplicable
 from sktlab.grid import Grid
 from sktlab.limits import LimitParams
 from sktlab.linalg import _damped_newton, residual_floor, solve_tridiag
@@ -153,7 +153,7 @@ def test_interface_is_c1(lp, n):
 
 
 def test_no_bracket_beyond_threshold():
-    with pytest.raises(NoBracket):
+    with pytest.raises(NotApplicable, match="no 4-node solution exists"):
         solve_unit(SYM, 4)
 
 
@@ -204,7 +204,7 @@ def test_no_sign_change_raises_no_bracket(monkeypatch):
         return 1.0, None
 
     calls = _counting_mismatch(monkeypatch, positive)
-    with pytest.raises(NoBracket, match="does not change sign"):
+    with pytest.raises(NotApplicable, match="does not change sign"):
         solve_unit(SYM, 1)
     assert len(calls) == 2
 
