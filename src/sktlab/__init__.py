@@ -13,10 +13,10 @@ from .errors import (AssemblyError, CheckFailed, NoConvergence, NonFiniteSystem,
                      NotApplicable, SktlabError, TauCollapse, ValidationError)
 from .grid import Grid, GridFn
 from .limits import CSState, ISState, LimitParams
-from .model import CompetitionRegime, ConstantState, ModelParams
+from .model import ConstantState, ModelParams
 
 __all__ = [
-    "AssemblyError", "CheckFailed", "CompetitionRegime", "ConstantState", "CSState",
+    "AssemblyError", "CheckFailed", "ConstantState", "CSState",
     "Grid", "GridFn", "ISState", "LimitParams", "ModelParams", "NoConvergence",
     "NonFiniteSystem", "NotApplicable", "SktlabError", "TauCollapse",
     "ValidationError", "__version__",

@@ -42,7 +42,6 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class Branch:
-    origin: BifurcationPoint
     points: tuple              # ordered by s, constant state at s = 0 included
     truncated: bool = False    # a side ended on a corrector failure
     end_reason: str = "s_max"  # or the first short side's end (switch_and_continue)
@@ -203,6 +202,6 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     plus, minus = sides
     ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
                for p in reversed(minus)] + [base] + plus
-    return Branch(origin=bp, points=tuple(ordered), truncated="corrector" in ends,
+    return Branch(points=tuple(ordered), truncated="corrector" in ends,
                   end_reason=(ends + ["s_max"])[0],
                   fold=k, mirrored=mirrored)

@@ -403,8 +403,7 @@ def main(argv=None) -> int:
         return 0
     except (SktlabError, OSError, np.linalg.LinAlgError) as exc:
         code, prefix = next(v for types, v in _EXITS.items() if isinstance(exc, types))
-        tail = f" (last tau = {exc.tau!r})" if isinstance(exc, TauCollapse) else ""
-        print(f"{prefix}: {exc}{tail}", file=sys.stderr)
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return code
 
 

@@ -20,18 +20,10 @@ class NoConvergence(SktlabError):
     """An iterative solver exhausted its iteration budget, or no Newton step
     stayed in the nonnegative cone."""
 
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
 
 class TauCollapse(SktlabError):
-    """The nonlocal unknown collapsed towards zero: complete-segregation signature."""
-
-    def __init__(self, message, tau=None):
-        super().__init__(message)
-        self.tau = tau
+    """The nonlocal unknown collapsed towards zero: complete-segregation
+    signature.  The message ends with the last tau."""
 
 
 class AssemblyError(SktlabError):

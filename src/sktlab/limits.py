@@ -47,9 +47,7 @@ class LimitParams:
                 raise ValueError(f"{name} must be strictly positive")
 
     @classmethod
-    def from_model(cls, p: ModelParams, gamma: float | None = None) -> "LimitParams":
-        if gamma is None:
-            gamma = p.gamma()
+    def from_model(cls, p: ModelParams, gamma: float) -> "LimitParams":
         return cls(a1=p.a1, a2=p.a2, b1=p.b1, b2=p.b2, c1=p.c1, c2=p.c2,
                    d1=p.d1, d2=p.d2, gamma=gamma)
 
@@ -151,6 +149,10 @@ def _is_linearization(lp: LimitParams, root, d1: float):
     return q_w, q_t, f_w, f_t, (q_u, q_v, fu, fv)
 
 
+def _collapse(what: str, tau) -> TauCollapse:
+    return TauCollapse(f"{what} (last tau = {float(tau)!r})")
+
+
 def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
                   max_iter: int, what: str, phase=None, fold=1):
     """Bordered Newton on the incomplete-segregation system from x = (w, tau)
@@ -200,9 +202,9 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
 
     def feasible(x):
         if x[n] < _TAU_FLOOR:
-            return TauCollapse("tau fell below the collapse floor", tau=float(x[n]))
+            return _collapse("tau fell below the collapse floor", x[n])
         if phase is not None and x[-1] <= 0.0:
-            return TauCollapse("branch iterate left d1 > 0", tau=float(x[n]))
+            return _collapse("branch iterate left d1 > 0", x[n])
 
     return _damped_newton(residual, step, x, tol, max_iter, what, feasible)
 
@@ -217,7 +219,7 @@ def is_newton(lp: LimitParams, w0: GridFn, tau0: float,
     (a tau* = u* v* that is tiny or underflowed).
     """
     if not tau0 >= _TAU_FLOOR:
-        raise TauCollapse(f"start tau is below the collapse floor {_TAU_FLOOR:g}", tau=tau0)
+        raise _collapse(f"start tau is below the collapse floor {_TAU_FLOOR:g}", tau0)
     g = w0.grid
     x, (fld, con, _), _, it, _, _ = _is_corrector(
         lp, np.concatenate((w0.values, [float(tau0)])), g.h, tol, 40, "bordered Newton")
@@ -266,10 +268,10 @@ def _eps_newton(lp: LimitParams, x: np.ndarray, eps: float, h: float, tol: float
     def feasible(x):
         tau = x[-1] + eps * x[n:-1]
         if not float(np.min(tau)) > 0.0:
-            return TauCollapse("T + eps*zeta left tau > 0", tau=float(x[-1]))
+            return _collapse("T + eps*zeta left tau > 0", x[-1])
         u, v, _ = _uv_root(lp, x[:n], tau, d1)
         if not float(np.max(np.abs(u * v - tau))) <= 1e-8 * float(np.max(tau)):
-            return TauCollapse("the (u, v) of (w, tau) lose tau", tau=float(x[-1]))
+            return _collapse("the (u, v) of (w, tau) lose tau", x[-1])
 
     return _damped_newton(residual, step, x, tol, 40, "regular-form Newton", feasible)
 

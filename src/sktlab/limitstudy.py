@@ -101,8 +101,7 @@ def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
                 state, fell_back = _solve_step(base.with_rates(alpha, beta), state, newton_tol)
             except NoConvergence as exc:
                 raise NoConvergence(f"schedule step {k} (alpha={alpha:g}, "
-                                    f"beta={beta:g}): {exc}", residual=exc.residual,
-                                    iterations=exc.iterations) from exc
+                                    f"beta={beta:g}): {exc}") from exc
             fallback_steps += fell_back
         w, z = limits.w_z_from_uv(state.params, state.u, state.v)
         tau_hat = integrate(z) / w.grid.length
@@ -136,7 +135,7 @@ def _solve_step(p: ModelParams, state: SteadyState, tol: float) -> tuple[SteadyS
     u, v = state.u.values, state.v.values
     prod = u * v
     if float(np.min(prod)) > 1e-12 * max(float(np.max(prod)), 1.0):
-        lp = LimitParams.from_model(p)
+        lp = LimitParams.from_model(p, gamma=p.alpha / p.beta)
         t0 = float(np.mean(prod))
         x0 = np.concatenate((p.d1 * u - lp.gamma * p.d2 * v,
                              state.params.alpha * (prod - t0), [t0]))

@@ -62,12 +62,10 @@ def _damped_newton(residual, step, x, tol, max_iter, what, feasible=None):
                     if err is None and ok and float(np.max(np.abs(dx))) <= \
                             1e4 * _EPS * max(1.0, float(np.max(np.abs(x)))):
                         return x, data, rnorm, it, history, floor
-                    raise err or NoConvergence(f"line search stalled in {what}",
-                                               residual=rnorm, iterations=it)
+                    raise err or NoConvergence(f"line search stalled in {what}")
             x, data, rnorm, floor, ok = xt, tdata, tnorm, tfloor, True
             history.append(rnorm)
-        raise NoConvergence(f"{what} did not converge", residual=rnorm,
-                            iterations=max_iter)
+        raise NoConvergence(f"{what} did not converge")
 
 
 def residual_floor(h: float, *scales: float) -> float:

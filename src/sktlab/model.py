@@ -3,23 +3,16 @@
 The stationary problem couples two competing densities u, v through
 divergence-form diffusion Delta[(d1 + alpha*v) u], Delta[(d2 + beta*u) v]
 and Lotka-Volterra kinetics f, g.  This module holds the parameter record,
-the reaction terms and their partials, the constant coexistence state and
-the competition-regime classification.  Everything here is exact closed-form
-algebra; no grids are involved.
+the reaction terms and their partials, and the constant coexistence state,
+which exists under weak or strong competition.  Everything here is exact
+closed-form algebra; no grids are involved.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 from .errors import NotApplicable
-
-
-class CompetitionRegime(enum.Enum):
-    WEAK = "weak"
-    STRONG = "strong"
-    NEITHER = "neither"
 
 
 @dataclass(frozen=True)
@@ -50,12 +43,6 @@ class ModelParams:
                 raise ValueError(f"{name} must be strictly positive")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("alpha and beta must be nonnegative")
-
-    def gamma(self) -> float:
-        """Rate ratio alpha/beta; only defined for beta > 0."""
-        if self.beta <= 0.0:
-            raise ValueError("gamma() undefined at beta = 0")
-        return self.alpha / self.beta
 
     def with_rates(self, alpha: float, beta: float) -> "ModelParams":
         return replace(self, alpha=alpha, beta=beta)
@@ -102,30 +89,17 @@ def kinetic_partials(p, u, v):
             -p.b2 * v, p.a2 - p.b2 * u - 2.0 * p.c2 * v)
 
 
-def regime(p: ModelParams) -> CompetitionRegime:
-    """Classify the competition regime by the ratio chains.
-
-    weak:   c1/c2 < a1/a2 < b1/b2
-    strong: b1/b2 < a1/a2 < c1/c2
-    Comparisons are done by cross-multiplication so rational inputs never
-    produce spurious ties.  Ties map to NEITHER.
-    """
-    ab = p.a1 * p.b2 - p.a2 * p.b1   # sign of a1/a2 - b1/b2
-    ac = p.a1 * p.c2 - p.a2 * p.c1   # sign of a1/a2 - c1/c2
-    if ac > 0.0 and ab < 0.0:
-        return CompetitionRegime.WEAK
-    if ab > 0.0 and ac < 0.0:
-        return CompetitionRegime.STRONG
-    return CompetitionRegime.NEITHER
-
-
 def constant_state(p: ModelParams) -> ConstantState:
     """Positive root of both kinetic nullclines, with tau* = u* v*.
 
-    Only defined in the weak or strong competition regime.
+    Only defined in the weak (c1/c2 < a1/a2 < b1/b2) or strong (b1/b2 <
+    a1/a2 < c1/c2) competition regime.  The ratios are compared by
+    cross-multiplication so rational inputs never produce spurious ties;
+    a tie is neither regime.
     """
-    reg = regime(p)
-    if reg is CompetitionRegime.NEITHER:
+    ab = p.a1 * p.b2 - p.a2 * p.b1   # sign of a1/a2 - b1/b2
+    ac = p.a1 * p.c2 - p.a2 * p.c1   # sign of a1/a2 - c1/c2
+    if not (ac > 0.0 > ab or ab > 0.0 > ac):
         raise NotApplicable("constant coexistence state requires weak or strong competition")
     den = p.b2 * p.c1 - p.b1 * p.c2
     if abs(den) < 1e-14 * max(abs(p.b2 * p.c1), abs(p.b1 * p.c2)):

@@ -99,18 +99,17 @@ def _lobe(d: float, a: float, b: float, ell: float) -> tuple[float, float]:
     target = ell * math.sqrt(a / d)
     if not 0.5 * math.pi < target <= 700.0:
         raise NoConvergence(f"scaled lobe length {target:.6g} is not between the "
-                            "quarter period pi/2 and 700", residual=None, iterations=0)
+                            "quarter period pi/2 and 700")
     # L(y) + y rises from log(12/(2 + sqrt 3)) at y = -inf to pi/2 at y = 0
     y = math.log(12.0 / (2.0 + math.sqrt(3.0))) - target
-    for it in range(40):
+    for _ in range(40):
         ell_y, slope = _time_map(y)
         step = (ell_y - target) / slope
         y = min(y - step, 0.0)
         if abs(step) <= 1e-14 * max(1.0, -y):
             amp = (a / b) * -math.expm1(y)
             return y, math.sqrt(amp * amp * (a - (2.0 / 3.0) * b * amp) / d)
-    raise NoConvergence("lobe amplitude did not converge", residual=ell_y - target,
-                        iterations=it + 1)
+    raise NoConvergence("lobe amplitude did not converge")
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray):

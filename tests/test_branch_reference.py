@@ -88,7 +88,7 @@ def _ref_switch_and_continue(lp, bp, s_max, ds, tol=1e-11):
     plus, minus = sides
     ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
                for p in reversed(minus)] + [base] + plus
-    return Branch(origin=bp, points=tuple(ordered), truncated=truncated)
+    return Branch(points=tuple(ordered), truncated=truncated)
 
 
 def _ref_two_sided(lp, bp, s_max, ds, tol=1e-11):
@@ -141,7 +141,7 @@ def _ref_two_sided(lp, bp, s_max, ds, tol=1e-11):
     plus, minus = sides
     ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
                for p in reversed(minus)] + [base] + plus
-    return Branch(origin=bp, points=tuple(ordered), truncated=truncated)
+    return Branch(points=tuple(ordered), truncated=truncated)
 
 
 # unequal nodes as an adapted amplitude step leaves them, both signs of s

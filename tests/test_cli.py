@@ -219,13 +219,22 @@ def test_parse_config_rejects_non_finite(key, value, tmp_path):
     assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
-def test_too_small_grid_and_bad_overrides_are_config_errors(tmp_path):
+def test_too_small_grid_and_bad_overrides_are_config_errors(tmp_path, capsys):
     with pytest.raises(ValidationError):
         parse_config("grid.n_cells = 4\n")
     assert parse_config("grid.n_cells = 8\n")["grid.n_cells"] == 8
     # command-line overrides pass the same checks as config values
     assert main(["is-solve", "--grid", "4", "--out", str(tmp_path)]) == 3
     assert main(["bounds", "--alpha", "nan", "--out", str(tmp_path)]) == 3
+    # a nonnegative key below 0, in a config and as a flag
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("run.seed = -1\n")
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert main(["bounds", "--alpha", "-1", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: run.seed must be nonnegative, got -1",
+        "config error: model.alpha must be nonnegative, got -1.0"]
 
 
 def test_cached_parser_leaks_no_state(tmp_path):
@@ -513,20 +522,28 @@ DEGENERATE = {
     "parallel": ("model.a1 = 1\nmodel.a2 = 1\nmodel.b1 = 1.0000000000000004\n"
                  "model.b2 = 1\nmodel.c1 = 1\nmodel.c2 = 1.0000000000000002\n"
                  "model.d1 = 1\nmodel.d2 = 1\nmodel.alpha = 1\nmodel.beta = 1\n"
-                 "grid.n_cells = 64\n"),
+                 "grid.n_cells = 64\n",
+                 "b2*c1 - b1*c2 vanishes; nullclines are parallel"),
+    # the existence check passes, but the u-lobe needs more than 0.98 of
+    # the unit, so no admissible theta is left
+    "empty_theta": ("model.a1 = 1\nmodel.a2 = 1\nmodel.b1 = 1\nmodel.b2 = 1\n"
+                    "model.c1 = 1\nmodel.c2 = 1\nmodel.d1 = 0.395\nmodel.d2 = 1e-6\n"
+                    "run.n = 1\n",
+                    "admissible theta window is empty"),
 }
 
 
 @pytest.mark.parametrize("command, config", [
     ("solve", "parallel"), ("is-solve", "parallel"), ("bifurcate", "parallel"),
-    ("limit-study", "parallel"), ("selftest", "parallel")])
+    ("limit-study", "parallel"), ("selftest", "parallel"),
+    ("dhmp", "empty_theta"), ("cs-solve", "empty_theta")])
 def test_degenerate_parameters_are_not_applicable(command, config, tmp_path, capsys):
+    text, message = DEGENERATE[config]
     cfg = tmp_path / "x.cfg"
-    cfg.write_text(DEGENERATE[config])
+    cfg.write_text(text)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("not applicable: ")
+    assert capsys.readouterr().err.splitlines() == [f"not applicable: {message}"]
     assert not out.exists()
 
 

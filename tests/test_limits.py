@@ -10,7 +10,7 @@ from sktlab.grid import Grid, GridFn, integrate
 from sktlab.linalg import residual_floor
 from sktlab.limits import (CSState, ISState, LimitParams, cs_solve,
                            is_newton, is_residual, uv_from_w_tau, w_z_from_uv)
-from sktlab.model import ModelParams, constant_state, regime
+from sktlab.model import ModelParams, constant_state
 
 from conftest import P1, TAU_STAR, U_STAR, V_STAR
 from oracles import uv_from_w_z
@@ -74,10 +74,12 @@ def test_inversion_feasibility_guard():
 
 def _random_regime_params(rng):
     while True:
-        vals = rng.uniform(0.1, 4.0, 8)
-        p = ModelParams(*vals)
-        if regime(p).value in ("weak", "strong"):
-            return p
+        p = ModelParams(*rng.uniform(0.1, 4.0, 8))
+        try:
+            constant_state(p)
+        except NotApplicable:
+            continue
+        return p
 
 
 def test_constant_is_exact_is_solution(rng):
@@ -186,8 +188,8 @@ def test_limit_params_validation(p1):
     with pytest.raises(ValueError):
         LimitParams(a1=1.0, a2=1.0, b1=1.0, b2=1.0, c1=1.0, c2=1.0,
                     d1=0.0, d2=1.0, gamma=1.0)
-    lp = LimitParams.from_model(p1.with_rates(30.0, 10.0))
-    assert lp.gamma == 3.0
+    assert LimitParams.from_model(p1.with_rates(30.0, 10.0), gamma=3.0) == \
+        LimitParams(gamma=3.0, **P1)
 
 
 def test_is_newton_from_a_non_positive_tau_is_a_collapse():

@@ -83,14 +83,13 @@ def test_the_seed_is_step_0_and_each_later_pair_is_solved_once(monkeypatch):
 
 def test_a_failing_step_names_its_schedule_step(grid64, p1, monkeypatch, tmp_path, capsys):
     def fail(*args):
-        raise NoConvergence("x", residual=1.0, iterations=3)
+        raise NoConvergence("x")
 
     monkeypatch.setattr(limitstudy, "_solve_step", fail)
     sched = geometric_schedule(10.0, 1.0, 3)
     with pytest.raises(NoConvergence) as info:
         run_sequence(p1, sched, _seed(p1.with_rates(*sched[0]), grid64), gamma_target=1.0)
     assert str(info.value) == "schedule step 1 (alpha=100, beta=100): x"
-    assert (info.value.residual, info.value.iterations) == (1.0, 3)
     cfg = tmp_path / "ls.cfg"
     cfg.write_text("grid.n_cells = 64\n")
     out = tmp_path / "out"
@@ -256,7 +255,7 @@ def test_eps_form_agrees_with_the_uv_newton(grid64):
 def test_eps_form_converges_from_the_constant_w_at_large_rates(grid64):
     # constant w, zeta = 0 and T 20 % off tau*: back to the constant state
     p = ModelParams(**P1).with_rates(1e4, 1e4)
-    lp = LimitParams.from_model(p)
+    lp = LimitParams.from_model(p, gamma=1.0)
     x0 = np.concatenate((np.full(64, p.d1 * U_STAR - p.d2 * V_STAR), np.zeros(64),
                          [0.8 * TAU_STAR]))
     x, (_, _, _, (u, v, _)), _, it, _, _ = limits._eps_newton(lp, x0, 1e-4, grid64.h, 1e-11)

@@ -235,17 +235,15 @@ def test_damped_newton_accepts_trial_that_only_meets_stop_test():
 
 
 def test_damped_newton_stalled_line_search_and_max_iter():
-    with pytest.raises(NoConvergence, match="line search stalled") as e:
+    with pytest.raises(NoConvergence, match="line search stalled"):
         _damped_newton(lambda x: (1.0, 0.0, None), lambda x, r: np.ones(1), np.zeros(1),
                        0.0, 5, "test Newton")
-    assert e.value.residual == 1.0 and e.value.iterations == 0
 
     # each step halves the residual of x -> x - 1: Armijo holds, the stop
     # test never does
-    with pytest.raises(NoConvergence, match="did not converge") as e:
+    with pytest.raises(NoConvergence, match="did not converge"):
         _damped_newton(_scalar_residual(1.0), lambda x, r: -0.5 * r, np.array([2.0]),
                        0.0, 3, "test Newton")
-    assert e.value.residual == 0.125 and e.value.iterations == 3
 
 
 def test_damped_newton_halves_infeasible_trials():

@@ -1,22 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sktlab.errors import NotApplicable
 from sktlab.limits import LimitParams
-from sktlab.model import (CompetitionRegime, ModelParams, constant_state,
-                          kinetic_partials, reaction_f, reaction_g, regime)
+from sktlab.model import (ModelParams, constant_state, kinetic_partials, reaction_f,
+                          reaction_g)
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
 from oracles import big_F, big_G, sigma_affine
 
 
 def test_regime_classification(p1, pw):
-    assert regime(p1) is CompetitionRegime.STRONG
-    assert regime(pw) is CompetitionRegime.WEAK
-    # a1/a2 == b1/b2 is a tie, not weak competition
+    # strong (P1) and weak (PW) competition have the constant state
+    assert constant_state(p1).v_star > 0.0 and constant_state(pw).v_star > 0.0
+    # a1/a2 == b1/b2 is a tie, not weak competition; a1/a2 above both b1/b2
+    # and c1/c2 is neither regime
     tie = ModelParams(a1=1.0, a2=1.0, b1=1.0, b2=1.0, c1=0.5, c2=1.0,
                       d1=1.0, d2=1.0)
-    assert regime(tie) is CompetitionRegime.NEITHER
+    for p in (tie, replace(p1, a1=50.0)):
+        with pytest.raises(NotApplicable, match="requires weak or strong competition"):
+            constant_state(p)
 
 
 def test_constant_state_is_nullcline_root(p1, pw):
@@ -76,8 +81,6 @@ def test_parameter_validation():
                     d1=1.0, d2=1.0)
     with pytest.raises(ValueError):
         ModelParams(**P1).with_rates(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        ModelParams(**PW).gamma()  # beta = 0
 
 
 def test_kinetic_partials_match_central_differences(p1, rng):

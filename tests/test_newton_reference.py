@@ -98,7 +98,8 @@ def _ref_branch_newton(lp, x0, phi, s_target, g, tol=1e-11, max_iter=30):
 
     def feasible(x):
         if x[-2] <= 1e-12 or x[-1] <= 0.0:
-            return TauCollapse("branch iterate left the admissible cone", tau=x[-2])
+            return TauCollapse("branch iterate left the admissible cone "
+                               f"(last tau = {float(x[-2])!r})")
 
     x, _, _, it, _, _ = _damped_newton(residual, step, x0, tol, max_iter,
                                        "branch corrector", feasible)
@@ -134,7 +135,8 @@ def _ref_is_newton(lp, w0, tau0, tol=1e-11, max_iter=40):
 
     def feasible(x):
         if x[-1] < limits._TAU_FLOOR:
-            return TauCollapse("tau fell below the collapse floor", tau=float(x[-1]))
+            return TauCollapse("tau fell below the collapse floor "
+                               f"(last tau = {float(x[-1])!r})")
 
     return _damped_newton(residual, step, np.concatenate((w0.values, [float(tau0)])),
                           tol, max_iter, "bordered Newton", feasible)

@@ -11,6 +11,10 @@ linger with an exit code of its own.  Raises in tests do not count.
 Each such class is also named in exactly one row of `cli._EXITS`, and no
 row names two of them: one type per exit outcome, so an `except` never
 has to list two types that end the same way.
+
+An error is its type and its message: no class of `errors.py` defines
+`__init__` or assigns an attribute, in its body or on `self`, so no value
+rides on an exception that the message does not already carry.
 """
 
 import ast
@@ -75,6 +79,47 @@ def test_scan_flags_an_error_that_is_only_mapped_and_caught():
                    "    except errors.Mapped as exc:\n        return str(exc)\n"),
     }
     assert _never_raised(errors_text, package) == ["Mapped"]
+
+
+def _stored_state(errors_text: str) -> list[str]:
+    """`Class.__init__` for each class that defines one, and `Class.name`
+    for each attribute a class assigns in its body or on an instance."""
+    faults = []
+    for cls in ast.parse(errors_text).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                faults.append(f"{cls.name}.__init__")
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                       else [])
+            for t in targets:
+                if isinstance(t, ast.Attribute):
+                    faults.append(f"{cls.name}.{t.attr}")
+                elif isinstance(t, ast.Name) and node in cls.body:
+                    faults.append(f"{cls.name}.{t.id}")
+    return faults
+
+
+def test_package_errors_store_nothing_but_their_message():
+    errors_text = (pathlib.Path(sktlab.__file__).parent / "errors.py").read_text(
+        encoding="utf-8")
+    assert _stored_state(errors_text) == []
+
+
+def test_stored_state_scan_flags_init_and_attributes():
+    errors_text = ("class SktlabError(Exception):\n    \"\"\"Base.\"\"\"\n\n"
+                   "class Plain(SktlabError):\n    pass\n\n"
+                   "class Payload(SktlabError):\n"
+                   "    def __init__(self, message, tau=None):\n"
+                   "        super().__init__(message)\n"
+                   "        self.tau = tau\n\n"
+                   "class Tagged(SktlabError):\n    code: int = 2\n    kind = 'x'\n\n"
+                   "class Patched(SktlabError):\n"
+                   "    def note(self):\n        self.seen = True\n")
+    assert _stored_state(errors_text) == ["Payload.__init__", "Payload.tau",
+                                          "Tagged.code", "Tagged.kind", "Patched.seen"]
 
 
 def _exit_table_faults(exits: dict, classes: list[type]) -> list[str]:

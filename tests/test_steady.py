@@ -303,6 +303,20 @@ def test_a_cross_diffusion_instability_takes_the_march_path():
     assert st.constant_rate > 0.0
 
 
+def test_solve_without_a_coexistence_state_marches_to_exclusion():
+    # a1/a2 = 50/3 is above both b1/b2 and c1/c2: neither regime, so no
+    # constant state and no Newton-first; the march ends on u = a1/b1, v = 0
+    p = ModelParams(**dict(P1, a1=50.0)).with_rates(100.0, 100.0)
+    g = Grid(64)
+    u0 = GridFn(g, 10.0 + np.cos(np.pi * g.x))
+    v0 = GridFn(g, 5.0 + np.cos(2.0 * np.pi * g.x))
+    st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    assert np.max(np.abs(st.u.values - p.a1 / p.b1)) <= 1e-12 * p.a1 / p.b1
+    assert st.v_max <= 1e-40
+    assert np.isnan(st.constant_rate)
+    assert st.march_steps == 33 and st.certificate_ok is True
+
+
 def _solved(fn, *args):
     try:
         return fn(*args)
