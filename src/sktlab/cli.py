@@ -187,6 +187,7 @@ def _cmd_solve(cfg) -> dict:
                            "residual_floor": state.residual_floor,
                            "newton_iters": state.newton_iters,
                            "march_steps": state.march_steps,
+                           "march_cells": state.march_cells,
                            "constant_rate": state.constant_rate,
                            "u_max": state.u_max, "v_max": state.v_max,
                            "certificate_ok": state.certificate_ok})}

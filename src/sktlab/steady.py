@@ -5,14 +5,14 @@ Jacobian splits exactly over the discrete cosine modes, so its spectrum
 is that of one 2x2 matrix per mode; where every mode is stable, damped
 Newton in the densities (u, v) runs straight from the start and its state
 is kept when it is (u*, v*).  Otherwise, or when that Newton fails, a
-semi-implicit time march finds a basin of attraction and the same Newton
-polishes it (`march_then_newton`).  Newton uses an analytically assembled
-block-tridiagonal Jacobian (interleaved unknown ordering, direct banded
-factorization).  Along a large-rate schedule, limitstudy solves each step
-in the regular form of limits._eps_newton and calls newton_solve only
-where that form cannot hold the state.  The reduction identity and the
-maximum-principle sign check on F and G at the density maxima are oracles
-of the tests (tests/oracles.py), not part of the solver.
+semi-implicit time march finds a basin of attraction, on 256 cells where
+the grid is finer, and the same Newton polishes it on the grid.  Newton
+uses an analytically assembled block-tridiagonal Jacobian (interleaved
+ordering, direct banded factorization).  Along a large-rate schedule,
+limitstudy solves each step in the regular form of limits._eps_newton and
+calls newton_solve only where that form cannot hold the state.  The
+reduction identity and the maximum-principle sign check on F and G at the
+density maxima are oracles of the tests (tests/oracles.py), not solvers.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .linalg import (_EPS, _damped_newton, pair_band, residual_floor,
 from .model import (ConstantState, ModelParams, constant_state,
                     kinetic_partials, reaction_f, reaction_g)
 
+_MARCH_CELLS = 256   # solve marches on this grid where n is larger
+
 
 @dataclass(frozen=True)
 class SteadyState:
@@ -42,6 +44,7 @@ class SteadyState:
     newton_iters: int
     certificate_ok: bool | None
     march_steps: int = 0     # time-march steps before the Newton polish
+    march_cells: int = 0     # cells of the grid the march ran on, 0 if none
     constant_rate: float = math.nan   # set by solve: see _constant_rate
     residual_history: tuple = field(default=(), repr=False)
 
@@ -245,18 +248,20 @@ def _constant_rate(p: ModelParams, cs: ConstantState, g: Grid) -> tuple[float, b
 def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
           tol: float) -> SteadyState:
     """Newton first where the constant state is the stable attractor, else
-    march_then_newton.
+    a march into a basin and newton_solve at n.
 
     Where the constant coexistence state exists, is positive and is shown
     stable by _constant_rate, newton_solve runs from (u0, v0), and its state
     is kept when it equals (u*, v*) to 1e-8 relative in each field, with
-    march_steps = 0.  Otherwise, or when that Newton fails, the march runs
-    as in march_then_newton.  A march of more than 10^6 steps is a
-    ValidationError on either path.  constant_rate is the rightmost real
-    part of the constant state's spectrum, NaN where no positive constant
-    state exists.
+    march_steps = march_cells = 0.  Otherwise, or when that Newton fails, a
+    march for n > _MARCH_CELLS runs on that many cells (linear interpolation
+    both ways) and, if it stops before its last step, newton_solve polishes
+    at n; else, and where that attempt raises, march_then_newton runs at n.
+    A march of more than 10^6 steps is a ValidationError on either path.
+    constant_rate is the rightmost real part of the constant state's
+    spectrum, NaN where no positive constant state exists.
     """
-    _step_count(dt, t_end)
+    n_steps = _step_count(dt, t_end)
     rate, stable = math.nan, False
     try:
         cs = constant_state(p)
@@ -273,4 +278,18 @@ def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
                 and float(np.max(np.abs(st.u.values - cs.u_star))) <= 1e-8 * cs.u_star \
                 and float(np.max(np.abs(st.v.values - cs.v_star))) <= 1e-8 * cs.v_star:
             return replace(st, constant_rate=rate)
-    return replace(march_then_newton(p, u0, v0, dt, t_end, tol), constant_rate=rate)
+    g = u0.grid
+    if g.n_cells > _MARCH_CELLS:
+        try:
+            gc = Grid(_MARCH_CELLS, g.length)
+            u, v, steps = time_march(p, GridFn(gc, np.interp(gc.x, g.x, u0.values)),
+                                     GridFn(gc, np.interp(gc.x, g.x, v0.values)), dt, t_end, tol)
+            if steps < n_steps:
+                st = newton_solve(p, GridFn(g, np.interp(g.x, gc.x, u.values)),
+                                  GridFn(g, np.interp(g.x, gc.x, v.values)), tol=tol)
+                return replace(st, march_steps=steps, march_cells=_MARCH_CELLS,
+                               constant_rate=rate)
+        except (ValueError, NoConvergence, np.linalg.LinAlgError):
+            pass    # a NonFiniteSystem, or a coarse Grid that cannot be built
+    return replace(march_then_newton(p, u0, v0, dt, t_end, tol), march_cells=g.n_cells,
+                   constant_rate=rate)

@@ -15,6 +15,10 @@ of the fixed-length march followed by Newton, on starts from 1e-1 down to
 1e-13 of the constant state, where the stop must not fire on the unstable
 constant state, and that the Newton-first `steady.solve` reaches the same
 state to 1e-8 of its sup norm.
+
+Above 256 cells `steady.solve` marches on 256 cells and polishes at n; the
+last tests check that it reaches the state of `march_then_newton` at n and
+that its march solves only 256-cell bands.
 """
 
 import numpy as np
@@ -94,14 +98,19 @@ def test_stacked_march_equals_the_two_system_march(params, n, dt):
     assert np.array_equal(v.values, vr.values)
 
 
-def test_one_tridiagonal_solve_per_march_step(monkeypatch):
-    calls = []
+def _band_spy(monkeypatch):
+    bands = []
 
     def spy(ab, rhs, overwrite_rhs=False):
-        calls.append(ab.shape)
+        bands.append(ab.shape)
         return solve_tridiag(ab, rhs, overwrite_rhs)
 
     monkeypatch.setattr(steady, "solve_tridiag", spy)
+    return bands
+
+
+def test_one_tridiagonal_solve_per_march_step(monkeypatch):
+    calls = _band_spy(monkeypatch)
     p, u0, v0 = _start(PW, 64)
     _, _, steps = steady.time_march(p, u0, v0, 0.1, 2.0, 1e-11)
     assert steps == 20
@@ -144,3 +153,37 @@ def test_solve_reaches_the_fixed_length_attractor(params, seed):
         assert np.max(np.abs(st.u.values - ref.u.values)) <= 1e-8 * scale
         assert np.max(np.abs(st.v.values - ref.v.values)) <= 1e-8 * scale
         assert (st.march_steps == 0) == (params is PW)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("seed", [5, 31])
+def test_solve_above_256_cells_marches_on_256_and_keeps_the_state(monkeypatch, n, seed):
+    # P1 at the CLI's defaults: the 256-cell march settles early, and Newton
+    # at n ends on the state of march_then_newton at n
+    bands = _band_spy(monkeypatch)
+    p = ModelParams(**P1).with_rates(100.0, 100.0)
+    g = Grid(n)
+    for amplitude in (0.9, 0.1, 1e-3):
+        u0, v0 = cli._seeded_fields(p, g, seed, amplitude)
+        bands.clear()
+        st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+        assert st.march_cells == 256 and 0 < st.march_steps < round(20.0 / 0.1)
+        assert bands == [(3, 512)] * st.march_steps
+        ref = steady.march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
+        scale = max(ref.u_max, ref.v_max)
+        assert np.max(np.abs(st.u.values - ref.u.values)) <= 1e-8 * scale
+        assert np.max(np.abs(st.v.values - ref.v.values)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_solve_up_to_256_cells_marches_on_the_grid(monkeypatch, n):
+    bands = _band_spy(monkeypatch)
+    g = Grid(n)
+    p = ModelParams(**P1).with_rates(100.0, 100.0)
+    st = steady.solve(p, *cli._seeded_fields(p, g, 5, 0.1), 0.1, 20.0, 1e-11)
+    assert st.march_cells == n and bands == [(3, 2 * n)] * st.march_steps
+    # the Newton-first path marches on no grid
+    p = ModelParams(**PW).with_rates(100.0, 100.0)
+    bands.clear()
+    st = steady.solve(p, *cli._seeded_fields(p, g, 5, 0.1), 0.1, 20.0, 1e-11)
+    assert st.march_steps == st.march_cells == 0 and bands == []

@@ -187,6 +187,22 @@ def test_cli_solve_stops_the_march_at_newtons_stop_test(tmp_path):
     assert meta["newton_iters"] == "0"
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_cli_solve_readme_example_marches_on_256_cells(tmp_path, n):
+    # `sktlab solve --grid n` at the defaults (P1): the march picks the
+    # basin on 256 cells and stops early, Newton polishes at n
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--grid", str(n), "--out", str(out)]) == 0
+    rows = [l for l in (out / "state.csv").read_text().splitlines() if not l.startswith("#")]
+    data = np.loadtxt(rows[1:], delimiter=",")
+    assert data.shape == (n, 3)
+    assert np.max(np.abs(data[:, 1] - 50.0)) < 1e-8
+    assert np.max(data[:, 2]) < 1e-8
+    meta = _solve_metadata(tmp_path)
+    assert int(meta["march_steps"]) < 200 and meta["march_cells"] == "256"
+    assert meta["certificate_ok"] == "True"
+
+
 def test_cli_solve_near_the_unstable_state_keeps_the_full_march(tmp_path):
     # 1e-12 off the constant state the start already meets Newton's stop
     # test; it is unstable, and the 1e6-fold fall the stop also asks for
@@ -273,6 +289,31 @@ def test_a_failed_newton_falls_back_to_the_march():
 # kinetics alone are stable, the constant state at these rates is not
 TURING = dict(a1=1.988, a2=2.250, b1=0.446, b2=0.375, c1=0.411, c2=1.004,
               d1=0.0238, d2=0.0108, alpha=364.0, beta=0.391)
+
+
+def test_an_unsettled_coarse_march_keeps_the_outcome_of_the_march_at_n(monkeypatch):
+    # TURING at n = 1024: the 256-cell march runs all its 200 steps without
+    # meeting its stop test, so solve marches again at n and fails there as
+    # march_then_newton does.  Polishing the unsettled coarse state at n
+    # instead converges onto the constant state, whose rightmost eigenvalue
+    # (dense spectrum of _jacobian_banded) is +0.37: linearly unstable.
+    p = ModelParams(**TURING)
+    u0, v0 = cli._seeded_fields(p, Grid(1024), 5, 0.1)
+    with pytest.raises(NoConvergence) as ref:
+        steady.march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
+    marches = []
+    time_march = steady.time_march
+
+    def spy(p, u0, *args):
+        u, v, steps = time_march(p, u0, *args)
+        marches.append((u0.grid.n_cells, steps))
+        return u, v, steps
+
+    monkeypatch.setattr(steady, "time_march", spy)
+    with pytest.raises(NoConvergence) as got:
+        steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    assert str(got.value) == str(ref.value)
+    assert marches == [(256, 200), (1024, 200)]
 
 
 @pytest.mark.parametrize("params, rate", [(P1, 3.1005977901), (PW, -2.4725536746)],
