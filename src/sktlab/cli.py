@@ -210,15 +210,14 @@ def _cmd_limit_study(cfg) -> dict:
     a0, b0 = schedule[0]
     p0 = base.with_rates(a0, b0)
     u0, v0 = _seeded_fields(p0, g, cfg["run.seed"], cfg["run.amplitude"])
-    # seed with a direct Newton polish of the patterned fields; marching
-    # first would hand the schedule whatever attractor the dynamics picks,
-    # which at strong competition is an exclusion state
+    # seed with a direct Newton polish of the patterned fields, and solve
+    # only where it fails: marching first would hand the schedule whatever
+    # attractor the dynamics picks, at strong competition an exclusion state
     try:
         seed_state = steady.newton_solve(p0, u0, v0, tol=cfg["run.tol"])
     except NoConvergence:
-        seed_state = steady.march_then_newton(p0, u0, v0, dt=cfg["run.dt"],
-                                              t_end=cfg["run.t_march"],
-                                              tol=cfg["run.tol"])
+        seed_state = steady.solve(p0, u0, v0, dt=cfg["run.dt"], t_end=cfg["run.t_march"],
+                                  tol=cfg["run.tol"])
     report = limitstudy.run_sequence(base, schedule, seed_state,
                                      gamma_target=gamma,
                                      newton_tol=cfg["run.tol"])

@@ -5,8 +5,9 @@ Jacobian splits exactly over the discrete cosine modes, so its spectrum
 is that of one 2x2 matrix per mode; where every mode is stable, damped
 Newton in the densities (u, v) runs straight from the start and its state
 is kept when it is (u*, v*).  Otherwise, or when that Newton fails, a
-semi-implicit time march finds a basin of attraction, on 256 cells where
-the grid is finer, and the same Newton polishes it on the grid.  Newton
+semi-implicit time march finds a basin of attraction, on 256 cells first
+where the grid is finer, and the same Newton polishes it on the grid; this
+is also the limit-study seed's search where its own Newton fails.  Newton
 uses an analytically assembled block-tridiagonal Jacobian (interleaved
 ordering, direct banded factorization).  Along a large-rate schedule,
 limitstudy solves each step in the regular form of limits._eps_newton and
@@ -30,7 +31,8 @@ from .linalg import (_EPS, _damped_newton, pair_band, residual_floor,
 from .model import (ConstantState, ModelParams, constant_state,
                     kinetic_partials, reaction_f, reaction_g)
 
-_MARCH_CELLS = 256   # solve marches on this grid where n is larger
+_MARCH_CELLS = 256   # solve marches on this grid first where n is larger
+_FAILED = (NoConvergence, NonFiniteSystem, np.linalg.LinAlgError)   # solve tries its next search
 
 
 @dataclass(frozen=True)
@@ -210,11 +212,9 @@ def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
     return GridFn(g, x[0]), GridFn(g, x[1]), steps
 
 
-def march_then_newton(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
-                      t_end: float, tol: float = 1e-11) -> SteadyState:
-    """Convenience pipeline: time march into a basin, then polish."""
-    u, v, steps = time_march(p, u0, v0, dt, t_end, tol)
-    return replace(newton_solve(p, u, v, tol=tol), march_steps=steps)
+def _on(g: Grid, f: GridFn) -> GridFn:
+    """f on g: f itself where it lives on g, else linearly interpolated."""
+    return f if f.grid == g else GridFn(g, np.interp(g.x, f.grid.x, f.values))
 
 
 def _constant_rate(p: ModelParams, cs: ConstantState, g: Grid) -> tuple[float, bool]:
@@ -253,13 +253,15 @@ def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
     Where the constant coexistence state exists, is positive and is shown
     stable by _constant_rate, newton_solve runs from (u0, v0), and its state
     is kept when it equals (u*, v*) to 1e-8 relative in each field, with
-    march_steps = march_cells = 0.  Otherwise, or when that Newton fails, a
-    march for n > _MARCH_CELLS runs on that many cells (linear interpolation
-    both ways) and, if it stops before its last step, newton_solve polishes
-    at n; else, and where that attempt raises, march_then_newton runs at n.
-    A march of more than 10^6 steps is a ValidationError on either path.
+    march_steps = march_cells = 0.  Otherwise, or when that Newton fails,
+    a march on min(n, _MARCH_CELLS) cells, then on n, is polished at n by
+    newton_solve (linear interpolation both ways) where it stops before its
+    last step or ran on n cells; a failure passes from the coarse grid to
+    n, where it is raised.  More than 10^6 march steps is a ValidationError.
     constant_rate is the rightmost real part of the constant state's
-    spectrum, NaN where no positive constant state exists.
+    spectrum, NaN where none is positive; with none at all (cs = None, for
+    library callers only: the CLI seeds around (u*, v*), so exits 4 first)
+    solve marches.
     """
     n_steps = _step_count(dt, t_end)
     rate, stable = math.nan, False
@@ -272,24 +274,21 @@ def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
     if stable:
         try:
             st = newton_solve(p, u0, v0, tol=tol)
-        except (NoConvergence, NonFiniteSystem, np.linalg.LinAlgError):
+        except _FAILED:
             st = None
         if st is not None \
                 and float(np.max(np.abs(st.u.values - cs.u_star))) <= 1e-8 * cs.u_star \
                 and float(np.max(np.abs(st.v.values - cs.v_star))) <= 1e-8 * cs.v_star:
             return replace(st, constant_rate=rate)
     g = u0.grid
-    if g.n_cells > _MARCH_CELLS:
+    n = g.n_cells
+    for m in sorted({min(n, _MARCH_CELLS), n}):
+        gm = Grid(m, g.length)
         try:
-            gc = Grid(_MARCH_CELLS, g.length)
-            u, v, steps = time_march(p, GridFn(gc, np.interp(gc.x, g.x, u0.values)),
-                                     GridFn(gc, np.interp(gc.x, g.x, v0.values)), dt, t_end, tol)
-            if steps < n_steps:
-                st = newton_solve(p, GridFn(g, np.interp(g.x, gc.x, u.values)),
-                                  GridFn(g, np.interp(g.x, gc.x, v.values)), tol=tol)
-                return replace(st, march_steps=steps, march_cells=_MARCH_CELLS,
-                               constant_rate=rate)
-        except (ValueError, NoConvergence, np.linalg.LinAlgError):
-            pass    # a NonFiniteSystem, or a coarse Grid that cannot be built
-    return replace(march_then_newton(p, u0, v0, dt, t_end, tol), march_cells=g.n_cells,
-                   constant_rate=rate)
+            u, v, steps = time_march(p, _on(gm, u0), _on(gm, v0), dt, t_end, tol)
+            if steps < n_steps or m == n:
+                return replace(newton_solve(p, _on(g, u), _on(g, v), tol=tol),
+                               march_steps=steps, march_cells=m, constant_rate=rate)
+        except _FAILED:
+            if m == n:
+                raise

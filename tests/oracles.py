@@ -4,13 +4,17 @@ The paper's algebra that no subcommand evaluates: the reduced reaction
 terms F and G with the reduction identity behind them, the level-set
 branches V(u) and U(v) of the uniform L-infinity estimate, the inverse of
 the finite-rate transform, the potential and the L11 and L22 blocks at the
-bifurcation point, and a few diagnostics of computed states.  The tests
-check the package against these; the package itself never calls them.
+bifurcation point, a few diagnostics of computed states, and the time
+march followed by Newton on the solve's own grid that `steady.solve` is
+checked against.  The tests check the package against these; the package
+itself never calls them.
 They may call private helpers that the package uses (`bounds._u_of_v_raw`,
 `bounds._larger_root`).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from sktlab.grid import Grid, GridFn, laplacian_values
 from sktlab.limits import LimitParams
 from sktlab.linalg import lap_band, solve_tridiag
 from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
-from sktlab.steady import SteadyState
+from sktlab.steady import SteadyState, newton_solve, time_march
 
 
 # -- model: the reduced reaction terms ---------------------------------------
@@ -135,6 +139,15 @@ def check_max_principle(s: SteadyState) -> tuple[float, float]:
     f_at = float(big_F(s.params, s.u.values[iu], s.v.values[iu]))
     g_at = float(big_G(s.params, s.u.values[iv], s.v.values[iv]))
     return f_at, g_at
+
+
+# -- steady: the fine-grid reference search ----------------------------------
+
+def march_then_newton(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
+                      t_end: float, tol: float = 1e-11) -> SteadyState:
+    """Convenience pipeline: time march into a basin, then polish."""
+    u, v, steps = time_march(p, u0, v0, dt, t_end, tol)
+    return replace(newton_solve(p, u, v, tol=tol), march_steps=steps)
 
 
 # -- bounds: the level-set branches of F --------------------------------------

@@ -458,10 +458,38 @@ def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch)
     assert meta["classification"] == "Undetermined"
     assert "limit_comparison" not in meta
     assert calls[:2] == [("_cmd_limit_study", "no Newton step stays in the nonnegative cone"),
-                         ("march_then_newton", "ok")]
+                         ("solve", "ok")]
     steps = parse_config("")["run.steps"]
     assert calls[2:] == [("_solve_step", "ok")] * (steps - 1)
     assert meta["fallback_steps"] == str(steps - 1)
+
+
+def test_limit_study_seed_fallback_above_256_cells_marches_on_256(tmp_path, monkeypatch):
+    # the exclusion seed at n = 1024: the seed's fallback is solve, whose
+    # march settles on 256 cells and is polished at n onto u = a1/b1, v = 0
+    bands, seeds = [], []
+    solve_tridiag, solve = steady.solve_tridiag, steady.solve
+
+    def band_spy(ab, rhs, overwrite_rhs=False):
+        bands.append(ab.shape)
+        return solve_tridiag(ab, rhs, overwrite_rhs)
+
+    def solve_spy(*args, **kwargs):
+        seeds.append(solve(*args, **kwargs))
+        return seeds[-1]
+
+    monkeypatch.setattr(steady, "solve_tridiag", band_spy)
+    monkeypatch.setattr(steady, "solve", solve_spy)
+    cfg = tmp_path / "ex.cfg"
+    cfg.write_text("run.amplitude = 10\nrun.alpha0 = 10\ngrid.n_cells = 1024\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _metadata(tmp_path / "limit_study.csv")["classification"] == "Undetermined"
+    [seed] = seeds
+    assert seed.grid.n_cells == 1024 and seed.march_cells == 256
+    assert bands and bands == [(3, 512)] * seed.march_steps
+    a1_b1 = seed.params.a1 / seed.params.b1
+    assert np.max(np.abs(seed.u.values - a1_b1)) < 1e-8
+    assert seed.v_max < 1e-8
 
 
 def test_bifurcate_threshold_far_from_the_continuum_one(tmp_path):
@@ -530,13 +558,18 @@ DEGENERATE = {
                     "model.c1 = 1\nmodel.c2 = 1\nmodel.d1 = 0.395\nmodel.d2 = 1e-6\n"
                     "run.n = 1\n",
                     "admissible theta window is empty"),
+    # P1 with a1/a2 = 50/3 above both b1/b2 and c1/c2: neither regime, so
+    # no constant state to seed the fields around
+    "no_regime": ("model.a1 = 50\ngrid.n_cells = 64\n",
+                  "constant coexistence state requires weak or strong competition"),
 }
 
 
 @pytest.mark.parametrize("command, config", [
     ("solve", "parallel"), ("is-solve", "parallel"), ("bifurcate", "parallel"),
     ("limit-study", "parallel"), ("selftest", "parallel"),
-    ("dhmp", "empty_theta"), ("cs-solve", "empty_theta")])
+    ("dhmp", "empty_theta"), ("cs-solve", "empty_theta"),
+    ("solve", "no_regime"), ("limit-study", "no_regime")])
 def test_degenerate_parameters_are_not_applicable(command, config, tmp_path, capsys):
     text, message = DEGENERATE[config]
     cfg = tmp_path / "x.cfg"

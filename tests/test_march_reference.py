@@ -17,8 +17,8 @@ constant state, and that the Newton-first `steady.solve` reaches the same
 state to 1e-8 of its sup norm.
 
 Above 256 cells `steady.solve` marches on 256 cells and polishes at n; the
-last tests check that it reaches the state of `march_then_newton` at n and
-that its march solves only 256-cell bands.
+last tests check that it reaches the state of `oracles.march_then_newton`
+at n and that its march solves only 256-cell bands.
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from sktlab.linalg import lap_band, solve_tridiag
 from sktlab.model import ModelParams, constant_state
 
 from conftest import P1, PW
+from oracles import march_then_newton
 
 
 def _ref_lap_band(n: int, h: float, mult=1.0, diag=0.0) -> np.ndarray:
@@ -126,7 +127,7 @@ def test_march_then_newton_reaches_the_fixed_length_attractor(params, seed):
     g = Grid(256)
     for k in range(1, 14):
         u0, v0 = cli._seeded_fields(p, g, seed, 10.0 ** -k)
-        st = steady.march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
+        st = march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
         ur, vr = _ref_march(p, u0, v0, 0.1, 20.0)
         ref = steady.newton_solve(p, ur, vr, 1e-11)
         scale = max(ref.u_max, ref.v_max)
@@ -169,7 +170,7 @@ def test_solve_above_256_cells_marches_on_256_and_keeps_the_state(monkeypatch, n
         st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
         assert st.march_cells == 256 and 0 < st.march_steps < round(20.0 / 0.1)
         assert bands == [(3, 512)] * st.march_steps
-        ref = steady.march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
+        ref = march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
         scale = max(ref.u_max, ref.v_max)
         assert np.max(np.abs(st.u.values - ref.u.values)) <= 1e-8 * scale
         assert np.max(np.abs(st.v.values - ref.v.values)) <= 1e-8 * scale
