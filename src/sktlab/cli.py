@@ -210,14 +210,14 @@ def _cmd_limit_study(cfg) -> dict:
     a0, b0 = schedule[0]
     p0 = base.with_rates(a0, b0)
     u0, v0 = _seeded_fields(p0, g, cfg["run.seed"], cfg["run.amplitude"])
-    # seed with a direct Newton polish of the patterned fields, and solve
+    # seed with a direct Newton polish of the patterned fields, and search
     # only where it fails: marching first would hand the schedule whatever
     # attractor the dynamics picks, at strong competition an exclusion state
     try:
         seed_state = steady.newton_solve(p0, u0, v0, tol=cfg["run.tol"])
     except NoConvergence:
-        seed_state = steady.solve(p0, u0, v0, dt=cfg["run.dt"], t_end=cfg["run.t_march"],
-                                  tol=cfg["run.tol"])
+        seed_state = steady.search(p0, u0, v0, dt=cfg["run.dt"], t_end=cfg["run.t_march"],
+                                   tol=cfg["run.tol"])
     report = limitstudy.run_sequence(base, schedule, seed_state,
                                      gamma_target=gamma,
                                      newton_tol=cfg["run.tol"])
@@ -227,7 +227,7 @@ def _cmd_limit_study(cfg) -> dict:
             "complete_tol": report.complete_tol,
             "fallback_steps": report.fallback_steps}
     if report.classification != "Undetermined":
-        meta["limit_comparison"] = limitstudy.match_limit(report)
+        meta["limit_comparison"] = limitstudy.match_limit(report, cfg["run.tol"])
     names = ("alpha", "beta", "gamma", "tau_hat", "uv_defect", "w_drift", "residual_inf")
     return {"limit_study.csv": ({name: [getattr(r, name) for r in report.steps]
                                  for name in names}, meta)}

@@ -157,15 +157,15 @@ def _tau_stabilized(records) -> bool:
     return abs(t1 - t0) <= 0.2 * max(abs(t1), 1e-30)
 
 
-def match_limit(report: LimitRunReport) -> float:
-    """Solve the matched limiting system warm-started from the final step
-    and return sup|w_N - w_limit|."""
+def match_limit(report: LimitRunReport, tol: float = 1e-11) -> float:
+    """Solve the matched limiting system to tol, warm-started from the final
+    step, and return sup|w_N - w_limit|."""
     if report.classification == "Undetermined":
         raise ValueError("cannot match an Undetermined run")
     lp = LimitParams.from_model(report.final_state.params, gamma=report.gamma_target)
     w_n = report.final_w
     if report.classification == "Incomplete":
-        sol = limits.is_newton(lp, w_n, max(report.steps[-1].tau_hat, 1e-8))
+        sol = limits.is_newton(lp, w_n, max(report.steps[-1].tau_hat, 1e-8), tol=tol)
         return float(np.max(np.abs(w_n.values - sol.w.values)))
-    sol = limits.cs_solve(lp, w_n)
+    sol = limits.cs_solve(lp, w_n, tol=tol)
     return float(np.max(np.abs(w_n.values - sol.w.values)))

@@ -4,16 +4,16 @@
 Jacobian splits exactly over the discrete cosine modes, so its spectrum
 is that of one 2x2 matrix per mode; where every mode is stable, damped
 Newton in the densities (u, v) runs straight from the start and its state
-is kept when it is (u*, v*).  Otherwise, or when that Newton fails, a
-semi-implicit time march finds a basin of attraction, on 256 cells first
-where the grid is finer, and the same Newton polishes it on the grid; this
-is also the limit-study seed's search where its own Newton fails.  Newton
-uses an analytically assembled block-tridiagonal Jacobian (interleaved
-ordering, direct banded factorization).  Along a large-rate schedule,
-limitstudy solves each step in the regular form of limits._eps_newton and
-calls newton_solve only where that form cannot hold the state.  The
-reduction identity and the maximum-principle sign check on F and G at the
-density maxima are oracles of the tests (tests/oracles.py), not solvers.
+is kept when it is (u*, v*).  Otherwise, or when that Newton fails, `search`
+marches semi-implicitly into a basin of attraction, on 256 cells first
+where the grid is finer, and the same Newton polishes it on the grid;
+search is also the limit-study seed's fallback where its own Newton fails.
+Newton uses an analytically assembled block-tridiagonal Jacobian
+(interleaved ordering, direct banded factorization).  Along a large-rate
+schedule, limitstudy solves each step in the regular form of
+limits._eps_newton and calls newton_solve only where that form cannot hold
+the state.  The reduction identity and the maximum-principle sign check on
+F and G at the density maxima are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .linalg import (_EPS, _damped_newton, pair_band, residual_floor,
 from .model import (ConstantState, ModelParams, constant_state,
                     kinetic_partials, reaction_f, reaction_g)
 
-_MARCH_CELLS = 256   # solve marches on this grid first where n is larger
-_FAILED = (NoConvergence, NonFiniteSystem, np.linalg.LinAlgError)   # solve tries its next search
+_MARCH_CELLS = 256   # search marches on this grid first where n is larger
+_FAILED = (NoConvergence, NonFiniteSystem, np.linalg.LinAlgError)   # solve and search move on
 
 
 @dataclass(frozen=True)
@@ -245,31 +245,46 @@ def _constant_rate(p: ModelParams, cs: ConstantState, g: Grid) -> tuple[float, b
     return rate, stable
 
 
-def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
-          tol: float) -> SteadyState:
-    """Newton first where the constant state is the stable attractor, else
-    a march into a basin and newton_solve at n.
-
-    Where the constant coexistence state exists, is positive and is shown
-    stable by _constant_rate, newton_solve runs from (u0, v0), and its state
-    is kept when it equals (u*, v*) to 1e-8 relative in each field, with
-    march_steps = march_cells = 0.  Otherwise, or when that Newton fails,
-    a march on min(n, _MARCH_CELLS) cells, then on n, is polished at n by
-    newton_solve (linear interpolation both ways) where it stops before its
-    last step or ran on n cells; a failure passes from the coarse grid to
-    n, where it is raised.  More than 10^6 march steps is a ValidationError.
-    constant_rate is the rightmost real part of the constant state's
-    spectrum, NaN where none is positive; with none at all (cs = None, for
-    library callers only: the CLI seeds around (u*, v*), so exits 4 first)
-    solve marches.
+def search(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
+           tol: float) -> SteadyState:
+    """March on min(n, _MARCH_CELLS) cells, then on n, and polish at n with
+    newton_solve (linear interpolation both ways) where the march stops
+    before its last step or ran on n cells; a failure passes from the coarse
+    grid to n, where it is raised.  More than 10^6 march steps is a
+    ValidationError.  Needs no constant state; constant_rate stays NaN.
     """
     n_steps = _step_count(dt, t_end)
+    g = u0.grid
+    n = g.n_cells
+    for m in sorted({min(n, _MARCH_CELLS), n}):
+        gm = Grid(m, g.length)
+        try:
+            u, v, steps = time_march(p, _on(gm, u0), _on(gm, v0), dt, t_end, tol)
+            if steps < n_steps or m == n:
+                return replace(newton_solve(p, _on(g, u), _on(g, v), tol=tol),
+                               march_steps=steps, march_cells=m)
+        except _FAILED:
+            if m == n:
+                raise
+
+
+def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
+          tol: float) -> SteadyState:
+    """Newton first where (u*, v*) is the stable attractor, else search.
+
+    Where the constant coexistence state is positive and shown stable by
+    _constant_rate, newton_solve runs from (u0, v0), and its state is kept
+    when it equals (u*, v*) to 1e-8 relative in each field, with
+    march_steps = march_cells = 0.  Otherwise, or when that Newton fails,
+    search marches.  More than 10^6 march steps is a ValidationError on
+    either path; with no constant coexistence state, NotApplicable.
+    constant_rate is the rightmost real part of the constant state's
+    spectrum, NaN where none is positive.
+    """
+    _step_count(dt, t_end)
+    cs = constant_state(p)
     rate, stable = math.nan, False
-    try:
-        cs = constant_state(p)
-    except NotApplicable:
-        cs = None
-    if cs is not None and cs.u_star > 0.0 and cs.v_star > 0.0:
+    if cs.u_star > 0.0 and cs.v_star > 0.0:
         rate, stable = _constant_rate(p, cs, u0.grid)
     if stable:
         try:
@@ -280,15 +295,4 @@ def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
                 and float(np.max(np.abs(st.u.values - cs.u_star))) <= 1e-8 * cs.u_star \
                 and float(np.max(np.abs(st.v.values - cs.v_star))) <= 1e-8 * cs.v_star:
             return replace(st, constant_rate=rate)
-    g = u0.grid
-    n = g.n_cells
-    for m in sorted({min(n, _MARCH_CELLS), n}):
-        gm = Grid(m, g.length)
-        try:
-            u, v, steps = time_march(p, _on(gm, u0), _on(gm, v0), dt, t_end, tol)
-            if steps < n_steps or m == n:
-                return replace(newton_solve(p, _on(g, u), _on(g, v), tol=tol),
-                               march_steps=steps, march_cells=m, constant_rate=rate)
-        except _FAILED:
-            if m == n:
-                raise
+    return replace(search(p, u0, v0, dt, t_end, tol), constant_rate=rate)

@@ -17,6 +17,12 @@ TAU_STAR = 117500.0 / 9801.0
 # A weak-competition counterpart (ratio chain reversed).
 PW = dict(a1=3.0, a2=5.0, b1=1.0, b2=0.1, c1=0.1, c2=1.0, d1=1.0, d2=0.1)
 
+# Weak competition whose constant state is stable in every mode at rates
+# 10; damped Newton from the amplitude-3 seed 5 leaves the nonnegative cone.
+WEAK = dict(a1=0.30480044989138183, a2=2.7159879106745946, b1=0.8656383428185848,
+            b2=0.3055356700727753, c1=0.29982191726302143, c2=5.276829007736922,
+            d1=0.04219248327986911, d2=0.012093964722795903)
+
 # A set whose swapped set (bounds.v_tilde0 on the v equation) has its rate
 # alpha just inside the tangency window (alpha_lo, alpha_hi) of F(0, .),
 # whose lower end mid - root loses most digits when formed as a difference.

@@ -16,7 +16,7 @@ from sktlab.grid import Grid, GridFn, neumann_eigenpair
 from sktlab.linalg import residual_floor
 from sktlab.model import constant_state
 
-from conftest import PW, TANGENCY
+from conftest import PW, TANGENCY, WEAK
 
 
 def run_python(args, cwd):
@@ -414,8 +414,11 @@ def test_bounds_at_the_tangency_edge_is_certified(tmp_path):
 @pytest.mark.parametrize("dt", [5e-324, 1e-300])
 @pytest.mark.parametrize("command, lines", [
     ("solve", ""),
+    # PW's constant state is stable: solve runs Newton first and never marches
+    ("solve", "".join(f"model.{k} = {v!r}\n" for k, v in PW.items())),
     # the seed polish leaves the nonnegative cone, so the march fallback runs
-    ("limit-study", "run.amplitude = 10\nrun.alpha0 = 10\n")], ids=["solve", "limit-study"])
+    ("limit-study", "run.amplitude = 10\nrun.alpha0 = 10\n")],
+    ids=["solve", "solve-PW", "limit-study"])
 def test_a_march_above_the_step_ceiling_is_config_error(command, lines, dt, tmp_path,
                                                         monkeypatch, capsys):
     # t_march/dt = inf (5e-324) or 2e301 (1e-300) march steps: rejected
@@ -432,11 +435,8 @@ def test_a_march_above_the_step_ceiling_is_config_error(command, lines, dt, tmp_
     assert not out.exists()
 
 
-def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch):
-    # P1 from a large seed amplitude: the seed polish leaves the nonnegative
-    # cone, the march reaches the exclusion state u = a1/b1, v = 0, and each
-    # schedule step after that seed, with u*v = 0, is solved by the direct
-    # Newton
+def _newton_spy(monkeypatch):
+    """(caller, "ok" or the NoConvergence message) of each newton_solve call."""
     calls = []
     newton_solve = steady.newton_solve
 
@@ -451,6 +451,15 @@ def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch)
         return state
 
     monkeypatch.setattr(steady, "newton_solve", spy)
+    return calls
+
+
+def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch):
+    # P1 from a large seed amplitude: the seed polish leaves the nonnegative
+    # cone, the march reaches the exclusion state u = a1/b1, v = 0, and each
+    # schedule step after that seed, with u*v = 0, is solved by the direct
+    # Newton
+    calls = _newton_spy(monkeypatch)
     cfg = tmp_path / "ex.cfg"
     cfg.write_text("run.amplitude = 10\nrun.alpha0 = 10\ngrid.n_cells = 64\n")
     assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -458,28 +467,60 @@ def test_limit_study_of_an_exclusion_seed_is_undetermined(tmp_path, monkeypatch)
     assert meta["classification"] == "Undetermined"
     assert "limit_comparison" not in meta
     assert calls[:2] == [("_cmd_limit_study", "no Newton step stays in the nonnegative cone"),
-                         ("solve", "ok")]
+                         ("search", "ok")]
     steps = parse_config("")["run.steps"]
     assert calls[2:] == [("_solve_step", "ok")] * (steps - 1)
     assert meta["fallback_steps"] == str(steps - 1)
 
 
+@pytest.mark.parametrize("n_cells", [256, 1024])
+def test_limit_study_seed_runs_one_failed_newton(n_cells, tmp_path, monkeypatch):
+    # the seed's fallback is search, which marches at once: it does not
+    # repeat the seed's failed Newton from the same fields
+    calls = _newton_spy(monkeypatch)
+    cfg = tmp_path / "weak.cfg"
+    cfg.write_text("".join(f"model.{k} = {v!r}\n" for k, v in WEAK.items())
+                   + "run.seed = 5\nrun.amplitude = 3\nrun.alpha0 = 10\n"
+                   f"grid.n_cells = {n_cells}\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    failed = [call for call in calls if call[1] != "ok"]
+    assert failed == [("_cmd_limit_study", "no Newton step stays in the nonnegative cone")]
+    assert calls[:2] == [failed[0], ("search", "ok")]
+
+
+def test_limit_study_matches_its_limit_at_run_tol(tmp_path, monkeypatch):
+    # the matched is-solve of an Incomplete run stops at run.tol
+    tols = []
+    is_newton = limits.is_newton
+
+    def spy(*args, tol=1e-11, **kwargs):
+        tols.append(tol)
+        return is_newton(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(limits, "is_newton", spy)
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("run.tol = 1e-9\ngrid.n_cells = 64\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _metadata(tmp_path / "limit_study.csv")["classification"] == "Incomplete"
+    assert tols == [1e-9]
+
+
 def test_limit_study_seed_fallback_above_256_cells_marches_on_256(tmp_path, monkeypatch):
-    # the exclusion seed at n = 1024: the seed's fallback is solve, whose
+    # the exclusion seed at n = 1024: the seed's fallback is search, whose
     # march settles on 256 cells and is polished at n onto u = a1/b1, v = 0
     bands, seeds = [], []
-    solve_tridiag, solve = steady.solve_tridiag, steady.solve
+    solve_tridiag, search = steady.solve_tridiag, steady.search
 
     def band_spy(ab, rhs, overwrite_rhs=False):
         bands.append(ab.shape)
         return solve_tridiag(ab, rhs, overwrite_rhs)
 
-    def solve_spy(*args, **kwargs):
-        seeds.append(solve(*args, **kwargs))
+    def search_spy(*args, **kwargs):
+        seeds.append(search(*args, **kwargs))
         return seeds[-1]
 
     monkeypatch.setattr(steady, "solve_tridiag", band_spy)
-    monkeypatch.setattr(steady, "solve", solve_spy)
+    monkeypatch.setattr(steady, "search", search_spy)
     cfg = tmp_path / "ex.cfg"
     cfg.write_text("run.amplitude = 10\nrun.alpha0 = 10\ngrid.n_cells = 1024\n")
     assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from sktlab import cli, limits, steady, twolobe
-from sktlab.errors import NoConvergence, SktlabError
+from sktlab.errors import NoConvergence, NotApplicable, SktlabError
 from sktlab.grid import Grid, GridFn, integrate
 from sktlab.limits import LimitParams
 from sktlab.model import ModelParams, constant_state, reaction_f, reaction_g
 
-from conftest import P1, PW, U_STAR, V_STAR
+from conftest import P1, PW, U_STAR, V_STAR, WEAK
 from oracles import (TrigPoly, check_max_principle, march_then_newton,
                      reduction_identity_defect)
 
@@ -272,9 +272,7 @@ def test_a_failed_newton_falls_back_to_the_march():
     # weak competition whose constant state is stable in every mode; Newton
     # from the amplitude-3 seed leaves the nonnegative cone, so solve
     # marches the full 200 steps and polishes onto (u*, v*)
-    p = ModelParams(a1=0.30480044989138183, a2=2.7159879106745946, b1=0.8656383428185848,
-                    b2=0.3055356700727753, c1=0.29982191726302143, c2=5.276829007736922,
-                    d1=0.04219248327986911, d2=0.012093964722795903, alpha=10.0, beta=10.0)
+    p = ModelParams(**WEAK, alpha=10.0, beta=10.0)
     g = Grid(256)
     cs = constant_state(p)
     u0, v0 = cli._seeded_fields(p, g, 5, 3.0)
@@ -347,12 +345,15 @@ def test_a_cross_diffusion_instability_takes_the_march_path():
 
 def test_solve_without_a_coexistence_state_marches_to_exclusion():
     # a1/a2 = 50/3 is above both b1/b2 and c1/c2: neither regime, so no
-    # constant state and no Newton-first; the march ends on u = a1/b1, v = 0
+    # constant state; solve raises, and search, which needs none, marches
+    # to u = a1/b1, v = 0
     p = ModelParams(**dict(P1, a1=50.0)).with_rates(100.0, 100.0)
     g = Grid(64)
     u0 = GridFn(g, 10.0 + np.cos(np.pi * g.x))
     v0 = GridFn(g, 5.0 + np.cos(2.0 * np.pi * g.x))
-    st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    with pytest.raises(NotApplicable, match="requires weak or strong competition"):
+        steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    st = steady.search(p, u0, v0, 0.1, 20.0, 1e-11)
     assert np.max(np.abs(st.u.values - p.a1 / p.b1)) <= 1e-12 * p.a1 / p.b1
     assert st.v_max <= 1e-40
     assert np.isnan(st.constant_rate)
