@@ -7,7 +7,8 @@ v through these branches yields an explicit, solution-independent ceiling on
 both densities whenever the rate ratio alpha/beta stays inside a band
 [eta, 1/eta].  sup_bound turns that argument into a computable certificate;
 it evaluates U(v) (_u_of_v_raw) and v_tilde0, and the tests hold F, V(u)
-and the checked U(v) as oracles.
+and the checked U(v) as oracles.  `sktlab solve` checks its state against
+levelset_certificate, at eta = min(alpha/beta, beta/alpha, 1).
 """
 
 from __future__ import annotations
@@ -124,3 +125,19 @@ def sup_bound(p: ModelParams, eta: float) -> BoundCertificate:
     v_bound = _one_sided_bound(p.swapped())
     return BoundCertificate(eta=eta, alpha=p.alpha, beta=p.beta,
                             u_bound=u_bound, v_bound=v_bound)
+
+
+def levelset_certificate(p: ModelParams):
+    """The level-set sup-bound certificate at eta = min(alpha/beta,
+    beta/alpha, 1), or None when a rate is not positive, the band check or
+    a level-set root fails or only the small-rate certificate applies."""
+    if p.alpha <= 0.0 or p.beta <= 0.0:
+        return None
+    ratio = p.alpha / p.beta
+    if ratio == 0.0:                 # underflow: outside every band
+        return None
+    try:
+        cert = sup_bound(p, min(ratio, 1.0 / ratio, 1.0))
+    except NotApplicable:
+        return None
+    return cert if cert.kind == "levelset" else None

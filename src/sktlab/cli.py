@@ -182,6 +182,7 @@ def _cmd_solve(cfg) -> dict:
     u0, v0 = _seeded_fields(p, g, cfg["run.seed"], cfg["run.amplitude"])
     state = steady.solve(p, u0, v0, dt=cfg["run.dt"], t_end=cfg["run.t_march"],
                          tol=cfg["run.tol"])
+    cert = bounds.levelset_certificate(p)
     return {"state.csv": ({"x": g.x, "u": state.u.values, "v": state.v.values},
                           {"residual_inf": state.residual_inf,
                            "residual_floor": state.residual_floor,
@@ -190,7 +191,8 @@ def _cmd_solve(cfg) -> dict:
                            "march_cells": state.march_cells,
                            "constant_rate": state.constant_rate,
                            "u_max": state.u_max, "v_max": state.v_max,
-                           "certificate_ok": state.certificate_ok})}
+                           "certificate_ok": None if cert is None
+                           else cert.covers(state.u_max, state.v_max)})}
 
 
 def _cmd_bounds(cfg) -> dict:

@@ -77,19 +77,20 @@ def residual_floor(h: float, *scales: float) -> float:
     return 4.0 * _EPS * scale / (h * h)
 
 
-def lap_band(n: int, h: float, mult=1.0, diag=0.0) -> np.ndarray:
-    """Band of f -> laplacian(mult * f) + diag * f with the Neumann stencil
-    (mirror ghosts), in solve_banded's (1, 1) layout; mult and diag are
-    nodal arrays or scalars."""
+def lap_band(n: int, h: float, diag=0.0) -> np.ndarray:
+    """Band of f -> laplacian(f) + diag * f with the Neumann stencil (mirror
+    ghosts), in solve_banded's (1, 1) layout; diag is a nodal array or a
+    scalar."""
     ab = np.empty((3, n))
-    write_lap_bands(ab, h, mult, diag)
+    write_lap_bands(ab, h, 1.0, diag)
     return ab
 
 
 def write_lap_bands(ab: np.ndarray, h: float, mult, diag) -> None:
-    """Write into ab, shaped (3, n) or (3, m, n), the lap_band of one or m
-    operators (mult and diag broadcast against ab[0]).  Read as (3, m*n), a
-    (3, m, n) ab is their block-diagonal band: coupling entries are zero."""
+    """Write into ab, shaped (3, n) or (3, m, n), the (1, 1) band of one or m
+    operators f -> laplacian(mult * f) + diag * f with the Neumann stencil
+    (mult and diag broadcast against ab[0]).  Read as (3, m*n), a (3, m, n)
+    ab is their block-diagonal band: coupling entries are zero."""
     np.multiply(1.0 / (h * h), mult, out=ab[0])
     np.multiply(-2.0 / (h * h), mult, out=ab[1])
     ab[1, ..., 0] = -ab[0, ..., 0]
@@ -101,16 +102,13 @@ def write_lap_bands(ab: np.ndarray, h: float, mult, diag) -> None:
 
 
 def pair_band(n: int, h: float, blocks) -> np.ndarray:
-    """Band of the pair operator [[L00, L01], [L10, L11]] with
-    Lij = lap_band(n, h, *blocks[i][j]), in solve_banded's (3, 3) layout
-    with the two fields interleaved (a0, b0, a1, b1, ...)."""
+    """Band of the pair operator [[L00, L01], [L10, L11]], Lij the
+    write_lap_bands operator of blocks[i][j] = (mult, diag), in solve_banded's
+    (3, 3) layout with the fields interleaved (a0, b0, a1, b1, ...)."""
     ab = np.zeros((7, 2 * n))
     for i, row in enumerate(blocks):
         for j, (mult, diag) in enumerate(row):
-            band = lap_band(n, h, mult, diag)
-            ab[1 + i - j, 2 + j::2] = band[0, 1:]
-            ab[3 + i - j, j::2] = band[1]
-            ab[5 + i - j, j:2 * n - 2:2] = band[2, :-1]
+            write_lap_bands(ab[1 + i - j:6 + i - j:2, j::2], h, mult, diag)
     return ab
 
 

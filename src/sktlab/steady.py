@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bounds
-from .errors import NoConvergence, NonFiniteSystem, NotApplicable, ValidationError
+from .errors import NoConvergence, NonFiniteSystem, ValidationError
 from .grid import Grid, GridFn, laplacian_values
 from .linalg import (_EPS, _damped_newton, pair_band, residual_floor,
                      solve_pair, solve_tridiag, write_lap_bands)
@@ -44,7 +43,6 @@ class SteadyState:
     residual_inf: float
     residual_floor: float    # the rounding floor the stop rule allowed
     newton_iters: int
-    certificate_ok: bool | None
     march_steps: int = 0     # time-march steps before the Newton polish
     march_cells: int = 0     # cells of the grid the march ran on, 0 if none
     constant_rate: float = math.nan   # set by solve: see _constant_rate
@@ -82,29 +80,11 @@ def _jacobian_banded(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
                                  [(p.beta * v, gu), (p.d2 + p.beta * u, gv)]])
 
 
-def _levelset_certificate(p: ModelParams):
-    """The level-set sup-bound certificate at eta = min(alpha/beta,
-    beta/alpha, 1), or None when a rate is not positive, the band check or
-    a level-set root fails or only the small-rate certificate applies."""
-    if p.alpha <= 0.0 or p.beta <= 0.0:
-        return None
-    ratio = p.alpha / p.beta
-    if ratio == 0.0:                 # underflow: outside every band
-        return None
-    try:
-        cert = bounds.sup_bound(p, min(ratio, 1.0 / ratio, 1.0))
-    except NotApplicable:
-        return None
-    return cert if cert.kind == "levelset" else None
-
-
 def _steady_state(p, g, u, v, rnorm, floor, it, history) -> SteadyState:
-    """The SteadyState of a solve, certified when a level-set bound applies."""
-    cert = _levelset_certificate(p)
-    ok = None if cert is None else cert.covers(float(np.max(u)), float(np.max(v)))
+    """The SteadyState of a solve."""
     return SteadyState(params=p, grid=g, u=GridFn(g, u), v=GridFn(g, v),
                        residual_inf=rnorm, residual_floor=floor, newton_iters=it,
-                       certificate_ok=ok, residual_history=tuple(history))
+                       residual_history=tuple(history))
 
 
 def _stop_norm(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):

@@ -37,6 +37,8 @@ def test_delta1_closed_form(p1_limit):
     assert delta_j(p1_limit, 1) > delta_j(p1_limit, 2)
     with pytest.raises(NotApplicable, match="mode 50: rearranged threshold is nonpositive"):
         delta_j(p1_limit, 50)
+    with pytest.raises(ValueError, match="mode index must be >= 1"):
+        delta_j(p1_limit, 0)
 
 
 def test_potential_crosses_eigenvalue_at_threshold(p1_limit):

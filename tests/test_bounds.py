@@ -4,7 +4,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from sktlab.bounds import BoundCertificate, _larger_root, sup_bound, v_tilde0
+from sktlab.bounds import (BoundCertificate, _larger_root, levelset_certificate, sup_bound,
+                           v_tilde0)
 from sktlab.errors import NotApplicable
 from sktlab.model import ModelParams
 
@@ -75,6 +76,8 @@ def test_domain_guards():
         u_of_v(p, 0.5 * v_tilde0(p))
     with pytest.raises(NotApplicable, match="level-set branches need alpha, beta > 0"):
         v_of_u(ModelParams(**P1), 100.0)  # zero rates
+    with pytest.raises(NotApplicable, match="v_tilde0 needs alpha > 0"):
+        v_tilde0(ModelParams(**P1))
 
 
 def test_sigma_implication(rng):
@@ -190,6 +193,8 @@ def test_sup_bound_underflowing_rate_ratio_is_outside_the_band():
     # alpha/beta = 1e-300/1e300 is 0.0 in floating point, in no band
     with pytest.raises(NotApplicable, match=r"alpha/beta = 0\.0 outside"):
         sup_bound(_p1_rates(1e-300, 1e300), 1e-300)
+    # and the solve certificate, which picks eta from the ratio, has none
+    assert levelset_certificate(_p1_rates(1e-300, 1e300)) is None
 
 
 def test_larger_root_scales_an_overflowing_discriminant():

@@ -115,3 +115,38 @@ def test_scan_flags_a_bordered_system_reference():
                      "x = limits._is_residual_values(1)\nsolve = solve_bordered\n"
                      "y = limits.is_residual(2)\n")
     assert _references(tree, IS_SYSTEM) == [1, 3, 4]
+
+
+def _package_imports(tree: ast.Module, names) -> list[int]:
+    """Lines that import sktlab.<name> for one of names, relatively or not;
+    a bare `import io` is the standard library's."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            full = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "sktlab" if node.level else ""
+            base = ".".join(part for part in (base, node.module) if part)
+            full = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == f"sktlab.{sub}" or name.startswith(f"sktlab.{sub}.")
+               for name in full for sub in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_cli_imports_bounds_or_io():
+    # the solvers return states; the command layer certifies and writes them
+    found = {p.name: _package_imports(ast.parse(p.read_text(encoding="utf-8")),
+                                      {"bounds", "io"})
+             for p in pathlib.Path(sktlab.__file__).parent.glob("*.py")
+             if p.name != "cli.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_flags_a_bounds_or_io_import():
+    tree = ast.parse("import io\nfrom . import bounds, steady\nfrom .io import write_csv\n"
+                     "from .iox import y\nfrom sktlab import io as sio\n"
+                     "import sktlab.bounds\nfrom .limits import bounds_of\n")
+    assert _package_imports(tree, {"bounds", "io"}) == [2, 3, 5, 6]

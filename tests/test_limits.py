@@ -30,6 +30,8 @@ def test_tau_zero_degenerates_to_parts(p1_limit):
     u, v = uv_from_w_tau(p1_limit, w, 0.0)
     assert np.allclose(u, np.maximum(w, 0.0) / p1_limit.d1)
     assert np.allclose(v, np.maximum(-w, 0.0) / (p1_limit.gamma * p1_limit.d2))
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        uv_from_w_tau(p1_limit, w, -1.0)
 
 
 def test_small_tau_limit_rates(p1_limit):
@@ -61,6 +63,8 @@ def test_transform_round_trip(rng):
             scale = 10.0
             assert np.max(np.abs(u2.values - u.values)) < 1e-11 * scale
             assert np.max(np.abs(v2.values - v.values)) < 1e-11 * scale
+    with pytest.raises(ValueError, match="transform requires alpha, beta > 0"):
+        w_z_from_uv(ModelParams(**P1), u, v)
 
 
 def test_inversion_feasibility_guard():
@@ -92,6 +96,8 @@ def test_constant_is_exact_is_solution(rng):
         s = ISState(w=GridFn.constant(g, w_star), tau=cs.tau_star)
         fld, sup = is_residual(lp, s)
         assert sup < 1e-12
+    with pytest.raises(ValueError, match="incomplete-segregation residual needs tau > 0"):
+        is_residual(lp, ISState(w=s.w, tau=0.0))
 
 
 def test_is_newton_recovers_constant(p1_limit):

@@ -6,7 +6,7 @@ import pytest
 
 from sktlab import bifurcation, bounds, limits, limitstudy, steady, twolobe
 from sktlab.cli import main
-from sktlab.errors import NoConvergence, ValidationError
+from sktlab.errors import NoConvergence, TauCollapse, ValidationError
 from sktlab.grid import Grid, GridFn, integrate, laplacian_values
 from sktlab.limits import LimitParams, uv_from_w_tau
 from sktlab.limitstudy import geometric_schedule, match_limit, run_sequence
@@ -261,6 +261,20 @@ def test_eps_form_converges_from_the_constant_w_at_large_rates(grid64):
     x, (_, _, _, (u, v, _)), _, it, _, _ = limits._eps_newton(lp, x0, 1e-4, grid64.h, 1e-11)
     assert it > 0
     assert np.max(np.abs(u - U_STAR)) < 1e-8 and np.max(np.abs(v - V_STAR)) < 1e-8
+
+
+def test_eps_form_from_a_negative_product_never_returns(grid64, monkeypatch):
+    # T = -1 and zeta = 0: tau = T + eps*zeta is negative, so every trial is
+    # infeasible and halved, and the Newton raises instead of returning
+    lp = LimitParams(gamma=1.0, **P1)
+    x0 = np.concatenate((np.full(64, lp.d1 * U_STAR - lp.d2 * V_STAR), np.zeros(64), [-1.0]))
+    seen = []
+    real = limits._collapse
+    monkeypatch.setattr(limits, "_collapse",
+                        lambda what, tau: seen.append(what) or real(what, tau))
+    with pytest.raises((NoConvergence, TauCollapse)):
+        limits._eps_newton(lp, x0, 1e-4, grid64.h, 1e-11)
+    assert "T + eps*zeta left tau > 0" in seen
 
 
 def test_a_state_the_eps_form_cannot_hold_falls_back(grid64):

@@ -26,7 +26,7 @@ import pytest
 
 from sktlab import cli, steady
 from sktlab.grid import Grid, GridFn
-from sktlab.linalg import lap_band, solve_tridiag
+from sktlab.linalg import lap_band, solve_tridiag, write_lap_bands
 from sktlab.model import ModelParams, constant_state
 
 from conftest import P1, PW
@@ -70,8 +70,12 @@ def _ref_march(p, u0, v0, dt, t_end):
 def test_lap_band_equals_the_earlier_builder(n, rng):
     h = 1.0 / n
     mult, diag = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
-    for args in ((), (mult,), (mult, diag), (-0.3, 0.7), (1.0, diag)):
-        assert np.array_equal(lap_band(n, h, *args), _ref_lap_band(n, h, *args))
+    assert np.array_equal(lap_band(n, h), _ref_lap_band(n, h))
+    assert np.array_equal(lap_band(n, h, diag), _ref_lap_band(n, h, 1.0, diag))
+    for args in ((mult, 0.0), (mult, diag), (-0.3, 0.7), (1.0, diag)):
+        ab = np.empty((3, n))
+        write_lap_bands(ab, h, *args)
+        assert np.array_equal(ab, _ref_lap_band(n, h, *args))
 
 
 def _start(params, n):

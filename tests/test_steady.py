@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sktlab import cli, limits, steady, twolobe
+from sktlab import bounds, cli, limits, steady, twolobe
 from sktlab.errors import NoConvergence, NotApplicable, SktlabError
 from sktlab.grid import Grid, GridFn, integrate
 from sktlab.limits import LimitParams
@@ -68,6 +68,9 @@ def test_constant_state_is_exact_solution(grid64):
         r1, r2 = steady._residual_values(
             p, np.full(64, cs.u_star), np.full(64, cs.v_star), grid64.h)
         assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-10
+    with pytest.raises(ValueError, match="u and v must live on the same grid"):
+        steady.residual_skt(p, GridFn.constant(grid64, cs.u_star),
+                            GridFn.constant(Grid(32), cs.v_star))
 
 
 def test_newton_recovers_constant_from_perturbation(grid64):
@@ -78,7 +81,7 @@ def test_newton_recovers_constant_from_perturbation(grid64):
     st = steady.newton_solve(p, u0, v0, tol=1e-11)
     assert np.max(np.abs(st.u.values - U_STAR)) < 1e-9
     assert np.max(np.abs(st.v.values - V_STAR)) < 1e-9
-    assert st.certificate_ok
+    assert bounds.levelset_certificate(st.params).covers(st.u_max, st.v_max)
 
 
 def test_integral_of_f_vanishes_on_converged_states(grid64):
@@ -134,6 +137,12 @@ def test_time_march_positive_for_any_dt(grid64, params, dt, t_end):
     u, v, _ = steady.time_march(p, u0, v0, dt=dt, t_end=t_end, tol=1e-11)
     assert np.min(u.values) > 0.0
     assert np.min(v.values) > 0.0
+
+
+def test_a_march_needs_a_positive_step():
+    # the CLI refuses run.dt <= 0 as a config error before any march
+    with pytest.raises(ValueError, match="dt must be positive"):
+        steady._step_count(0.0, 20.0)
 
 
 def _cli_solve(tmp_path, overrides):
@@ -357,7 +366,8 @@ def test_solve_without_a_coexistence_state_marches_to_exclusion():
     assert np.max(np.abs(st.u.values - p.a1 / p.b1)) <= 1e-12 * p.a1 / p.b1
     assert st.v_max <= 1e-40
     assert np.isnan(st.constant_rate)
-    assert st.march_steps == 33 and st.certificate_ok is True
+    assert st.march_steps == 33
+    assert bounds.levelset_certificate(st.params).covers(st.u_max, st.v_max) is True
 
 
 def _solved(fn, *args):
@@ -400,7 +410,7 @@ def test_levelset_certificate_at_a_rounded_band_edge():
     alpha, beta = ROUNDING_RATES
     ratio = alpha / beta
     assert 1.0 / (1.0 / ratio) < ratio
-    cert = steady._levelset_certificate(ModelParams(**P1).with_rates(alpha, beta))
+    cert = bounds.levelset_certificate(ModelParams(**P1).with_rates(alpha, beta))
     assert cert is not None and cert.eta == 1.0 / ratio
     assert cert.covers(50.0, 0.0)
 
@@ -437,6 +447,8 @@ def test_newton_reports_nonconvergence(grid64, monkeypatch):
                         real(residual, step, x, tol, 0, *rest))
     with pytest.raises(NoConvergence):
         steady.newton_solve(p, u0, v0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        steady.newton_solve(p, u0, v0, tol=0.0)
 
 
 @pytest.mark.parametrize("kinetics", [P1, PW], ids=["P1", "PW"])

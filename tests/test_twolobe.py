@@ -88,6 +88,8 @@ def test_existence_threshold_exact():
     lp = LimitParams(gamma=1.0, **P1)   # 0.6301 < 2/pi = 0.6366
     assert existence_check(lp, 1)
     assert not existence_check(lp, 2)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        existence_check(lp, 0)
 
 
 def test_symmetric_interface_at_midpoint():
@@ -113,6 +115,9 @@ def test_assembled_zero_counts():
         for variant in ("fg", "gf"):
             sol = assemble(lobe, SYM, variant, g)
             assert sol.zero_count == n
+    # the tiling covers [0, 1]: nodes of a longer grid fall outside it
+    with pytest.raises(AssemblyError, match="tiling sent a node outside its unit cell"):
+        assemble(lobe, SYM, "fg", Grid(64, 2.0))
 
 
 def test_variants_are_mirror_images():
