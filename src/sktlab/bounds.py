@@ -91,7 +91,10 @@ def v_tilde0(p: ModelParams) -> float:
 
 
 def _one_sided_bound(p: ModelParams) -> float:
-    corner = (p.d2 * p.a1 + p.d1 * p.a2) / (p.d2 * p.b1 + p.d1 * p.b2)
+    den = p.d2 * p.b1 + p.d1 * p.b2
+    if den == 0.0:
+        raise NotApplicable("the level-set corner underflows in floating point")
+    corner = (p.d2 * p.a1 + p.d1 * p.a2) / den
     v0 = v_tilde0(p)
     root = _u_of_v_raw(p, max(corner, v0))
     if math.isnan(v0) or math.isnan(root):      # max would drop it

@@ -70,7 +70,7 @@ _FLAGS = {
 }
 
 # error types -> (exit code, stderr prefix).  A collapsed tau does not prove
-# that no state exists, so it exits 2, not 4.  LinAlgError is also scipy's;
+# that no state exists, so it exits 2, not 4.  linalg raises numpy's LinAlgError;
 # ValueError is not caught, since it would relabel solver faults.
 _EXITS = {
     (ValidationError, OSError): (3, "config error"),

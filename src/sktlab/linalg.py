@@ -13,8 +13,8 @@ coefficients to lap_band and pair_band and never index a band row.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .errors import NoConvergence, NonFiniteSystem
 
@@ -79,8 +79,8 @@ def residual_floor(h: float, *scales: float) -> float:
 
 def lap_band(n: int, h: float, diag=0.0) -> np.ndarray:
     """Band of f -> laplacian(f) + diag * f with the Neumann stencil (mirror
-    ghosts), in solve_banded's (1, 1) layout; diag is a nodal array or a
-    scalar."""
+    ghosts), rows (superdiagonal, diagonal, subdiagonal) with each entry in
+    its column; diag is a nodal array or a scalar."""
     ab = np.empty((3, n))
     write_lap_bands(ab, h, 1.0, diag)
     return ab
@@ -103,50 +103,50 @@ def write_lap_bands(ab: np.ndarray, h: float, mult, diag) -> None:
 
 def pair_band(n: int, h: float, blocks) -> np.ndarray:
     """Band of the pair operator [[L00, L01], [L10, L11]], Lij the
-    write_lap_bands operator of blocks[i][j] = (mult, diag), in solve_banded's
-    (3, 3) layout with the fields interleaved (a0, b0, a1, b1, ...)."""
-    ab = np.zeros((7, 2 * n))
+    write_lap_bands operator of blocks[i][j] = (mult, diag), fields interleaved
+    (a0, b0, a1, b1, ...), in gbsv's storage for three sub- and superdiagonals:
+    entry (r, c) at ab[6 + r - c, c], rows 0-2 zero for the LU fill-in."""
+    ab = np.zeros((10, 2 * n))
     for i, row in enumerate(blocks):
         for j, (mult, diag) in enumerate(row):
-            write_lap_bands(ab[1 + i - j:6 + i - j:2, j::2], h, mult, diag)
+            write_lap_bands(ab[4 + i - j:9 + i - j:2, j::2], h, mult, diag)
     return ab
 
 
-def solve_tridiag(ab: np.ndarray, rhs: np.ndarray, overwrite_rhs=False) -> np.ndarray:
-    """Solve a tridiagonal system given in solve_banded's (1, 1) layout.
-
-    Calls LAPACK gtsv directly, as solve_banded((1, 1), ...) does after its
-    generic validation: bit-identical at a fraction of the call overhead,
-    with the same checks (NonFiniteSystem, a ValueError, on non-finite
-    input; LinAlgError on a singular matrix).  overwrite_rhs solves a
-    Fortran-ordered rhs in place.
-    """
+def _lapack(driver, ab, rhs, *bands, **flags):
+    """x of the LAPACK driver(*bands, rhs, **flags) solving the band ab:
+    NonFiniteSystem (a ValueError) on a non-finite ab or rhs, LinAlgError on
+    a singular matrix, with the messages of scipy's banded solve."""
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise NonFiniteSystem("array must not contain infs or NaNs")
-    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_b=overwrite_rhs)
+    *_, x, info = driver(*bands, rhs, **flags)
     if info > 0:
         raise LinAlgError("singular matrix")
     return x
+
+
+def solve_tridiag(ab: np.ndarray, rhs: np.ndarray, overwrite_rhs=False) -> np.ndarray:
+    """Solve a tridiagonal lap_band by LAPACK gtsv, with the checks of
+    _lapack; overwrite_rhs solves a Fortran-ordered rhs in place."""
+    return _lapack(dgtsv, ab, rhs, ab[2, :-1], ab[1], ab[0, 1:], overwrite_b=overwrite_rhs)
 
 
 def solve_pair(ab: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Newton direction -J^-1 (r1, r2) for a pair of fields whose Jacobian J
     is a pair_band; returned as the two fields one after the other, the
     layout of the solvers' unknown.  r1 and r2 may be (n, m) to solve m
-    right-hand sides at once.  Same checks as solve_tridiag."""
+    right-hand sides at once.  LAPACK gbsv, with the checks of _lapack."""
     rhs = np.empty((2 * r1.shape[0], *r1.shape[1:]))
     rhs[0::2] = -r1
     rhs[1::2] = -r2
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
-        raise NonFiniteSystem("array must not contain infs or NaNs")
-    d = solve_banded((3, 3), ab, rhs, check_finite=False)
+    d = _lapack(dgbsv, ab, rhs, 3, 3, ab, overwrite_b=True)
     return np.concatenate((d[0::2], d[1::2]))
 
 
 def solve_bordered(ab, border_cols, border_rows, corner, rhs_top, rhs_bot):
     """Solve [[A, B], [C, D]] [x; y] = [rhs_top; rhs_bot] with banded A.
 
-    ab is A in solve_banded's (1, 1) layout, border_cols the k columns of B
+    ab is A as a lap_band or a pair_band, border_cols the k columns of B
     and border_rows the k rows of C, each a sequence of n-vectors; corner D
     (k, k) and rhs_bot (k,) may be scalars when k = 1.  A is solved once
     for [rhs_top, B], and the k x k Schur complement closed densely.  A
@@ -157,7 +157,7 @@ def solve_bordered(ab, border_cols, border_rows, corner, rhs_top, rhs_bot):
     """
     border_rows = np.array(border_rows)
     stacked = np.array((rhs_top, *border_cols))
-    if ab.shape[0] == 7:
+    if ab.shape[0] == 10:
         X = -solve_pair(ab, stacked[:, 0].T, stacked[:, 1].T)
         border_rows = border_rows.reshape(len(border_rows), -1)
     else:

@@ -10,6 +10,7 @@ closed-form algebra; no grids are involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import NotApplicable
@@ -95,7 +96,8 @@ def constant_state(p: ModelParams) -> ConstantState:
     Only defined in the weak (c1/c2 < a1/a2 < b1/b2) or strong (b1/b2 <
     a1/a2 < c1/c2) competition regime.  The ratios are compared by
     cross-multiplication so rational inputs never produce spurious ties;
-    a tie is neither regime.
+    a tie is neither regime.  A state that is not positive and finite in
+    floating point (an overflowed b2*c1 - b1*c2) is NotApplicable too.
     """
     ab = p.a1 * p.b2 - p.a2 * p.b1   # sign of a1/a2 - b1/b2
     ac = p.a1 * p.c2 - p.a2 * p.c1   # sign of a1/a2 - c1/c2
@@ -106,4 +108,7 @@ def constant_state(p: ModelParams) -> ConstantState:
         raise NotApplicable("b2*c1 - b1*c2 vanishes; nullclines are parallel")
     u_star = (p.a2 * p.c1 - p.a1 * p.c2) / den
     v_star = (p.a1 * p.b2 - p.a2 * p.b1) / den
+    if not (0.0 < u_star < math.inf and 0.0 < v_star < math.inf):
+        raise NotApplicable("constant coexistence state is not positive and finite "
+                            "in floating point")
     return ConstantState(u_star=u_star, v_star=v_star, tau_star=u_star * v_star)

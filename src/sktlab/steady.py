@@ -74,7 +74,7 @@ def residual_skt(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
 
 def _jacobian_banded(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
     """Analytic Jacobian of the stacked residual, interleaved ordering
-    (u0, v0, u1, v1, ...), in solve_banded's (3, 3) layout."""
+    (u0, v0, u1, v1, ...), as a pair_band (LAPACK gbsv's band storage)."""
     fu, fv, gu, gv = kinetic_partials(p, u, v)
     return pair_band(u.size, h, [[(p.d1 + p.alpha * v, fu), (p.alpha * u, fv)],
                                  [(p.beta * v, gu), (p.d2 + p.beta * u, gv)]])
@@ -252,20 +252,17 @@ def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
           tol: float) -> SteadyState:
     """Newton first where (u*, v*) is the stable attractor, else search.
 
-    Where the constant coexistence state is positive and shown stable by
-    _constant_rate, newton_solve runs from (u0, v0), and its state is kept
-    when it equals (u*, v*) to 1e-8 relative in each field, with
-    march_steps = march_cells = 0.  Otherwise, or when that Newton fails,
-    search marches.  More than 10^6 march steps is a ValidationError on
-    either path; with no constant coexistence state, NotApplicable.
-    constant_rate is the rightmost real part of the constant state's
-    spectrum, NaN where none is positive.
+    Where _constant_rate shows the constant coexistence state stable,
+    newton_solve runs from (u0, v0), and its state is kept when it equals
+    (u*, v*) to 1e-8 relative in each field, with march_steps = march_cells
+    = 0.  Otherwise, or when that Newton fails, search marches.  More than
+    10^6 march steps is a ValidationError on either path; with no positive
+    finite constant coexistence state, NotApplicable.  constant_rate is the
+    rightmost real part of the constant state's spectrum.
     """
     _step_count(dt, t_end)
     cs = constant_state(p)
-    rate, stable = math.nan, False
-    if cs.u_star > 0.0 and cs.v_star > 0.0:
-        rate, stable = _constant_rate(p, cs, u0.grid)
+    rate, stable = _constant_rate(p, cs, u0.grid)
     if stable:
         try:
             st = newton_solve(p, u0, v0, tol=tol)

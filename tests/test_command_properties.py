@@ -87,6 +87,18 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
                                     "model.d1": 1e300, "model.alpha": 1e-300,
                                     "model.beta": 1e-300, "model.gamma": 1e-300,
                                     "model.d2": 1e-300}, run={})
+@example(command="bounds", model={"model.b1": 1e-200, "model.b2": 1e-200,
+                                  "model.d1": 1e-200, "model.d2": 1e-200}, run={})
+@example(command="bifurcate", model={"model.a1": 1e-30, "model.a2": 1e200, "model.b1": 1e200,
+                                     "model.b2": 1e-8, "model.c1": 1e-30, "model.c2": 1e300,
+                                     "model.d2": 1e30, "model.alpha": 1e-200,
+                                     "model.beta": 0.5, "model.gamma": 1.0},
+         run={"grid.n_cells": 64, "run.s_max": 0.05})
+@example(command="bifurcate", model={"model.a1": 1e-30, "model.a2": 1e-30, "model.b1": 1e-30,
+                                     "model.b2": 1e300, "model.c1": 1e300, "model.c2": 1e8,
+                                     "model.d1": 1e200, "model.d2": 0.5, "model.gamma": 1e30,
+                                     "model.alpha": 3.0, "model.beta": 1e-8},
+         run={"grid.n_cells": 64, "run.s_max": 0.05})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))

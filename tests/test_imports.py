@@ -87,6 +87,40 @@ def test_scan_flags_a_scipy_interpolate_import():
     assert _scipy_imports(tree, "interpolate") == [2, 4, 5]
 
 
+def _scipy_beyond_lapack(tree: ast.Module) -> list[int]:
+    """Lines that import from scipy anything but a `scipy.linalg.lapack`
+    driver (`from scipy.linalg.lapack import ...`), or refer to
+    solve_banded."""
+    lines = set(_references(tree, {"solve_banded"}))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and node.module != "scipy.linalg.lapack":
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scipy_serves_only_lapack_drivers():
+    # linalg calls gtsv and gbsv itself, so the band layout and the solve
+    # checks have one route to LAPACK
+    found = {p.name: _scipy_beyond_lapack(ast.parse(p.read_text(encoding="utf-8")))
+             for p in pathlib.Path(sktlab.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_flags_scipy_beyond_lapack():
+    tree = ast.parse("import scipy\nfrom scipy.linalg import solve_banded\n"
+                     "from scipy.linalg.lapack import dgbsv, dgtsv\nfrom scipy import linalg\n"
+                     "x = linalg.solve_banded((1, 1), a, b)\nimport scipy.linalg.lapack\n"
+                     "from .lapack import y\nfrom numpy.linalg import LinAlgError\n")
+    assert _scipy_beyond_lapack(tree) == [1, 2, 4, 5, 6]
+
+
 def _references(tree: ast.Module, names) -> list[int]:
     lines = set()
     for node in ast.walk(tree):

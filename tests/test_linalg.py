@@ -98,7 +98,7 @@ def test_solve_pair_keeps_solve_tridiag_checks(rng):
     m, d = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
     good = pair_band(n, 0.1, [[(m, -d), (0.1, 0.2)], [(0.3, 0.1), (d, -m)]])
     r1, r2 = rng.normal(size=n), rng.normal(size=n)
-    A = _dense_from_band(good, (3, 3))
+    A = _dense_from_band(good[3:], (3, 3))
     x = solve_pair(good, r1, r2)
     ref = np.linalg.solve(A, -np.ravel(np.column_stack([r1, r2])))
     assert np.allclose(x, np.concatenate((ref[0::2], ref[1::2])), atol=1e-10)
@@ -117,6 +117,25 @@ def test_solve_pair_keeps_solve_tridiag_checks(rng):
                                       [(0.0, 0.0), (1.0, 0.0)]]), r1, r2)
 
 
+@pytest.mark.parametrize("n", [8, 256, 1024, 4096])
+def test_solve_pair_bit_identical_to_solve_banded(rng, n):
+    # the pair band is gbsv's own storage: its rows 3-9 are solve_banded's
+    # (3, 3) layout and rows 0-2 the fill-in that solve_banded adds
+    for _ in range(3):
+        # diagonally dominant: each diagonal block's diag outweighs its row
+        own = lambda: (rng.uniform(0.5, 2.0, n), -rng.uniform(9.0, 10.0, n) * n * n)
+        couple = lambda: (rng.uniform(-0.5, 0.5, n), rng.uniform(-1.0, 1.0, n))
+        ab = pair_band(n, 1.0 / n, [[own(), couple()], [couple(), own()]])
+        assert not ab[:3].any()
+        for shape in ((n,), (n, 3)):
+            r1, r2 = rng.normal(size=(2, *shape))
+            rhs = np.empty((2 * n, *shape[1:]))
+            rhs[0::2], rhs[1::2] = r1, r2
+            d = -solve_banded((3, 3), ab[3:], rhs)
+            x = solve_pair(ab, r1, r2)
+            assert np.array_equal(x, np.concatenate((d[0::2], d[1::2])))
+
+
 @pytest.mark.parametrize("nodal", [False, True])
 def test_pair_band_matches_dense_blocks(rng, nodal):
     n, h = 12, 0.07
@@ -129,7 +148,7 @@ def test_pair_band_matches_dense_blocks(rng, nodal):
                        for m, d in row] for row in blocks])
     # interleaved ordering (a0, b0, a1, b1, ...) of the stacked (a, b)
     perm = np.ravel(np.column_stack([np.arange(n), n + np.arange(n)]))
-    A = _dense_from_band(pair_band(n, h, blocks), (3, 3))
+    A = _dense_from_band(pair_band(n, h, blocks)[3:], (3, 3))
     assert np.array_equal(A, dense[np.ix_(perm, perm)])
 
 
@@ -313,7 +332,7 @@ def test_solve_bordered_on_a_pair_band_matches_dense(rng):
     ab = pair_band(n, h, [[(coef(), -coef()), (0.1, coef())],
                           [(coef(), coef()), (coef(), -coef())]])
     perm = np.concatenate((np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)))
-    A = _dense_from_band(ab, (3, 3))[np.ix_(perm, perm)]
+    A = _dense_from_band(ab[3:], (3, 3))[np.ix_(perm, perm)]
     col, row = rng.normal(size=(2, n)), rng.normal(size=(2, n))
     rt, rb = rng.normal(size=(2, n)), rng.normal()
     x, y = solve_bordered(ab, (tuple(col),), (tuple(row),), 0.5, tuple(rt), rb)
