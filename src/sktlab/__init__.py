@@ -8,16 +8,3 @@ explicit construction of sign-changing complete-segregation solutions.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (AssemblyError, CheckFailed, NoConvergence, NonFiniteSystem,
-                     NotApplicable, SktlabError, TauCollapse, ValidationError)
-from .grid import Grid, GridFn
-from .limits import CSState, ISState, LimitParams
-from .model import ConstantState, ModelParams
-
-__all__ = [
-    "AssemblyError", "CheckFailed", "ConstantState", "CSState",
-    "Grid", "GridFn", "ISState", "LimitParams", "ModelParams", "NoConvergence",
-    "NonFiniteSystem", "NotApplicable", "SktlabError", "TauCollapse",
-    "ValidationError", "__version__",
-]

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotApplicable, TauCollapse
+from .errors import NotApplicable
 from .grid import Grid, GridFn, discrete_eigenvalue, neumann_eigenpair
 from .limits import LimitParams, _is_corrector
+from .linalg import _FAILED
 from .model import constant_state
 
 
@@ -43,7 +44,7 @@ class BranchPoint:
 @dataclass(frozen=True)
 class Branch:
     points: tuple              # ordered by s, constant state at s = 0 included
-    truncated: bool = False    # a side ended on a corrector failure
+    truncated: bool = False    # a side ended on a corrector failure or its budget
     end_reason: str = "s_max"  # or the first short side's end (switch_and_continue)
     fold: int = 1              # k: points are the reflected tiling of k pieces
     mirrored: bool = False     # the s < 0 side is the reflection of s > 0
@@ -141,9 +142,10 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     iterations, works on that (w, tau, d1) vector, and the amplitude step
     adapts to its iteration count.  A side ends short of
     s_max at its last corrected point where the corrector fails with the
-    step below 1e-6*ds ("corrector", which sets truncated) or the predictor
-    leaves d1 > 0 / tau > 0 ("predictor"); end_reason is the first such end
-    in tracing order, else "s_max".
+    step below 1e-6*ds ("corrector"), where it holds 4*s_max/ds points
+    ("budget"; both set truncated) or where the predictor leaves d1 > 0 /
+    tau > 0 ("predictor"); end_reason is the first such end in tracing
+    order, else "s_max".
     """
     g = bp.phi_j.grid
     cs = constant_state(lp)
@@ -164,6 +166,9 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
         step = ds
         arclen = 0.0
         while abs(hist[-1][0]) < s_max - 1e-14:
+            if len(pts) >= 4.0 * s_max / ds:    # as floats: s_max/ds may be inf
+                ends.append("budget")
+                break
             s_prev, prev = hist[-1]
             s_next = s_prev + sign * step
             if abs(s_next) > s_max:
@@ -179,7 +184,7 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
             try:
                 x, _, _, iters, _, _ = _is_corrector(
                     lp, pred, g.h, tol, 30, "branch corrector", phase=(phi, s_next), fold=k)
-            except (NoConvergence, TauCollapse):
+            except _FAILED:
                 step *= 0.5
                 if step < 1e-6 * ds:
                     ends.append("corrector")
@@ -202,6 +207,6 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     plus, minus = sides
     ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
                for p in reversed(minus)] + [base] + plus
-    return Branch(points=tuple(ordered), truncated="corrector" in ends,
+    return Branch(points=tuple(ordered), truncated=bool({"corrector", "budget"} & set(ends)),
                   end_reason=(ends + ["s_max"])[0],
                   fold=k, mirrored=mirrored)

@@ -22,6 +22,7 @@ from .errors import (AssemblyError, CheckFailed, NoConvergence, NonFiniteSystem,
 from .grid import (MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair,
                    neumann_laplacian)
 from .limits import LimitParams
+from .linalg import _FAILED
 from .model import ModelParams, constant_state
 
 _POS = "positive"
@@ -217,7 +218,7 @@ def _cmd_limit_study(cfg) -> dict:
     # attractor the dynamics picks, at strong competition an exclusion state
     try:
         seed_state = steady.newton_solve(p0, u0, v0, tol=cfg["run.tol"])
-    except NoConvergence:
+    except _FAILED:
         seed_state = steady.search(p0, u0, v0, dt=cfg["run.dt"], t_end=cfg["run.t_march"],
                                    tol=cfg["run.tol"])
     report = limitstudy.run_sequence(base, schedule, seed_state,
@@ -323,8 +324,9 @@ def _cmd_selftest(cfg) -> dict:
     cs = constant_state(p)
     u0 = GridFn.constant(g, cs.u_star)
     v0 = GridFn.constant(g, cs.v_star)
-    r1, r2 = steady.residual_skt(p, u0, v0)
-    res = max(float(np.max(np.abs(r1.values))), float(np.max(np.abs(r2.values))))
+    # one sup over both fields, so that inf or NaN in either fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.max(np.abs([r.values for r in steady.residual_skt(p, u0, v0)])))
     _require("constant-state residual", res, 1e-9)
 
     lp = _limit_params(cfg)

@@ -18,8 +18,6 @@ import os
 import secrets
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from . import __version__ as VERSION
 
 
@@ -49,8 +47,7 @@ def _cells(values) -> tuple[str, list]:
     "%.17g" % v == format(v, ".17g") for floats, "%s" is str().  Other
     arrays than 1-D float64 keep their numpy scalars, whose str() _fmt
     writes; a column mixing floats with other types is preformatted."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64 \
-            and values.ndim == 1:
+    if getattr(values, "dtype", None) == "float64" and values.ndim == 1:
         return "%.17g", values.tolist()
     col = list(values)
     floats = sum(isinstance(v, float) for v in col)

@@ -21,30 +21,22 @@ from .errors import TauCollapse
 from .grid import GridFn, laplacian_values
 from .linalg import (_damped_newton, lap_band, pair_band, residual_floor,
                      solve_bordered, solve_tridiag)
-from .model import (ModelParams, constant_state, kinetic_partials, reaction_f,
-                    reaction_g)
+from .model import (Coefficients, ModelParams, constant_state, kinetic_partials,
+                    reaction_f, reaction_g)
 
 _TAU_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
-class LimitParams:
-    """Kinetic and linear-diffusion coefficients plus the rate-ratio limit."""
+class LimitParams(Coefficients):
+    """The coefficients plus the rate-ratio limit gamma > 0."""
 
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-    c1: float
-    c2: float
-    d1: float
-    d2: float
     gamma: float
 
     def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2", "gamma"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        super().__post_init__()
+        if self.gamma <= 0.0:
+            raise ValueError("gamma must be strictly positive")
 
     @classmethod
     def from_model(cls, p: ModelParams, gamma: float) -> "LimitParams":

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits, steady
-from .errors import NoConvergence, TauCollapse, ValidationError
+from .errors import NoConvergence, ValidationError
 from .grid import GridFn, integrate
 from .limits import LimitParams
+from .linalg import _FAILED
 from .model import ModelParams, constant_state
 from .steady import SteadyState
 
@@ -142,7 +143,7 @@ def _solve_step(p: ModelParams, state: SteadyState, tol: float) -> tuple[SteadyS
         try:
             _, (_, _, _, (u, v, _)), rnorm, it, history, floor = limits._eps_newton(
                 lp, x0, 1.0 / p.alpha, state.grid.h, tol)
-        except (NoConvergence, TauCollapse):
+        except _FAILED:
             pass
         else:
             return steady._steady_state(p, state.grid, u, v, rnorm, floor, it,

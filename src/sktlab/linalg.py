@@ -16,11 +16,13 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv, dgtsv
 
-from .errors import NoConvergence, NonFiniteSystem
+from .errors import NoConvergence, NonFiniteSystem, TauCollapse
 
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0 ** -20
 _EPS = float(np.finfo(float).eps)
+# a solve that raises one of these has failed, and its caller passes on to its fallback
+_FAILED = (NoConvergence, TauCollapse, NonFiniteSystem, LinAlgError)
 
 
 def _damped_newton(residual, step, x, tol, max_iter, what, feasible=None):

@@ -2,7 +2,7 @@
 
 The stationary problem couples two competing densities u, v through
 divergence-form diffusion Delta[(d1 + alpha*v) u], Delta[(d2 + beta*u) v]
-and Lotka-Volterra kinetics f, g.  This module holds the parameter record,
+and Lotka-Volterra kinetics f, g.  This module holds the coefficient records,
 the reaction terms and their partials, and the constant coexistence state,
 which exists under weak or strong competition.  Everything here is exact
 closed-form algebra; no grids are involved.
@@ -17,14 +17,13 @@ from .errors import NotApplicable
 
 
 @dataclass(frozen=True)
-class ModelParams:
-    """All coefficients of the stationary cross-diffusion system.
+class Coefficients:
+    """The kinetic and linear-diffusion coefficients, all strictly positive.
 
     a1, a2 : birth rates
     b1, c2 : intra-specific competition
     c1, b2 : inter-specific competition
     d1, d2 : linear diffusion rates
-    alpha, beta : cross-diffusion rates (may be zero)
     """
 
     a1: float
@@ -35,13 +34,23 @@ class ModelParams:
     c2: float
     d1: float
     d2: float
-    alpha: float = 0.0
-    beta: float = 0.0
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+
+
+@dataclass(frozen=True)
+class ModelParams(Coefficients):
+    """The coefficients plus the cross-diffusion rates alpha, beta (may be
+    zero): all coefficients of the stationary cross-diffusion system."""
+
+    alpha: float = 0.0
+    beta: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("alpha and beta must be nonnegative")
 
@@ -73,24 +82,23 @@ class ConstantState:
     tau_star: float
 
 
-def reaction_f(p: ModelParams, u, v):
+def reaction_f(p: Coefficients, u, v):
     """First kinetic term u*(a1 - b1*u - c1*v)."""
     return u * (p.a1 - p.b1 * u - p.c1 * v)
 
 
-def reaction_g(p: ModelParams, u, v):
+def reaction_g(p: Coefficients, u, v):
     """Second kinetic term v*(a2 - b2*u - c2*v)."""
     return v * (p.a2 - p.b2 * u - p.c2 * v)
 
 
-def kinetic_partials(p, u, v):
-    """(df/du, df/dv, dg/du, dg/dv) of the kinetic terms; p is any record
-    with the kinetic coefficients a1, a2, b1, b2, c1, c2."""
+def kinetic_partials(p: Coefficients, u, v):
+    """(df/du, df/dv, dg/du, dg/dv) of the kinetic terms."""
     return (p.a1 - 2.0 * p.b1 * u - p.c1 * v, -p.c1 * u,
             -p.b2 * v, p.a2 - p.b2 * u - 2.0 * p.c2 * v)
 
 
-def constant_state(p: ModelParams) -> ConstantState:
+def constant_state(p: Coefficients) -> ConstantState:
     """Positive root of both kinetic nullclines, with tau* = u* v*.
 
     Only defined in the weak (c1/c2 < a1/a2 < b1/b2) or strong (b1/b2 <

@@ -23,15 +23,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteSystem, ValidationError
+from .errors import NoConvergence, ValidationError
 from .grid import Grid, GridFn, laplacian_values
-from .linalg import (_EPS, _damped_newton, pair_band, residual_floor,
+from .linalg import (_EPS, _FAILED, _damped_newton, pair_band, residual_floor,
                      solve_pair, solve_tridiag, write_lap_bands)
 from .model import (ConstantState, ModelParams, constant_state,
                     kinetic_partials, reaction_f, reaction_g)
 
 _MARCH_CELLS = 256   # search marches on this grid first where n is larger
-_FAILED = (NoConvergence, NonFiniteSystem, np.linalg.LinAlgError)   # solve and search move on
 
 
 @dataclass(frozen=True)

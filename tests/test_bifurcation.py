@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
+from sktlab import bifurcation
 from sktlab.bifurcation import (Branch, delta_j, detect_crossing,
                                 kinetic_strength, switch_and_continue, w_star)
 from sktlab.errors import NotApplicable
@@ -187,3 +189,22 @@ def test_threshold_at_an_extreme_length_is_no_threshold(p1_limit, length):
 def test_discrete_threshold_where_the_eigenvalue_underflows(p1_limit):
     with pytest.raises(NotApplicable, match="eigenvalue 0.0 is not positive"):
         detect_crossing(p1_limit, 1, Grid(8, 1e300))
+
+
+def test_a_singular_corrector_truncates_the_side_and_keeps_its_points(p1_limit, monkeypatch):
+    # a corrector that fails as the other solves do (here a singular
+    # system) ends the side at its last corrected point, as NoConvergence does
+    real, calls = bifurcation._is_corrector, []
+
+    def singular_after_three(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 3:
+            raise LinAlgError("singular matrix")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "_is_corrector", singular_after_three)
+    bp = detect_crossing(p1_limit, 1, Grid(64))
+    br = switch_and_continue(p1_limit, bp, s_max=0.5, ds=0.005)
+    assert br.truncated and br.end_reason == "corrector"
+    assert br.mirrored and len(br.points) == 2 * 3 + 1
+    assert [pt.s for pt in br.points if pt.s > 0.0] == [0.005, 0.0125, 0.02375]

@@ -324,6 +324,23 @@ def test_bifurcate_ends_a_branch_where_the_predictor_leaves_the_cone(tmp_path):
     assert cols["d1"][zero] == float(meta["delta_j_discrete"])
 
 
+def test_bifurcate_ends_a_side_on_its_point_budget(tmp_path):
+    # the correctors converge, but in steps of ~1e-2 ds down to 5e-5 ds:
+    # unbounded, the branch takes ~17 000 points; the side ends at s ~ 0.1
+    # once it holds 4 s_max/ds = 45.6 of them
+    s_max, ds = 0.38431798699613157, 0.0337216460441377
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("model.d2 = 1.7942933845021284e-06\nmodel.alpha = 1e300\n"
+                   "model.beta = 4.3049279570800596e-11\ngrid.n_cells = 111\n"
+                   f"run.mode = 3\nrun.s_max = {s_max!r}\nrun.ds = {ds!r}\n")
+    assert main(["bifurcate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "branch.csv")
+    cols = _columns(tmp_path / "branch.csv")
+    assert meta["end_reason"] == "budget" and meta["truncated"] == "True"
+    assert meta["mirrored"] == "True" and len(cols["s"]) == 2 * 46 + 1
+    assert np.max(np.abs(cols["s"])) < s_max
+
+
 @pytest.mark.parametrize("command", ["is-solve", "bifurcate"])
 def test_mode_outside_the_grid_is_config_error(command, tmp_path, capsys):
     for mode in ("400", "256"):
@@ -672,6 +689,23 @@ def test_selftest_whose_inversion_overflows_exits_2_without_a_warning(tmp_path, 
     assert captured.out == ""
     assert captured.err.splitlines() == ["selftest failed: product identity: inf is not "
                                          "below inf"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a1, a2", [(1e300, 1e300), (1e5, 6e4)])
+def test_selftest_whose_residual_overflows_exits_2_without_a_warning(a1, a2, tmp_path,
+                                                                     capsys):
+    # beta*u overflows in the constant-state residual: NaN in the second
+    # field (at a1 = 1e5 the first stays finite) fails the one sup over both
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"model.a1 = {a1}\nmodel.a2 = {a2}\nmodel.beta = 1e300\n")
+    out = tmp_path / "out"
+    assert main(["selftest", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["selftest failed: constant-state residual: nan "
+                                         "is not below 1e-09"]
     assert not out.exists()
 
 

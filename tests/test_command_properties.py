@@ -99,6 +99,21 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
                                      "model.d1": 1e200, "model.d2": 0.5, "model.gamma": 1e30,
                                      "model.alpha": 3.0, "model.beta": 1e-8},
          run={"grid.n_cells": 64, "run.s_max": 0.05})
+@example(command="bifurcate", model={"model.a2": 112.2764961860205,
+                                     "model.b1": 2.5612216644373475e-12,
+                                     "model.c2": 1.0796874464162453e-06,
+                                     "model.d1": 0.05505006107683375,
+                                     "model.beta": 1.0407252505934247e-06,
+                                     "model.gamma": 0.0002291475503824676},
+         run={"run.mode": 7, "run.s_max": 0.6470062007145957})
+@example(command="bifurcate", model={"model.d2": 1.7942933845021284e-06, "model.alpha": 1e300,
+                                     "model.beta": 4.3049279570800596e-11},
+         run={"grid.n_cells": 111, "run.mode": 3, "run.s_max": 0.38431798699613157,
+              "run.ds": 0.0337216460441377})
+@example(command="selftest", model={"model.a1": 1e300, "model.a2": 1e300,
+                                    "model.beta": 1e300}, run={})
+@example(command="selftest", model={"model.a1": 1e5, "model.a2": 6e4,
+                                    "model.beta": 1e300}, run={})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))

@@ -1,20 +1,22 @@
 """Every name a module of the package imports is used in that module.
 
 An AST scan: a name bound by `import`/`from ... import` must occur as a
-Name node (a bare name or the root of an attribute chain) in the module.
-`__init__.py` is skipped, since its imports are the package's re-exports,
-and `from __future__` imports are not names.
+Name node (a bare name or the root of an attribute chain) in the module;
+`from __future__` imports are not names.  The package re-exports nothing,
+and the modules that need no numpy load none.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import sktlab
 
-MODULES = sorted(p for p in pathlib.Path(sktlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(pathlib.Path(sktlab.__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -76,7 +78,7 @@ def test_no_module_imports_scipy_interpolate():
     # the lobe inverse is a numpy cubic Hermite (twolobe._hermite), and
     # loading scipy.interpolate would cost ~22 MB and ~0.4 s per process
     found = {p.name: _scipy_imports(ast.parse(p.read_text(encoding="utf-8")), "interpolate")
-             for p in pathlib.Path(sktlab.__file__).parent.glob("*.py")}
+             for p in MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -109,7 +111,7 @@ def test_scipy_serves_only_lapack_drivers():
     # linalg calls gtsv and gbsv itself, so the band layout and the solve
     # checks have one route to LAPACK
     found = {p.name: _scipy_beyond_lapack(ast.parse(p.read_text(encoding="utf-8")))
-             for p in pathlib.Path(sktlab.__file__).parent.glob("*.py")}
+             for p in MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -174,8 +176,7 @@ def test_only_cli_imports_bounds_or_io():
     # the solvers return states; the command layer certifies and writes them
     found = {p.name: _package_imports(ast.parse(p.read_text(encoding="utf-8")),
                                       {"bounds", "io"})
-             for p in pathlib.Path(sktlab.__file__).parent.glob("*.py")
-             if p.name != "cli.py"}
+             for p in MODULES if p.name != "cli.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -184,3 +185,18 @@ def test_scan_flags_a_bounds_or_io_import():
                      "from .iox import y\nfrom sktlab import io as sio\n"
                      "import sktlab.bounds\nfrom .limits import bounds_of\n")
     assert _package_imports(tree, {"bounds", "io"}) == [2, 3, 5, 6]
+
+
+def test_the_package_and_its_numpy_free_modules_load_no_numpy(tmp_path):
+    # bounds, io, model and errors need only the standard library, and the
+    # package binds only __version__: a fresh interpreter that imports them
+    # pays for neither numpy nor scipy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(pathlib.Path(sktlab.__file__).parents[1]), env.get("PYTHONPATH")]))
+    code = ("import sys, sktlab, sktlab.bounds, sktlab.io, sktlab.model, sktlab.errors\n"
+            "print(sorted({name.split('.')[0] for name in sys.modules} & {'numpy', 'scipy'}))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=tmp_path, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from sktlab import bifurcation, bounds, limits, limitstudy, steady, twolobe
 from sktlab.cli import main
@@ -288,6 +289,22 @@ def test_a_state_the_eps_form_cannot_hold_falls_back(grid64):
     state, fell_back = limitstudy._solve_step(p.with_rates(10.0, 10.0), start, 1e-11)
     assert fell_back
     assert np.array_equal(state.u.values, u) and np.array_equal(state.v.values, v)
+
+
+def test_a_singular_eps_form_falls_back_to_the_uv_newton(grid64, monkeypatch):
+    # a singular regular-form system is a failed solve like NoConvergence:
+    # the step passes on to the (u, v) Newton instead of ending the run
+    def singular(*args):
+        raise LinAlgError("singular matrix")
+
+    monkeypatch.setattr(limits, "_eps_newton", singular)
+    p = ModelParams(**P1).with_rates(100.0, 100.0)
+    start = _seed(p.with_rates(10.0, 10.0), grid64)
+    state, fell_back = limitstudy._solve_step(p, start, 1e-11)
+    assert fell_back
+    direct = steady.newton_solve(p, start.u, start.v, tol=1e-11)
+    assert np.array_equal(state.u.values, direct.u.values)
+    assert np.array_equal(state.v.values, direct.v.values)
 
 
 def _branch_seed(n):
