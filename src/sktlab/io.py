@@ -43,18 +43,14 @@ def provenance_lines(command: str, cfg: Mapping) -> list[str]:
 
 
 def _cells(values) -> tuple[str, list]:
-    """(printf conversion, cell values) that write each cell as _fmt does:
-    "%.17g" % v == format(v, ".17g") for floats, "%s" is str().  Other
-    arrays than 1-D float64 keep their numpy scalars, whose str() _fmt
-    writes; a column mixing floats with other types is preformatted."""
-    if getattr(values, "dtype", None) == "float64" and values.ndim == 1:
+    """(printf conversion, cell values) that write each cell as _fmt does,
+    since "%.17g" % v == format(v, ".17g"): a float64 array or a column of
+    floats is written "%.17g", any other column is preformatted by _fmt."""
+    if getattr(values, "dtype", None) == "float64":
         return "%.17g", values.tolist()
     col = list(values)
-    floats = sum(isinstance(v, float) for v in col)
-    if floats == len(col):
+    if all(isinstance(v, float) for v in col):
         return "%.17g", col
-    if floats == 0:
-        return "%s", col
     return "%s", [_fmt(v) for v in col]
 
 

@@ -141,13 +141,12 @@ def _solve_step(p: ModelParams, state: SteadyState, tol: float) -> tuple[SteadyS
         x0 = np.concatenate((p.d1 * u - lp.gamma * p.d2 * v,
                              state.params.alpha * (prod - t0), [t0]))
         try:
-            _, (_, _, _, (u, v, _)), rnorm, it, history, floor = limits._eps_newton(
+            _, (_, _, _, (u, v, _)), rnorm, it, _, floor = limits._eps_newton(
                 lp, x0, 1.0 / p.alpha, state.grid.h, tol)
         except _FAILED:
             pass
         else:
-            return steady._steady_state(p, state.grid, u, v, rnorm, floor, it,
-                                        history), False
+            return steady._steady_state(p, state.grid, u, v, rnorm, floor, it), False
     return steady.newton_solve(p, state.u, state.v, tol=tol), True
 
 

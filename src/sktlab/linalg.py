@@ -70,13 +70,12 @@ def _damped_newton(residual, step, x, tol, max_iter, what, feasible=None):
         raise NoConvergence(f"{what} did not converge")
 
 
-def residual_floor(h: float, *scales: float) -> float:
+def residual_floor(h: float, scale: float) -> float:
     """Rounding floor of a second-difference residual: applying the 1/h^2
-    stencil to fields of the given magnitudes cannot produce residuals
-    smaller than a few ulps of scale/h^2, so no tolerance below this value
+    stencil to fields of magnitude scale cannot produce residuals smaller
+    than a few ulps of max(1, scale)/h^2, so no tolerance below this value
     is achievable."""
-    scale = max(1.0, *scales) if scales else 1.0
-    return 4.0 * _EPS * scale / (h * h)
+    return 4.0 * _EPS * max(1.0, scale) / (h * h)
 
 
 def lap_band(n: int, h: float, diag=0.0) -> np.ndarray:

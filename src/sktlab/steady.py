@@ -19,7 +19,7 @@ F and G at the density maxima are test oracles (tests/oracles.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class SteadyState:
     march_steps: int = 0     # time-march steps before the Newton polish
     march_cells: int = 0     # cells of the grid the march ran on, 0 if none
     constant_rate: float = math.nan   # set by solve: see _constant_rate
-    residual_history: tuple = field(default=(), repr=False)
 
     @property
     def u_max(self) -> float:
@@ -79,11 +78,10 @@ def _jacobian_banded(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
                                  [(p.beta * v, gu), (p.d2 + p.beta * u, gv)]])
 
 
-def _steady_state(p, g, u, v, rnorm, floor, it, history) -> SteadyState:
+def _steady_state(p, g, u, v, rnorm, floor, it) -> SteadyState:
     """The SteadyState of a solve."""
     return SteadyState(params=p, grid=g, u=GridFn(g, u), v=GridFn(g, v),
-                       residual_inf=rnorm, residual_floor=floor, newton_iters=it,
-                       residual_history=tuple(history))
+                       residual_inf=rnorm, residual_floor=floor, newton_iters=it)
 
 
 def _stop_norm(p: ModelParams, u: np.ndarray, v: np.ndarray, h: float):
@@ -124,11 +122,11 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
         if float(np.min(x)) < -1e-12:
             return NoConvergence("no Newton step stays in the nonnegative cone")
 
-    x, _, rnorm, it, history, floor = _damped_newton(
+    x, _, rnorm, it, _, floor = _damped_newton(
         residual, step, np.concatenate((u0.values, v0.values)), tol, 60,
         "Newton", feasible)
     return _steady_state(p, g, np.maximum(x[:n], 0.0), np.maximum(x[n:], 0.0),
-                         rnorm, floor, it, history)
+                         rnorm, floor, it)
 
 
 def _step_count(dt: float, t_end: float) -> int:

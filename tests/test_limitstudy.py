@@ -173,7 +173,7 @@ def test_a_segregated_seed_is_complete_and_matches_its_limit():
     w = twolobe.assemble(twolobe.solve_unit(lp, 1), lp, "fg", g).w
     u, v = limits.CSState(w).densities(lp)
     seed = steady._steady_state(base.with_rates(1e3, 1e3), g, u.values, v.values,
-                                np.nan, np.nan, 0, ())
+                                np.nan, np.nan, 0)
     rep = run_sequence(base, [(1e3, 1e3)], seed, gamma_target=1.0)
     assert rep.classification == "Complete"
     assert rep.steps[-1].tau_hat < 1e-2 * rep.complete_tol
@@ -246,7 +246,7 @@ def test_eps_form_agrees_with_the_uv_newton(grid64):
     u0 = GridFn(grid64, U_STAR * (1 + 0.1 * np.cos(np.pi * x)))
     v0 = GridFn(grid64, V_STAR * (1 - 0.1 * np.cos(np.pi * x)))
     a = steady.newton_solve(p, u0, v0)
-    start = steady._steady_state(p, grid64, u0.values, v0.values, np.nan, np.nan, 0, ())
+    start = steady._steady_state(p, grid64, u0.values, v0.values, np.nan, np.nan, 0)
     c, fell_back = limitstudy._solve_step(p, start, 1e-11)
     assert not fell_back and c.newton_iters > 0
     assert np.max(np.abs(a.u.values - c.u.values)) < 1e-8
@@ -285,7 +285,7 @@ def test_a_state_the_eps_form_cannot_hold_falls_back(grid64):
     p = ModelParams(**dict(P1, b2=22.4, d2=1e-300)).with_rates(1.0, 1.0)
     cs = constant_state(p)
     u, v = np.full(64, cs.u_star), np.full(64, cs.v_star)
-    start = steady._steady_state(p, grid64, u, v, np.nan, np.nan, 0, ())
+    start = steady._steady_state(p, grid64, u, v, np.nan, np.nan, 0)
     state, fell_back = limitstudy._solve_step(p.with_rates(10.0, 10.0), start, 1e-11)
     assert fell_back
     assert np.array_equal(state.u.values, u) and np.array_equal(state.v.values, v)

@@ -25,9 +25,9 @@ def _written_band(n, h, mult, diag):
 
 
 def test_residual_floor_scaling():
-    assert residual_floor(0.5) == residual_floor(0.5, 0.5)  # clamps at 1
+    assert residual_floor(0.5, 1.0) == residual_floor(0.5, 0.5)  # clamps at 1
     assert np.isclose(residual_floor(0.1, 10.0), 10.0 * residual_floor(0.1, 1.0))
-    assert np.isclose(residual_floor(0.1), 4.0 * residual_floor(0.2))
+    assert np.isclose(residual_floor(0.1, 1.0), 4.0 * residual_floor(0.2, 1.0))
 
 
 def test_lap_band_matches_stencil(rng):
