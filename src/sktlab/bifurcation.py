@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicable
+from .errors import NoConvergence, NotApplicable
 from .grid import Grid, GridFn, discrete_eigenvalue, neumann_eigenpair
 from .limits import LimitParams, _is_corrector
 from .linalg import _FAILED
@@ -205,6 +205,8 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
         sides.append([BranchPoint(-p.s, p.d1, p.tau, unfold(p.w.values[m - 1::-1]),
                                   p.arclength, 0) for p in sides[0]])
     plus, minus = sides
+    if not (plus or minus):
+        raise NoConvergence("no corrected branch point on either side")
     ordered = [BranchPoint(p.s, p.d1, p.tau, p.w, -p.arclength, p.newton_iters)
                for p in reversed(minus)] + [base] + plus
     return Branch(points=tuple(ordered), truncated=bool({"corrector", "budget"} & set(ends)),

@@ -160,7 +160,8 @@ def _mode(cfg: dict, g: Grid) -> int:
 
 
 def _seeded_fields(p: ModelParams, g: Grid, seed: int, amplitude: float):
-    """Constant coexistence state plus a seeded low-mode cosine perturbation."""
+    """Constant coexistence state plus a seeded low-mode cosine perturbation;
+    ValidationError where a seeded density is not a finite float."""
     cs = constant_state(p)
     rng = np.random.default_rng(seed)
     x = g.x / g.length
@@ -169,8 +170,11 @@ def _seeded_fields(p: ModelParams, g: Grid, seed: int, amplitude: float):
     for k in range(1, 5):
         pert_u += rng.uniform(-1, 1) / k * np.cos(k * math.pi * x)
         pert_v += rng.uniform(-1, 1) / k * np.cos(k * math.pi * x)
-    u = np.maximum(cs.u_star * (1.0 + amplitude * pert_u), 1e-8)
-    v = np.maximum(cs.v_star * (1.0 + amplitude * pert_v), 1e-8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.maximum(cs.u_star * (1.0 + amplitude * pert_u), 1e-8)
+        v = np.maximum(cs.v_star * (1.0 + amplitude * pert_v), 1e-8)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise ValidationError(f"run.amplitude: the seed is not finite at {amplitude!r}")
     return GridFn(g, u), GridFn(g, v)
 
 

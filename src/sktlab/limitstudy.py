@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits, steady
-from .errors import NoConvergence, ValidationError
+from .errors import NoConvergence, NotApplicable, ValidationError
 from .grid import GridFn, integrate
 from .limits import LimitParams
 from .linalg import _FAILED
@@ -78,7 +78,8 @@ def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
     schedule from seed_state, which must already be solved at the first
     pair (else ValueError) and is reported as step 0; each later pair is
     solved once.  Per step computes (w_n, z_n) and the segregation
-    diagnostics; w_drift is sup|w_k - w_(k-1)|, NaN at step 0.
+    diagnostics; w_drift is sup|w_k - w_(k-1)|, NaN at step 0.  A step
+    whose w or other diagnostics are not finite floats is NotApplicable.
 
     Classification at the final step: Complete if the mean of z fell below
     complete_tol = 1e-3 * tau* and w changes sign; Incomplete if it
@@ -104,10 +105,14 @@ def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
                 raise NoConvergence(f"schedule step {k} (alpha={alpha:g}, "
                                     f"beta={beta:g}): {exc}") from exc
             fallback_steps += fell_back
-        w, z = limits.w_z_from_uv(state.params, state.u, state.v)
-        tau_hat = integrate(z) / w.grid.length
-        uv_defect = float(np.max(np.abs(state.u.values * state.v.values - tau_hat)))
-        drift = math.nan if w_prev is None else float(np.max(np.abs(w.values - w_prev)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, z = limits.w_z_from_uv(state.params, state.u, state.v)
+            tau_hat = integrate(z) / w.grid.length
+            uv_defect = float(np.max(np.abs(state.u.values * state.v.values - tau_hat)))
+            drift = math.nan if w_prev is None else float(np.max(np.abs(w.values - w_prev)))
+        if not np.isfinite(np.append(w.values, (tau_hat, uv_defect, drift if k else 0))).all():
+            raise NotApplicable(f"schedule step {k} (alpha={alpha:g}, beta={beta:g}): "
+                                "the diagnostics are not finite in floating point")
         records.append(StepRecord(alpha=alpha, beta=beta, gamma=alpha / beta,
                                   tau_hat=tau_hat, uv_defect=uv_defect,
                                   w_drift=drift, residual_inf=state.residual_inf))

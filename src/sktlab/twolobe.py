@@ -246,7 +246,10 @@ def assemble(lobe: UnitLobe, lp: LimitParams, variant: str, g: Grid) -> DhmpSolu
     zero_count = _count_sign_changes(w)
     if zero_count != n:
         raise AssemblyError(f"tiling produced {zero_count} zeros, expected {n}")
-    res = float(np.max(np.abs(_cs_residual_values(lp, w, g.h))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.max(np.abs(_cs_residual_values(lp, w, g.h))))
+    if not math.isfinite(res):
+        raise AssemblyError(f"the pattern's residual is {res} in floating point")
     return DhmpSolution(variant=variant, w=GridFn(g, w),
                         zero_count=zero_count, cs_residual=res)
 

@@ -341,6 +341,22 @@ def test_bifurcate_ends_a_side_on_its_point_budget(tmp_path):
     assert np.max(np.abs(cols["s"])) < s_max
 
 
+@pytest.mark.filterwarnings("error")
+def test_bifurcate_with_no_corrected_point_exits_2(tmp_path, capsys):
+    # the corrector fails at the first step of both sides at every step
+    # size down to 1e-6 ds: no branch is traced, and no branch.csv holding
+    # the constant state alone is written
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("model.c1 = 15.762411364014845\nmodel.gamma = 1.1436017733884874e-11\n"
+                   "grid.n_cells = 51\nrun.mode = 2\nrun.s_max = 0.4953983716355266\n"
+                   "run.ds = 0.0025085410671406355\n")
+    out = tmp_path / "out"
+    assert main(["bifurcate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "no convergence: no corrected branch point on either side"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["is-solve", "bifurcate"])
 def test_mode_outside_the_grid_is_config_error(command, tmp_path, capsys):
     for mode in ("400", "256"):
@@ -706,6 +722,61 @@ def test_selftest_whose_residual_overflows_exits_2_without_a_warning(a1, a2, tmp
     assert captured.out == ""
     assert captured.err.splitlines() == ["selftest failed: constant-state residual: nan "
                                          "is not below 1e-09"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, config", [
+    ("solve", "model.a2 = 24.16602535184861\nmodel.b1 = 1.2407466164343763e-09\n"
+              "model.b2 = 1e-300\nmodel.c1 = 6.006154616422188e-06\nmodel.d2 = 1e-300\n"
+              "model.alpha = 0.0002678036019728739\ngrid.n_cells = 53\n"),
+    ("limit-study", "model.b1 = 4.450018974199167e-12\nmodel.b2 = 1.5211614540183321e-12\n"
+                    "model.c2 = 8.077386761615763\ngrid.n_cells = 8\n"
+                    "run.alpha0 = 0.405909937285172\nrun.steps = 2\n")],
+    ids=["solve", "limit-study"])
+def test_a_seed_that_overflows_is_a_config_error(command, config, tmp_path, capsys):
+    # u* (1 + amplitude pert) overflows at run.amplitude = 1e300 where u*
+    # is large, so a seeded density is inf before any solve
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(config + "run.amplitude = 1e300\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: run.amplitude: the seed is not finite at 1e+300"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_limit_study_whose_diagnostics_overflow_is_not_applicable(tmp_path, capsys):
+    # at d1 = 1e300 the mean of z = (d1/alpha) u + u v overflows: no
+    # limit_study.csv with tau_hat = inf, but exit 4 with one stderr line
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("model.a1 = 58.174693588731536\nmodel.b1 = 85.82237180468171\n"
+                   "model.c1 = 0.26048735891644104\nmodel.d1 = 1e300\n"
+                   "model.d2 = 1.1968316086230762e-09\nmodel.alpha = 660.1919308637539\n"
+                   "model.beta = 1.0210252913817647e-07\nmodel.gamma = 37.14916358634999\n"
+                   "grid.n_cells = 32\nrun.alpha0 = 1.483505468130165e-08\nrun.steps = 3\n")
+    out = tmp_path / "out"
+    assert main(["limit-study", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("not applicable: schedule step 0 ")
+    assert err[0].endswith("the diagnostics are not finite in floating point")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["dhmp", "cs-solve"])
+def test_a_pattern_whose_residual_overflows_is_not_built(command, tmp_path, capsys):
+    # b2 u overflows on the u-lobe, where v = 0, so g = v (a2 - b2 u - c2 v)
+    # is 0 x inf = NaN there: neither command writes a pattern
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("model.b1 = 3.08532455160055e-10\nmodel.b2 = 1e300\n"
+                   "model.c2 = 4.814550232141981e-12\nmodel.d1 = 0.13546437207481107\n"
+                   "model.beta = 5.2127186974730534e-11\ngrid.n_cells = 118\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "no solution built: the pattern's residual is nan in floating point"]
     assert not out.exists()
 
 

@@ -2,15 +2,16 @@
 
 Hypothesis draws configs for `solve`, `bounds`, `is-solve`, `bifurcate`,
 `limit-study` and `selftest` and runs them through `cli.main`: every draw
-must end in one of the documented exit codes, and none may raise.  Any
-subset of the model keys is drawn, with finite values over fifteen decades,
-1e-300, 1e300 and non-finite values, and `grid.length` log-uniform over
-[1e-300, 1e300].  The grid, `run.steps` and `run.s_max` are capped so that
+must end in one of the documented exit codes with at most one stderr
+line, and none may raise.  Any subset of the model keys is drawn, with
+finite values over fifteen decades, 1e-300, 1e300 and non-finite values,
+and `grid.length` log-uniform over [1e-300, 1e300].  The grid, `run.steps` and `run.s_max` are capped so that
 one draw stays cheap.  `run.t_march` and `run.dt` are drawn together, so
 that `t_march / dt` is either at most 2 000 march steps or above the
 ceiling of 10^6 steps (dt in [5e-324, 1e-300]), which is a config error
 before any step runs; a count in between would be a valid but slow march.
-The examples are configs that once ended in a traceback or did not end.
+The examples are configs that once ended in a traceback, a numpy warning,
+an `inf` in an exit-0 file or did not end.
 A numpy RuntimeWarning is an error here: output outside the documented
 stderr line fails the draw instead of passing as a warning count.
 """
@@ -114,9 +115,42 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
                                     "model.beta": 1e300}, run={})
 @example(command="selftest", model={"model.a1": 1e5, "model.a2": 6e4,
                                     "model.beta": 1e300}, run={})
+# a seed that overflows at run.amplitude = 1e300: config error
+@example(command="solve", model={"model.a2": 24.16602535184861,
+                                 "model.b1": 1.2407466164343763e-09, "model.b2": 1e-300,
+                                 "model.c1": 6.006154616422188e-06, "model.d2": 1e-300,
+                                 "model.alpha": 0.0002678036019728739},
+         run={"grid.n_cells": 53, "run.amplitude": 1e300})
+@example(command="limit-study", model={"model.b1": 4.450018974199167e-12,
+                                       "model.b2": 1.5211614540183321e-12,
+                                       "model.c2": 8.077386761615763},
+         run={"grid.n_cells": 8, "run.amplitude": 1e300, "run.alpha0": 0.405909937285172,
+              "run.steps": 2})
+# limit-study diagnostics that overflow: w and z, the uv defect, the mean of z
+@example(command="limit-study", model={"model.a2": 0.0012009537204451266,
+                                       "model.c1": 1.1710236678728854e-09,
+                                       "model.c2": 1e-300, "model.d2": 1e300,
+                                       "model.beta": 1.50839939075083e-08},
+         run={"grid.n_cells": 12, "run.amplitude": 0.00012458234395730947, "run.steps": 4})
+@example(command="limit-study", model={"model.a2": 24.78183007254955,
+                                       "model.b1": 4.898013828462042e-09,
+                                       "model.b2": 1.560473733307389e-05,
+                                       "model.c1": 0.1281601555445208,
+                                       "model.c2": 0.1921632985053921, "model.d2": 1e300,
+                                       "model.beta": 0.0036936352768892227,
+                                       "model.gamma": 1e300},
+         run={"grid.n_cells": 119, "run.steps": 2})
+@example(command="limit-study", model={"model.a1": 58.174693588731536,
+                                       "model.b1": 85.82237180468171,
+                                       "model.c1": 0.26048735891644104, "model.d1": 1e300,
+                                       "model.d2": 1.1968316086230762e-09,
+                                       "model.alpha": 660.1919308637539,
+                                       "model.beta": 1.0210252913817647e-07,
+                                       "model.gamma": 37.14916358634999},
+         run={"grid.n_cells": 32, "run.alpha0": 1.483505468130165e-08, "run.steps": 3})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) \
         in (0, 2, 3, 4)
-    capsys.readouterr()
+    assert len(capsys.readouterr().err.splitlines()) <= 1

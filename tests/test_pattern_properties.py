@@ -2,9 +2,10 @@
 
 Hypothesis draws the diffusion rates, gamma, the node count and the grid of
 `dhmp` and `cs-solve` and runs them through `cli.main`: every draw must end
-in one of the documented exit codes, and none may raise.  Only a narrow band
-of rates has a solution, so the explicit examples make sure that the lobe
-profiles are built and tiled on every run.
+in one of the documented exit codes with at most one stderr line, and
+none may raise.  Only a narrow band of rates has a solution, so the
+explicit examples make sure that the lobe profiles are built and tiled on
+every run.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -31,4 +32,4 @@ def test_pattern_commands_exit_with_a_documented_code(command, d1, d2, gamma, n,
                    f"run.n = {n}\ngrid.n_cells = {n_cells}\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) \
         in (0, 2, 3, 4)
-    capsys.readouterr()
+    assert len(capsys.readouterr().err.splitlines()) <= 1
