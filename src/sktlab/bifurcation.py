@@ -140,12 +140,12 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     side's last _PREDICTOR_NODES points, s = 0 among them.  The corrector,
     limits._is_corrector with d1 and the phase row at s in at most 30
     iterations, works on that (w, tau, d1) vector, and the amplitude step
-    adapts to its iteration count.  A side ends short of
-    s_max at its last corrected point where the corrector fails with the
-    step below 1e-6*ds ("corrector"), where it holds 4*s_max/ds points
-    ("budget"; both set truncated) or where the predictor leaves d1 > 0 /
-    tau > 0 ("predictor"); end_reason is the first such end in tracing
-    order, else "s_max".
+    adapts to its iteration count.  A side ends short of s_max at its last
+    corrected point where the corrector fails with the step below 1e-6*ds
+    ("corrector"), where it holds 4*s_max/ds points ("budget"; both set
+    truncated) or where the predictor leaves d1 > 0 / tau > 0
+    ("predictor"); end_reason is the first such end in tracing order, else
+    "s_max".  NoConvergence where neither side holds a corrected point.
     """
     g = bp.phi_j.grid
     cs = constant_state(lp)

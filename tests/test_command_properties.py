@@ -5,15 +5,16 @@ Hypothesis draws configs for `solve`, `bounds`, `is-solve`, `bifurcate`,
 must end in one of the documented exit codes with at most one stderr
 line, and none may raise.  Any subset of the model keys is drawn, with
 finite values over fifteen decades, 1e-300, 1e300 and non-finite values,
-and `grid.length` log-uniform over [1e-300, 1e300].  The grid, `run.steps` and `run.s_max` are capped so that
-one draw stays cheap.  `run.t_march` and `run.dt` are drawn together, so
-that `t_march / dt` is either at most 2 000 march steps or above the
-ceiling of 10^6 steps (dt in [5e-324, 1e-300]), which is a config error
-before any step runs; a count in between would be a valid but slow march.
-The examples are configs that once ended in a traceback, a numpy warning,
-an `inf` in an exit-0 file or did not end.
-A numpy RuntimeWarning is an error here: output outside the documented
-stderr line fails the draw instead of passing as a warning count.
+and `grid.length` log-uniform over [1e-300, 1e300].  The grid, `run.steps`
+and `run.s_max` are capped so that one draw stays cheap.  `run.t_march`
+and `run.dt` are drawn together, so that `t_march / dt` is either at most
+2 000 march steps or above the ceiling of 10^6 steps (dt in [5e-324,
+1e-300]), which is a config error before any step runs; a count in between
+would be a valid but slow march.  The examples are configs that once ended
+in a traceback, a numpy warning or an `inf` in an exit-0 file, or did not
+end.  A numpy RuntimeWarning is an error here: output outside the
+documented stderr line fails the draw instead of passing as a warning
+count.
 """
 
 import math
