@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotApplicable
 from .grid import Grid, GridFn, discrete_eigenvalue, neumann_eigenpair
-from .limits import LimitParams, _is_corrector
+from .limits import LimitParams, _is_corrector, w_star
 from .linalg import _FAILED
 from .model import constant_state
 
@@ -48,12 +48,6 @@ class Branch:
     end_reason: str = "s_max"  # or the first short side's end (switch_and_continue)
     fold: int = 1              # k: points are the reflected tiling of k pieces
     mirrored: bool = False     # the s < 0 side is the reflection of s > 0
-
-
-def w_star(lp: LimitParams, d1: float) -> float:
-    """Constant-branch value d1*u* - gamma*d2*v*."""
-    cs = constant_state(lp)
-    return d1 * cs.u_star - lp.gamma * lp.d2 * cs.v_star
 
 
 def kinetic_strength(lp: LimitParams) -> float:

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import bifurcation, bounds, io, limits, limitstudy, steady, twolobe
 from .errors import (AssemblyError, CheckFailed, NoConvergence, NonFiniteSystem,
-                     NotApplicable, SktlabError, TauCollapse, ValidationError)
-from .grid import (MIN_CELLS, Grid, GridFn, integrate, neumann_eigenpair,
-                   neumann_laplacian)
+                     NotApplicable, TauCollapse, ValidationError)
+from .grid import MIN_CELLS, Grid, GridFn, integrate, laplacian_values, neumann_eigenpair
 from .limits import LimitParams
 from .linalg import _FAILED
 from .model import ModelParams, constant_state
@@ -70,9 +69,9 @@ _FLAGS = {
     "--n": "run.n",
 }
 
-# error types -> (exit code, stderr prefix).  A collapsed tau does not prove
-# that no state exists, so it exits 2, not 4.  linalg raises numpy's LinAlgError;
-# ValueError is not caught, since it would relabel solver faults.
+# error types -> (exit code, stderr prefix), all that main catches.  A collapsed
+# tau does not prove that no state exists, so it exits 2, not 4.  linalg raises
+# numpy's LinAlgError; ValueError is not caught: it would relabel solver faults.
 _EXITS = {
     (ValidationError, OSError): (3, "config error"),
     (NotApplicable,): (4, "not applicable"),
@@ -244,7 +243,7 @@ def _cmd_is_solve(cfg) -> dict:
     lp = _limit_params(cfg)
     g = _grid(cfg)
     cs = constant_state(lp)
-    w0c = bifurcation.w_star(lp, lp.d1)
+    w0c = limits.w_star(lp, lp.d1)
     _, phi = neumann_eigenpair(g, _mode(cfg, g))
     w0 = GridFn(g, w0c + cfg["run.amplitude"] * phi.values)
     sol = limits.is_newton(lp, w0, cs.tau_star, tol=cfg["run.tol"])
@@ -320,21 +319,21 @@ def _require(what: str, value: float, bound: float):
 def _cmd_selftest(cfg) -> dict:
     g = Grid(64)
     lam, phi = neumann_eigenpair(g, 3)
-    eig_err = float(np.max(np.abs(neumann_laplacian(phi).values + lam * phi.values)))
+    eig_err = float(np.max(np.abs(laplacian_values(phi.values, g.h) + lam * phi.values)))
     _require("discrete eigenpair identity", eig_err, 1e-10 * lam)
     _require("eigenfunction quadrature", abs(integrate(phi)), 1e-12)
 
     p = _model(cfg)
     cs = constant_state(p)
-    u0 = GridFn.constant(g, cs.u_star)
-    v0 = GridFn.constant(g, cs.v_star)
+    u0 = GridFn(g, np.full(g.n_cells, cs.u_star))
+    v0 = GridFn(g, np.full(g.n_cells, cs.v_star))
     # one sup over both fields, so that inf or NaN in either fails the check
     with np.errstate(over="ignore", invalid="ignore"):
         res = float(np.max(np.abs([r.values for r in steady.residual_skt(p, u0, v0)])))
     _require("constant-state residual", res, 1e-9)
 
     lp = _limit_params(cfg)
-    w, tau = np.full(g.n_cells, bifurcation.w_star(lp, lp.d1)), cs.tau_star
+    w, tau = np.full(g.n_cells, limits.w_star(lp, lp.d1)), cs.tau_star
     # u v - tau is the rounding of the inversion: with S^2 = w^2 + 4 gamma
     # d1 d2 tau, (S - w) loses digits when w^2 >> 4 gamma d1 d2 tau, and to
     # first order |u v - tau| <= 5.5 eps S^2 / (4 gamma d1 d2); allow 8 eps.
@@ -409,7 +408,7 @@ def main(argv=None) -> int:
             else:
                 io.write_csv(path, columns, args.command, cfg, metadata=meta)
         return 0
-    except (SktlabError, OSError, np.linalg.LinAlgError) as exc:
+    except tuple(t for types in _EXITS for t in types) as exc:
         code, prefix = next(v for types, v in _EXITS.items() if isinstance(exc, types))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code

@@ -56,10 +56,6 @@ class GridFn:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def constant(cls, grid: Grid, c: float) -> "GridFn":
-        return cls(grid, np.full(grid.n_cells, float(c)))
-
 
 def laplacian_values(vals: np.ndarray, h: float) -> np.ndarray:
     """Second-order Neumann Laplacian on raw values (mirror ghosts)."""
@@ -69,10 +65,6 @@ def laplacian_values(vals: np.ndarray, h: float) -> np.ndarray:
     out[-1] = vals[-2] - vals[-1]
     out /= h * h
     return out
-
-
-def neumann_laplacian(f: GridFn) -> GridFn:
-    return GridFn(f.grid, laplacian_values(f.values, f.grid.h))
 
 
 def integrate(f: GridFn) -> float:

@@ -6,9 +6,9 @@ solution sequences accumulate either on the incomplete-segregation system
 a nonlocal integral constraint) or on the complete-segregation system (a
 single sign-changing field w with positive/negative-part nonlinearity).
 This module provides the change of variables (u, v) -> (w, z), its
-(w, tau) -> (u, v) inversion, Newton solvers for the two reduced systems,
-and one for the full system in the regular form in eps = 1/alpha that
-tends to the incomplete one.
+(w, tau) -> (u, v) inversion, the constant branch w*(d1), Newton solvers
+for the two reduced systems, and one for the full system in the regular
+form in eps = 1/alpha that tends to the incomplete one.
 """
 
 from __future__ import annotations
@@ -106,6 +106,12 @@ def w_z_from_uv(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
     return GridFn(u.grid, w), GridFn(u.grid, z)
 
 
+def w_star(lp: LimitParams, d1: float) -> float:
+    """Constant-branch value d1*u* - gamma*d2*v*."""
+    cs = constant_state(lp)
+    return d1 * cs.u_star - lp.gamma * lp.d2 * cs.v_star
+
+
 def _is_residual_values(lp: LimitParams, w, tau: float, h: float, d1: float):
     """(field residual, constraint, root (u, v, S) of _uv_root) at d1."""
     u, v, _ = root = _uv_root(lp, w, tau, d1)
@@ -160,9 +166,7 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
     wq = fold * h                                  # quadrature weight
     if phase is not None:
         phi, s_target = phase
-        cs = constant_state(lp)
-        v_off = lp.gamma * lp.d2 * cs.v_star      # w*(d1) = d1*u* - v_off
-        phase_d1 = -cs.u_star * wq * float(np.sum(phi))
+        phase_d1 = -constant_state(lp).u_star * wq * float(np.sum(phi))
 
     def residual(x):
         d1 = lp.d1 if phase is None else float(x[-1])
@@ -170,7 +174,7 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
         con *= fold
         rnorm = max(float(np.max(np.abs(fld))), abs(con))
         if phase is not None:
-            ph = wq * float(np.sum(phi * (x[:n] - (d1 * cs.u_star - v_off)))) - s_target
+            ph = wq * float(np.sum(phi * (x[:n] - w_star(lp, d1)))) - s_target
             rnorm, con = max(rnorm, abs(ph)), np.array([con, ph])
         return rnorm, residual_floor(h, float(np.max(np.abs(x[:n])))), (fld, con, root)
 

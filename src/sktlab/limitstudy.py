@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits, steady
-from .errors import NoConvergence, NotApplicable, ValidationError
+from .errors import NotApplicable, ValidationError
 from .grid import GridFn, integrate
 from .limits import LimitParams
 from .linalg import _FAILED
@@ -101,9 +101,9 @@ def run_sequence(base: ModelParams, schedule, seed_state: SteadyState,
         if k:
             try:
                 state, fell_back = _solve_step(base.with_rates(alpha, beta), state, newton_tol)
-            except NoConvergence as exc:
-                raise NoConvergence(f"schedule step {k} (alpha={alpha:g}, "
-                                    f"beta={beta:g}): {exc}") from exc
+            except _FAILED as exc:
+                raise type(exc)(f"schedule step {k} (alpha={alpha:g}, "
+                                f"beta={beta:g}): {exc}") from exc
             fallback_steps += fell_back
         with np.errstate(over="ignore", invalid="ignore"):
             w, z = limits.w_z_from_uv(state.params, state.u, state.v)
@@ -138,12 +138,11 @@ def _solve_step(p: ModelParams, state: SteadyState, tol: float) -> tuple[SteadyS
     (u, v) Newton solved it).  The regular form starts from the previous
     state's (w, zeta, T), zeta = alpha_prev*(uv - T) with T the mean of uv.
     """
-    u, v = state.u.values, state.v.values
-    prod = u * v
+    prod = state.u.values * state.v.values
     if float(np.min(prod)) > 1e-12 * max(float(np.max(prod)), 1.0):
         lp = LimitParams.from_model(p, gamma=p.alpha / p.beta)
         t0 = float(np.mean(prod))
-        x0 = np.concatenate((p.d1 * u - lp.gamma * p.d2 * v,
+        x0 = np.concatenate((limits.w_z_from_uv(p, state.u, state.v)[0].values,
                              state.params.alpha * (prod - t0), [t0]))
         try:
             _, (_, _, _, (u, v, _)), rnorm, it, _, floor = limits._eps_newton(

@@ -179,7 +179,7 @@ def test_criterion_06_is_identities():
         u, v = limits.uv_from_w_tau(lp, w, tau)
         worst_prod = max(worst_prod, float(np.max(np.abs(u * v - tau))) / max(tau, 1.0))
         w_star = lp.d1 * cs.u_star - lp.gamma * lp.d2 * cs.v_star
-        _, sup = limits.is_residual(lp, ISState(w=GridFn.constant(g, w_star),
+        _, sup = limits.is_residual(lp, ISState(w=GridFn(g, np.full(g.n_cells, w_star)),
                                                 tau=cs.tau_star))
         worst_res = max(worst_res, sup)
     ok = worst_prod <= 1e-12 and worst_res <= 1e-12

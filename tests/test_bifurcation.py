@@ -7,10 +7,10 @@ from numpy.linalg import LinAlgError
 
 from sktlab import bifurcation
 from sktlab.bifurcation import (Branch, delta_j, detect_crossing,
-                                kinetic_strength, switch_and_continue, w_star)
+                                kinetic_strength, switch_and_continue)
 from sktlab.errors import NotApplicable
 from sktlab.grid import Grid, GridFn, integrate, neumann_eigenpair
-from sktlab.limits import LimitParams, _is_linearization, _uv_root
+from sktlab.limits import LimitParams, _is_linearization, _uv_root, w_star
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
 from oracles import l11_min_eigenvalue, l22_value, potential

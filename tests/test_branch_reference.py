@@ -22,10 +22,10 @@ import pytest
 from sktlab import bifurcation, limits
 from sktlab.bifurcation import (_PREDICTOR_NODES, Branch, BranchPoint,
                                 _extrapolation_weights, detect_crossing,
-                                switch_and_continue, w_star)
+                                switch_and_continue)
 from sktlab.errors import NoConvergence, TauCollapse
 from sktlab.grid import Grid, GridFn
-from sktlab.limits import LimitParams
+from sktlab.limits import LimitParams, w_star
 from sktlab.model import constant_state
 
 from conftest import P1

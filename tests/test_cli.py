@@ -9,7 +9,6 @@ from scipy.linalg import LinAlgError
 
 import sktlab
 from sktlab import cli, errors, limits, steady, twolobe
-from sktlab.bifurcation import w_star
 from sktlab.cli import main, parse_config
 from sktlab.errors import AssemblyError, NoConvergence, ValidationError
 from sktlab.grid import Grid, GridFn, neumann_eigenpair
@@ -301,7 +300,7 @@ def test_is_solve_reports_its_newton_iterations(p1_limit, tmp_path):
     cfg = parse_config("")
     g = Grid(64)
     _, phi = neumann_eigenpair(g, cfg["run.mode"])
-    w0 = GridFn(g, w_star(p1_limit, p1_limit.d1) + cfg["run.amplitude"] * phi.values)
+    w0 = GridFn(g, limits.w_star(p1_limit, p1_limit.d1) + cfg["run.amplitude"] * phi.values)
     sol = limits.is_newton(p1_limit, w0, constant_state(p1_limit).tau_star,
                            tol=cfg["run.tol"])
     assert float(meta["tau"]) == sol.tau
@@ -536,6 +535,24 @@ def test_limit_study_matches_its_limit_at_run_tol(tmp_path, monkeypatch):
     assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert _metadata(tmp_path / "limit_study.csv")["classification"] == "Incomplete"
     assert tols == [1e-9]
+
+
+def test_limit_study_reaches_complete_from_the_command_line(tmp_path):
+    # a fuzzed set whose three full-system steps, each solved in the regular
+    # form, take the mean product from 3.37 to 0.297, below 1e-3 tau* = 2.83,
+    # while w changes sign
+    cfg = tmp_path / "cx.cfg"
+    cfg.write_text("model.a1 = 0.7929303198688983\nmodel.b1 = 0.0555975974002565\n"
+                   "model.c1 = 0.0006105690692569763\nmodel.c2 = 0.00029727420370706737\n"
+                   "model.d2 = 0.1023088736755067\nmodel.gamma = 408.1048424779626\n"
+                   "grid.n_cells = 79\nrun.amplitude = 10.56874764838156\n"
+                   "run.alpha0 = 6.318752938211626\nrun.steps = 3\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _metadata(tmp_path / "limit_study.csv")
+    assert meta["classification"] == "Complete" and meta["fallback_steps"] == "0"
+    tau_hat = _columns(tmp_path / "limit_study.csv")["tau_hat"]
+    assert np.all(np.diff(tau_hat) < 0.0) and tau_hat[-1] < float(meta["complete_tol"])
+    assert np.isfinite(float(meta["limit_comparison"]))
 
 
 def test_limit_study_seed_fallback_above_256_cells_marches_on_256(tmp_path, monkeypatch):

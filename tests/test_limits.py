@@ -93,7 +93,7 @@ def test_constant_is_exact_is_solution(rng):
         lp = LimitParams.from_model(p, gamma=rng.uniform(0.3, 3.0))
         cs = constant_state(p)
         w_star = lp.d1 * cs.u_star - lp.gamma * lp.d2 * cs.v_star
-        s = ISState(w=GridFn.constant(g, w_star), tau=cs.tau_star)
+        s = ISState(w=GridFn(g, np.full(g.n_cells, w_star)), tau=cs.tau_star)
         fld, sup = is_residual(lp, s)
         assert sup < 1e-12
     with pytest.raises(ValueError, match="incomplete-segregation residual needs tau > 0"):
@@ -204,4 +204,4 @@ def test_is_newton_from_a_non_positive_tau_is_a_collapse():
     assert constant_state(lp).tau_star == 0.0
     g = Grid(16)
     with pytest.raises(TauCollapse):
-        is_newton(lp, GridFn.constant(g, 1.0), constant_state(lp).tau_star)
+        is_newton(lp, GridFn(g, np.full(g.n_cells, 1.0)), constant_state(lp).tau_star)

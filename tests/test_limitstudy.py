@@ -7,7 +7,7 @@ from numpy.linalg import LinAlgError
 
 from sktlab import bifurcation, bounds, limits, limitstudy, steady, twolobe
 from sktlab.cli import main
-from sktlab.errors import NoConvergence, TauCollapse, ValidationError
+from sktlab.errors import NoConvergence, NonFiniteSystem, TauCollapse, ValidationError
 from sktlab.grid import Grid, GridFn, integrate, laplacian_values
 from sktlab.limits import LimitParams, uv_from_w_tau
 from sktlab.limitstudy import geometric_schedule, match_limit, run_sequence
@@ -97,6 +97,33 @@ def test_a_failing_step_names_its_schedule_step(grid64, p1, monkeypatch, tmp_pat
     assert main(["limit-study", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("no convergence: schedule step 1 (alpha=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [TauCollapse, NonFiniteSystem, LinAlgError])
+def test_every_failed_step_keeps_its_type_and_names_its_step(grid64, p1, monkeypatch, error):
+    def fail(*args):
+        raise error("x")
+
+    monkeypatch.setattr(limitstudy, "_solve_step", fail)
+    sched = geometric_schedule(10.0, 1.0, 3)
+    with pytest.raises(error) as info:
+        run_sequence(p1, sched, _seed(p1.with_rates(*sched[0]), grid64), gamma_target=1.0)
+    assert type(info.value) is error
+    assert str(info.value) == "schedule step 1 (alpha=100, beta=100): x"
+
+
+def test_a_singular_fallback_step_names_its_step(tmp_path, capsys):
+    # a fuzzed set: every step solves until the (u, v) Newton that step 4
+    # falls back to meets a singular matrix
+    cfg = tmp_path / "ls.cfg"
+    cfg.write_text("model.b1 = 0.0008126892381245586\nmodel.b2 = 0.05475593382686086\n"
+                   "model.gamma = 4.149236825591269e-05\ngrid.n_cells = 112\n"
+                   "run.amplitude = 0.026497993596107737\nrun.alpha0 = 1272.945914071892\n"
+                   "run.steps = 5\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: singular linear system: schedule step 4 (alpha=")
+    assert err.count("\n") == 1
 
 
 def test_strong_regime_sequence_incomplete(grid64, p1):

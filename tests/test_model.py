@@ -81,6 +81,9 @@ def test_parameter_validation():
                     d1=1.0, d2=1.0)
     with pytest.raises(ValueError):
         ModelParams(**P1).with_rates(-1.0, 1.0)
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="gamma must be strictly positive"):
+            LimitParams(gamma=gamma, **P1)
 
 
 def test_kinetic_partials_match_central_differences(p1, rng):

@@ -18,10 +18,10 @@ import pytest
 from scipy.linalg import solve_banded
 
 from sktlab import limits
-from sktlab.bifurcation import detect_crossing, w_star
+from sktlab.bifurcation import detect_crossing
 from sktlab.errors import NoConvergence, TauCollapse
 from sktlab.grid import Grid, GridFn, laplacian_values, neumann_eigenpair
-from sktlab.limits import is_newton
+from sktlab.limits import is_newton, w_star
 from sktlab.linalg import _damped_newton, lap_band, residual_floor
 from sktlab.model import constant_state, kinetic_partials, reaction_f, reaction_g
 

@@ -69,8 +69,8 @@ def test_constant_state_is_exact_solution(grid64):
             p, np.full(64, cs.u_star), np.full(64, cs.v_star), grid64.h)
         assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-10
     with pytest.raises(ValueError, match="u and v must live on the same grid"):
-        steady.residual_skt(p, GridFn.constant(grid64, cs.u_star),
-                            GridFn.constant(Grid(32), cs.v_star))
+        steady.residual_skt(p, GridFn(grid64, np.full(64, cs.u_star)),
+                            GridFn(Grid(32), np.full(32, cs.v_star)))
 
 
 def test_newton_recovers_constant_from_perturbation(grid64):

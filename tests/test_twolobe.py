@@ -288,6 +288,21 @@ def test_lobe_below_quarter_period_raises():
         twolobe._lobe(0.01, 1.0, 1.0, 0.15)
 
 
+def test_a_lobe_amplitude_that_never_settles_exits_2(monkeypatch, tmp_path, capsys):
+    # a flat time map: every Newton step on L(y) = target is target itself,
+    # so _lobe gives up after its 40 iterations and dhmp ends in one line
+    monkeypatch.setattr(twolobe, "_time_map", lambda y: (0.0, -1.0))
+    with pytest.raises(NoConvergence, match="lobe amplitude did not converge"):
+        twolobe._lobe(0.01, 1.0, 1.0, 0.3)
+    cfg = tmp_path / "sym.cfg"
+    cfg.write_text("model.a1 = 1\nmodel.a2 = 1\nmodel.b1 = 1\nmodel.b2 = 1\n"
+                   "model.c1 = 1\nmodel.c2 = 1\nmodel.d1 = 0.01\nmodel.d2 = 0.01\n"
+                   "grid.n_cells = 64\nrun.n = 1\n")
+    assert cli_main(["dhmp", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "no convergence: lobe amplitude did not converge\n"
+    assert not (tmp_path / "out").exists()
+
+
 # lobes on which the reference converges below its O(h^2) error at m = 4096
 @pytest.mark.parametrize("d, a, b, ell", [(0.01, 1.0, 1.0, 0.5), (1.0, 5.0, 0.1, 0.9),
                                           (0.1, 3.0, 0.1, 0.35), (0.02, 1.0, 1.0, 0.6)])
