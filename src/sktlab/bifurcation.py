@@ -86,8 +86,6 @@ def _threshold(lp: LimitParams, j: int, lam: float) -> float:
 def delta_j(lp: LimitParams, j: int, length: float = 1.0) -> float:
     """Closed-form threshold for mode j: _threshold at the continuum
     eigenvalue (j*pi/L)^2."""
-    if j < 1:
-        raise ValueError("mode index must be >= 1")
     k = j * math.pi / length
     return _threshold(lp, j, k * k)      # inf, not OverflowError, past 1e308
 
@@ -101,8 +99,6 @@ def detect_crossing(lp: LimitParams, j: int, g: Grid) -> BifurcationPoint:
     cosine mode (the tests check this by inverse iteration).  Raises
     NotApplicable where _threshold does.
     """
-    if j < 1:
-        raise ValueError("mode index must be >= 1 (the constant mode is excluded)")
     lam_h = discrete_eigenvalue(g, j)
     root = _threshold(lp, j, lam_h)
     _, phi = neumann_eigenpair(g, j)

@@ -64,8 +64,6 @@ class BoundCertificate:
     v_shape: str = ""
 
     def covers(self, u_max: float, v_max: float) -> bool:
-        if self.kind != "levelset":
-            raise ValueError("small-rate certificates are qualitative only")
         return u_max <= self.u_bound and v_max <= self.v_bound
 
 

@@ -245,8 +245,12 @@ def _cmd_is_solve(cfg) -> dict:
     cs = constant_state(lp)
     w0c = limits.w_star(lp, lp.d1)
     _, phi = neumann_eigenpair(g, _mode(cfg, g))
-    w0 = GridFn(g, w0c + cfg["run.amplitude"] * phi.values)
-    sol = limits.is_newton(lp, w0, cs.tau_star, tol=cfg["run.tol"])
+    amplitude = cfg["run.amplitude"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0 = w0c + amplitude * phi.values
+    if not np.all(np.isfinite(w0)):
+        raise ValidationError(f"run.amplitude: the start is not finite at {amplitude!r}")
+    sol = limits.is_newton(lp, GridFn(g, w0), cs.tau_star, tol=cfg["run.tol"])
     u, v = sol.densities(lp)
     return {"is_state.csv": ({"x": g.x, "w": sol.w.values, "u": u.values, "v": v.values},
                              {"tau": sol.tau, "residual_inf": sol.residual_inf,

@@ -74,8 +74,6 @@ def integrate(f: GridFn) -> float:
 
 def discrete_eigenvalue(g: Grid, j: int) -> float:
     """Eigenvalue of -laplacian for mode j on this grid."""
-    if not 0 <= j < g.n_cells:
-        raise IndexError(f"mode index {j} out of range [0, {g.n_cells})")
     theta = j * math.pi * g.h / g.length
     return (2.0 / (g.h * g.h)) * (1.0 - math.cos(theta))
 

@@ -75,9 +75,7 @@ class CSState:
 
 def uv_from_w_tau(lp: LimitParams, w, tau):
     """(u, v) from (w, tau): the inversion of w = d1 u - gamma d2 v under
-    u v = tau.  At tau = 0 this degenerates to the positive/negative parts."""
-    if np.any(np.asarray(tau) < 0.0):
-        raise ValueError("tau must be nonnegative")
+    u v = tau >= 0.  At tau = 0 this degenerates to the positive/negative parts."""
     u, v, _ = _uv_root(lp, np.asarray(w, dtype=float), tau, lp.d1)
     return u, v
 
@@ -97,9 +95,8 @@ def _uv_of_root(lp: LimitParams, w, s, d1: float):
 
 
 def w_z_from_uv(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
-    """Forward transform: w = d1 u - (alpha/beta) d2 v, z = (d1/alpha) u + u v."""
-    if p.alpha <= 0.0 or p.beta <= 0.0:
-        raise ValueError("transform requires alpha, beta > 0")
+    """Forward transform at alpha, beta > 0: w = d1 u - (alpha/beta) d2 v,
+    z = (d1/alpha) u + u v."""
     gamma = p.alpha / p.beta
     w = p.d1 * u.values - gamma * p.d2 * v.values
     z = (p.d1 / p.alpha) * u.values + u.values * v.values

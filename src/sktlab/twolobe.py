@@ -59,8 +59,6 @@ class DhmpSolution:
 def existence_check(lp: LimitParams, n: int) -> bool:
     """Nonexistence threshold: n-node solutions require
     sqrt(d1/a1) + sqrt(d2/a2) < 2/(n*pi)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return math.sqrt(lp.d1 / lp.a1) + math.sqrt(lp.d2 / lp.a2) < 2.0 / (n * math.pi)
 
 
@@ -229,8 +227,6 @@ def assemble(lobe: UnitLobe, lp: LimitParams, variant: str, g: Grid) -> DhmpSolu
     which makes the junctions C1 (both one-sided slopes vanish there).  The
     gf variant traverses every tile the opposite way, so it starts negative.
     """
-    if variant not in ("fg", "gf"):
-        raise ValueError("variant must be 'fg' or 'gf'")
     n = lobe.n
     unit = 1.0 / n
     x = g.x

@@ -39,8 +39,6 @@ def test_delta1_closed_form(p1_limit):
     assert delta_j(p1_limit, 1) > delta_j(p1_limit, 2)
     with pytest.raises(NotApplicable, match="mode 50: rearranged threshold is nonpositive"):
         delta_j(p1_limit, 50)
-    with pytest.raises(ValueError, match="mode index must be >= 1"):
-        delta_j(p1_limit, 0)
 
 
 def test_potential_crosses_eigenvalue_at_threshold(p1_limit):
@@ -95,8 +93,6 @@ def test_detect_crossing_without_a_positive_threshold(p1_limit):
     assert -26.6 < kinetic_strength(lpw) < -26.5
     with pytest.raises(NotApplicable, match="K <= 0"):
         detect_crossing(lpw, 1, Grid(64))
-    with pytest.raises(ValueError):
-        detect_crossing(p1_limit, 0, Grid(64))
 
 
 def test_l11_singular_at_discrete_threshold(p1_limit):

@@ -123,8 +123,6 @@ def test_small_rate_fallback():
     cert = sup_bound(_p1_rates(0.05, 0.05), 0.1)
     assert cert.kind == "small-rate"
     assert math.isnan(cert.u_bound)
-    with pytest.raises(ValueError):
-        cert.covers(1.0, 1.0)
 
 
 def test_v_tilde0_window_end_matches_decimal():

@@ -764,6 +764,49 @@ def test_a_seed_that_overflows_is_a_config_error(command, config, tmp_path, caps
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, config, code, line", [
+    ("is-solve", "model.a2 = 9.546138429833693\nmodel.b2 = 26.532871115959523\n"
+                 "model.c2 = 0.0008040436418269495\nmodel.alpha = 1.9821074362471866e-12\n"
+                 "grid.n_cells = 20\ngrid.length = 1.2116284419931336e-92\n"
+                 "run.amplitude = 1e300\nrun.mode = 2\n",
+     3, "config error: run.amplitude: the start is not finite at 1e+300"),
+    ("solve", "model.b1 = 0.00020681693232176237\nmodel.c1 = 122.74872123933957\n"
+              "model.c2 = 1e-300\nmodel.d1 = 3.639137833032263e-06\ngrid.n_cells = 21\n"
+              "grid.length = 3.0639417157226723e-153\nrun.amplitude = 8.1595709684715e-06\n"
+              "run.alpha0 = 4.463214609064537e-09\n",
+     2, "no convergence: non-finite linear system: array must not contain infs or NaNs")],
+    ids=["is-solve", "solve"])
+def test_an_overflow_on_a_tiny_grid_ends_in_one_stderr_line(command, config, code, line,
+                                                            tmp_path, capsys):
+    # is-solve: the normalized eigenfunction times run.amplitude overflows,
+    # so the start is not finite.  solve: the stencil factor 2/h^2
+    # overflows in the stability check of the constant state, which is
+    # then not shown stable, and the march's linear system is not finite
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("bifurcate", "run.mode"), ("is-solve", "run.mode"), ("dhmp", "run.n"),
+    ("cs-solve", "run.n"), ("solve", "run.dt"), ("solve", "run.tol"),
+    ("limit-study", "run.tol")])
+def test_a_zero_where_a_positive_value_is_needed_is_a_config_error(command, key, tmp_path,
+                                                                  capsys):
+    # the config edge checks each range once: no solver function checks it again
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"{key} = 0\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key} must be positive, got 0")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_limit_study_whose_diagnostics_overflow_is_not_applicable(tmp_path, capsys):
     # at d1 = 1e300 the mean of z = (d1/alpha) u + u v overflows: no
     # limit_study.csv with tau_hat = inf, but exit 4 with one stderr line

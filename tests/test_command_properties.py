@@ -149,6 +149,18 @@ COMMANDS = ["solve", "bounds", "is-solve", "bifurcate", "limit-study", "selftest
                                        "model.beta": 1.0210252913817647e-07,
                                        "model.gamma": 37.14916358634999},
          run={"grid.n_cells": 32, "run.alpha0": 1.483505468130165e-08, "run.steps": 3})
+# an overflow on a tiny grid: the is-solve start, and 2/h^2 in solve's stability check
+@example(command="is-solve", model={"model.a2": 9.546138429833693,
+                                    "model.b2": 26.532871115959523,
+                                    "model.c2": 0.0008040436418269495,
+                                    "model.alpha": 1.9821074362471866e-12},
+         run={"grid.n_cells": 20, "grid.length": 1.2116284419931336e-92,
+              "run.amplitude": 1e300, "run.mode": 2})
+@example(command="solve", model={"model.b1": 0.00020681693232176237,
+                                 "model.c1": 122.74872123933957, "model.c2": 1e-300,
+                                 "model.d1": 3.639137833032263e-06},
+         run={"grid.n_cells": 21, "grid.length": 3.0639417157226723e-153,
+              "run.amplitude": 8.1595709684715e-06, "run.alpha0": 4.463214609064537e-09})
 def test_commands_exit_with_a_documented_code(command, model, run, tmp_path, capsys):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in {**model, **run}.items()))

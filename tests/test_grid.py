@@ -45,13 +45,6 @@ def test_discrete_eigenvalue_approaches_continuum():
     assert 3.5 < errs[0] / errs[1] < 4.5  # O(h^2)
 
 
-def test_eigenvalue_index_bounds(grid64):
-    with pytest.raises(IndexError):
-        discrete_eigenvalue(grid64, 64)
-    with pytest.raises(IndexError):
-        discrete_eigenvalue(grid64, -1)
-
-
 def test_gradient_of_linear_field(grid64):
     f = GridFn(grid64, 2.0 * grid64.x)
     g = gradient(f).values

@@ -15,6 +15,13 @@ has to list two types that end the same way.
 An error is its type and its message: no class of `errors.py` defines
 `__init__` or assigns an attribute, in its body or on `self`, so no value
 rides on an exception that the message does not already carry.
+
+Outside values are range-checked once, where they enter: the config keys
+in `cli`, the coefficient and grid records in their `__post_init__`.  So
+a `raise ValueError(...)` or `raise IndexError(...)` appears only in a
+`__post_init__`, in `io.write_csv` (its columns) and in
+`limits.is_residual` (a tau read back from a file), never as a second
+check on an argument that only checked values reach.
 """
 
 import ast
@@ -154,3 +161,50 @@ def test_exit_table_check_flags_shared_and_missing_rows():
     exits = {(A, OSError): (3, "a"), (B, C): (4, "bc"), (B,): (2, "b")}
     assert _exit_table_faults(exits, [A, B, C, D]) == [
         "B in 2 rows", "D in 0 rows", "B and C share a row"]
+
+
+_ARGUMENT_ERRORS = {"ValueError", "IndexError"}
+_CHECKS_AT_A_BOUNDARY = {("io", "write_csv"), ("limits", "is_residual")}
+
+
+def _stray_argument_checks(package: dict[str, str]) -> list[str]:
+    """`module.qualname` of each function that raises ValueError or
+    IndexError outside a `__post_init__` and the two boundary checks."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if (isinstance(exc, ast.Name) and exc.id in _ARGUMENT_ERRORS
+                        and scope[-1:] != ["__post_init__"]
+                        and (module, scope[-1] if scope else "") not in _CHECKS_AT_A_BOUNDARY):
+                    found.append(".".join([module] + scope))
+            visit(child, module, scope)
+
+    for name, text in sorted(package.items()):
+        visit(ast.parse(text, filename=name), name.removesuffix(".py"), [])
+    return found
+
+
+def test_argument_errors_are_raised_only_at_the_edges():
+    package = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _stray_argument_checks(package) == []
+
+
+def test_argument_error_scan_flags_a_repeated_check():
+    package = {
+        "a.py": ("class R:\n    def __post_init__(self):\n"
+                 "        if self.x < 0:\n            raise ValueError('x')\n\n"
+                 "    def check(self, j):\n        raise ValueError('again')\n\n"
+                 "def f(j):\n    if j < 0:\n        raise IndexError(j)\n"
+                 "    raise KeyError(j)\n\n"
+                 "def g():\n    raise ValueError\n"),
+        "io.py": "def write_csv(cols):\n    raise ValueError('length')\n",
+        "limits.py": ("def is_residual(s):\n    raise ValueError('tau')\n\n"
+                      "def w_z(p):\n    def inner():\n        raise ValueError('rates')\n"),
+    }
+    assert _stray_argument_checks(package) == ["a.R.check", "a.f", "a.g", "limits.w_z.inner"]

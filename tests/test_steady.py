@@ -68,9 +68,6 @@ def test_constant_state_is_exact_solution(grid64):
         r1, r2 = steady._residual_values(
             p, np.full(64, cs.u_star), np.full(64, cs.v_star), grid64.h)
         assert max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-10
-    with pytest.raises(ValueError, match="u and v must live on the same grid"):
-        steady.residual_skt(p, GridFn(grid64, np.full(64, cs.u_star)),
-                            GridFn(Grid(32), np.full(32, cs.v_star)))
 
 
 def test_newton_recovers_constant_from_perturbation(grid64):
@@ -137,12 +134,6 @@ def test_time_march_positive_for_any_dt(grid64, params, dt, t_end):
     u, v, _ = steady.time_march(p, u0, v0, dt=dt, t_end=t_end, tol=1e-11)
     assert np.min(u.values) > 0.0
     assert np.min(v.values) > 0.0
-
-
-def test_a_march_needs_a_positive_step():
-    # the CLI refuses run.dt <= 0 as a config error before any march
-    with pytest.raises(ValueError, match="dt must be positive"):
-        steady._step_count(0.0, 20.0)
 
 
 def _cli_solve(tmp_path, overrides):
@@ -447,8 +438,6 @@ def test_newton_reports_nonconvergence(grid64, monkeypatch):
                         real(residual, step, x, tol, 0, *rest))
     with pytest.raises(NoConvergence):
         steady.newton_solve(p, u0, v0)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        steady.newton_solve(p, u0, v0, tol=0.0)
 
 
 @pytest.mark.parametrize("kinetics", [P1, PW], ids=["P1", "PW"])
