@@ -146,7 +146,7 @@ def switch_and_continue(lp: LimitParams, bp: BifurcationPoint, s_max: float,
     def unfold(w):      # the reflected tiling: piece p is w, reversed if p is odd
         return GridFn(g, np.concatenate([w[::(-1) ** p] for p in range(k)]))
     base = BranchPoint(s=0.0, d1=bp.delta_j, tau=cs.tau_star,
-                       w=GridFn(g, np.full(g.n_cells, w_star(lp, bp.delta_j))),
+                       w=GridFn(g, np.full(g.n_cells, w_star(lp, cs, bp.delta_j))),
                        arclength=0.0, newton_iters=0)
     sides, ends = [], []     # ends: how each side that stopped short ended
     for sign in (+1.0,) if mirrored else (+1.0, -1.0):

@@ -158,6 +158,15 @@ def _mode(cfg: dict, g: Grid) -> int:
     return cfg["run.mode"]
 
 
+def _march_steps(cfg: dict) -> int:
+    """round(run.t_march / run.dt) >= 1 march steps; ValidationError above 10^6."""
+    steps = cfg["run.t_march"] / cfg["run.dt"]
+    if not steps <= 1e6:
+        raise ValidationError(f"run.dt: run.t_march / run.dt = {steps:g} march steps, "
+                              "more than 1e6")
+    return max(1, int(round(steps)))
+
+
 def _seeded_fields(p: ModelParams, g: Grid, seed: int, amplitude: float):
     """Constant coexistence state plus a seeded low-mode cosine perturbation;
     ValidationError where a seeded density is not a finite float."""
@@ -184,7 +193,7 @@ def _cmd_solve(cfg) -> dict:
     p = _model(cfg)
     g = _grid(cfg)
     u0, v0 = _seeded_fields(p, g, cfg["run.seed"], cfg["run.amplitude"])
-    state = steady.solve(p, u0, v0, dt=cfg["run.dt"], t_end=cfg["run.t_march"],
+    state = steady.solve(p, u0, v0, dt=cfg["run.dt"], steps=_march_steps(cfg),
                          tol=cfg["run.tol"])
     cert = bounds.levelset_certificate(p)
     return {"state.csv": ({"x": g.x, "u": state.u.values, "v": state.v.values},
@@ -222,7 +231,7 @@ def _cmd_limit_study(cfg) -> dict:
     try:
         seed_state = steady.newton_solve(p0, u0, v0, tol=cfg["run.tol"])
     except _FAILED:
-        seed_state = steady.search(p0, u0, v0, dt=cfg["run.dt"], t_end=cfg["run.t_march"],
+        seed_state = steady.search(p0, u0, v0, dt=cfg["run.dt"], steps=_march_steps(cfg),
                                    tol=cfg["run.tol"])
     report = limitstudy.run_sequence(base, schedule, seed_state,
                                      gamma_target=gamma,
@@ -243,7 +252,7 @@ def _cmd_is_solve(cfg) -> dict:
     lp = _limit_params(cfg)
     g = _grid(cfg)
     cs = constant_state(lp)
-    w0c = limits.w_star(lp, lp.d1)
+    w0c = limits.w_star(lp, cs, lp.d1)
     _, phi = neumann_eigenpair(g, _mode(cfg, g))
     amplitude = cfg["run.amplitude"]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -337,7 +346,7 @@ def _cmd_selftest(cfg) -> dict:
     _require("constant-state residual", res, 1e-9)
 
     lp = _limit_params(cfg)
-    w, tau = np.full(g.n_cells, limits.w_star(lp, lp.d1)), cs.tau_star
+    w, tau = np.full(g.n_cells, limits.w_star(lp, cs, lp.d1)), cs.tau_star
     # u v - tau is the rounding of the inversion: with S^2 = w^2 + 4 gamma
     # d1 d2 tau, (S - w) loses digits when w^2 >> 4 gamma d1 d2 tau, and to
     # first order |u v - tau| <= 5.5 eps S^2 / (4 gamma d1 d2); allow 8 eps.

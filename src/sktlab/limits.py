@@ -21,8 +21,8 @@ from .errors import TauCollapse
 from .grid import GridFn, laplacian_values
 from .linalg import (_damped_newton, lap_band, pair_band, residual_floor,
                      solve_bordered, solve_tridiag)
-from .model import (Coefficients, ModelParams, constant_state, kinetic_partials,
-                    reaction_f, reaction_g)
+from .model import (Coefficients, ConstantState, ModelParams, constant_state,
+                    kinetic_partials, reaction_f, reaction_g)
 
 _TAU_FLOOR = 1e-10
 
@@ -103,9 +103,8 @@ def w_z_from_uv(p: ModelParams, u: GridFn, v: GridFn) -> tuple[GridFn, GridFn]:
     return GridFn(u.grid, w), GridFn(u.grid, z)
 
 
-def w_star(lp: LimitParams, d1: float) -> float:
-    """Constant-branch value d1*u* - gamma*d2*v*."""
-    cs = constant_state(lp)
+def w_star(lp: LimitParams, cs: ConstantState, d1: float) -> float:
+    """Constant-branch value d1*u* - gamma*d2*v* at lp's constant state cs."""
     return d1 * cs.u_star - lp.gamma * lp.d2 * cs.v_star
 
 
@@ -163,7 +162,8 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
     wq = fold * h                                  # quadrature weight
     if phase is not None:
         phi, s_target = phase
-        phase_d1 = -constant_state(lp).u_star * wq * float(np.sum(phi))
+        cs = constant_state(lp)
+        phase_d1 = -cs.u_star * wq * float(np.sum(phi))
 
     def residual(x):
         d1 = lp.d1 if phase is None else float(x[-1])
@@ -171,7 +171,7 @@ def _is_corrector(lp: LimitParams, x: np.ndarray, h: float, tol: float,
         con *= fold
         rnorm = max(float(np.max(np.abs(fld))), abs(con))
         if phase is not None:
-            ph = wq * float(np.sum(phi * (x[:n] - w_star(lp, d1)))) - s_target
+            ph = wq * float(np.sum(phi * (x[:n] - w_star(lp, cs, d1)))) - s_target
             rnorm, con = max(rnorm, abs(ph)), np.array([con, ph])
         return rnorm, residual_floor(h, float(np.max(np.abs(x[:n])))), (fld, con, root)
 

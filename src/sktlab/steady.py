@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergence, ValidationError
+from .errors import NoConvergence
 from .grid import Grid, GridFn, laplacian_values
 from .linalg import (_EPS, _FAILED, _damped_newton, pair_band, residual_floor,
                      solve_pair, solve_tridiag, write_lap_bands)
@@ -125,17 +125,8 @@ def newton_solve(p: ModelParams, u0: GridFn, v0: GridFn,
                          rnorm, floor, it)
 
 
-def _step_count(dt: float, t_end: float) -> int:
-    """round(t_end/dt) >= 1 march steps; ValidationError on run.dt above
-    10^6 steps."""
-    if not t_end / dt <= 1e6:
-        raise ValidationError(f"run.dt: run.t_march / run.dt = {t_end / dt:g} march "
-                              "steps, more than 1e6")
-    return max(1, int(round(t_end / dt)))
-
-
 def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
-               t_end: float, tol: float) -> tuple[GridFn, GridFn, int]:
+               steps: int, tol: float) -> tuple[GridFn, GridFn, int]:
     """Positive semi-implicit marching (Patankar split): lagged diffusion
     coefficients, production a1*u / a2*v explicit, loss (b1*u + c1*v)*u /
     (b2*u + c2*v)*v implicit on the diagonal.  Each step solves the two
@@ -144,13 +135,11 @@ def time_march(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
     positive for any dt; fixed points are exactly the discrete steady
     states.  Used as a basin finder for the Newton polish.
 
-    Runs round(t_end/dt) >= 1 steps, at most 10^6 (else ValidationError on
-    run.dt).  Every 16th step ends the march once the state meets Newton's
-    stop test at tol and its residual has fallen 1e6-fold from the start's,
-    so that it does not stop on an unstable state it starts near.  The
-    transient is not capped.  Returns (u, v, steps run).
+    Runs at most steps steps: every 16th step ends the march once the state
+    meets Newton's stop test at tol and its residual has fallen 1e6-fold from
+    the start's, so that it does not stop on an unstable state it starts
+    near.  The transient is not capped.  Returns (u, v, steps run).
     """
-    steps = _step_count(dt, t_end)
     g = u0.grid
     h = g.h
     n = g.n_cells
@@ -216,42 +205,39 @@ def _constant_rate(p: ModelParams, cs: ConstantState, g: Grid) -> tuple[float, b
     return rate, stable
 
 
-def search(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
+def search(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, steps: int,
            tol: float) -> SteadyState:
     """March on min(n, _MARCH_CELLS) cells, then on n, and polish at n with
     newton_solve (linear interpolation both ways) where the march stops
     before its last step or ran on n cells; a failure passes from the coarse
-    grid to n, where it is raised.  More than 10^6 march steps is a
-    ValidationError.  Needs no constant state; constant_rate stays NaN.
+    grid to n, where it is raised.  Needs no constant state; constant_rate
+    stays NaN.
     """
-    n_steps = _step_count(dt, t_end)
     g = u0.grid
     n = g.n_cells
     for m in sorted({min(n, _MARCH_CELLS), n}):
         gm = Grid(m, g.length)
         try:
-            u, v, steps = time_march(p, _on(gm, u0), _on(gm, v0), dt, t_end, tol)
-            if steps < n_steps or m == n:
+            u, v, ran = time_march(p, _on(gm, u0), _on(gm, v0), dt, steps, tol)
+            if ran < steps or m == n:
                 return replace(newton_solve(p, _on(g, u), _on(g, v), tol=tol),
-                               march_steps=steps, march_cells=m)
+                               march_steps=ran, march_cells=m)
         except _FAILED:
             if m == n:
                 raise
 
 
-def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
+def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, steps: int,
           tol: float) -> SteadyState:
     """Newton first where (u*, v*) is the stable attractor, else search.
 
     Where _constant_rate shows the constant coexistence state stable,
     newton_solve runs from (u0, v0), and its state is kept when it equals
     (u*, v*) to 1e-8 relative in each field, with march_steps = march_cells
-    = 0.  Otherwise, or when that Newton fails, search marches.  More than
-    10^6 march steps is a ValidationError on either path; with no positive
-    finite constant coexistence state, NotApplicable.  constant_rate is the
-    rightmost real part of the constant state's spectrum.
+    = 0.  Otherwise, or when that Newton fails, search marches.  With no
+    positive finite constant coexistence state, NotApplicable; constant_rate
+    is the rightmost real part of the constant state's spectrum.
     """
-    _step_count(dt, t_end)
     cs = constant_state(p)
     rate, stable = _constant_rate(p, cs, u0.grid)
     if stable:
@@ -263,4 +249,4 @@ def solve(p: ModelParams, u0: GridFn, v0: GridFn, dt: float, t_end: float,
                 and float(np.max(np.abs(st.u.values - cs.u_star))) <= 1e-8 * cs.u_star \
                 and float(np.max(np.abs(st.v.values - cs.v_star))) <= 1e-8 * cs.v_star:
             return replace(st, constant_rate=rate)
-    return replace(search(p, u0, v0, dt, t_end, tol), constant_rate=rate)
+    return replace(search(p, u0, v0, dt, steps, tol), constant_rate=rate)

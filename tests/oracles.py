@@ -144,10 +144,10 @@ def check_max_principle(s: SteadyState) -> tuple[float, float]:
 # -- steady: the fine-grid reference search ----------------------------------
 
 def march_then_newton(p: ModelParams, u0: GridFn, v0: GridFn, dt: float,
-                      t_end: float, tol: float = 1e-11) -> SteadyState:
+                      steps: int, tol: float = 1e-11) -> SteadyState:
     """Convenience pipeline: time march into a basin, then polish."""
-    u, v, steps = time_march(p, u0, v0, dt, t_end, tol)
-    return replace(newton_solve(p, u, v, tol=tol), march_steps=steps)
+    u, v, ran = time_march(p, u0, v0, dt, steps, tol)
+    return replace(newton_solve(p, u, v, tol=tol), march_steps=ran)
 
 
 # -- bounds: the level-set branches of F --------------------------------------

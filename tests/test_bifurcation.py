@@ -11,6 +11,7 @@ from sktlab.bifurcation import (Branch, delta_j, detect_crossing,
 from sktlab.errors import NotApplicable
 from sktlab.grid import Grid, GridFn, integrate, neumann_eigenpair
 from sktlab.limits import LimitParams, _is_linearization, _uv_root, w_star
+from sktlab.model import constant_state
 
 from conftest import P1, PW, TAU_STAR, U_STAR, V_STAR
 from oracles import l11_min_eigenvalue, l22_value, potential
@@ -48,8 +49,9 @@ def test_potential_crosses_eigenvalue_at_threshold(p1_limit):
 
 
 def test_w_star_is_linear_in_d1(p1_limit):
-    assert abs(w_star(p1_limit, 1.0) - (U_STAR - 0.1 * V_STAR)) < 1e-12
-    assert abs(w_star(p1_limit, 2.0) - (2.0 * U_STAR - 0.1 * V_STAR)) < 1e-12
+    cs = constant_state(p1_limit)
+    assert abs(w_star(p1_limit, cs, 1.0) - (U_STAR - 0.1 * V_STAR)) < 1e-12
+    assert abs(w_star(p1_limit, cs, 2.0) - (2.0 * U_STAR - 0.1 * V_STAR)) < 1e-12
 
 
 def test_l22_negative_and_scales_with_length(p1_limit):
@@ -66,7 +68,7 @@ def test_l21_vanishes_on_mean_zero(p1_limit):
     g = Grid(64)
     _, phi = neumann_eigenpair(g, 3)
     lp = replace(p1_limit, d1=0.7)
-    root = _uv_root(lp, np.array([w_star(lp, 0.7)]), TAU_STAR, 0.7)
+    root = _uv_root(lp, np.array([w_star(lp, constant_state(lp), 0.7)]), TAU_STAR, 0.7)
     f_w = float(_is_linearization(lp, root, 0.7)[2][0])
     assert abs(f_w * integrate(phi)) < 1e-12
 

@@ -37,7 +37,7 @@ def _ref_switch_and_continue(lp, bp, s_max, ds, tol=1e-11):
     cs = constant_state(lp)
     phi = bp.phi_j.values
     base = BranchPoint(s=0.0, d1=bp.delta_j, tau=cs.tau_star,
-                       w=GridFn(g, np.full(g.n_cells, w_star(lp, bp.delta_j))),
+                       w=GridFn(g, np.full(g.n_cells, w_star(lp, cs, bp.delta_j))),
                        arclength=0.0, newton_iters=0)
     truncated = False
     sides = []
@@ -96,7 +96,7 @@ def _ref_two_sided(lp, bp, s_max, ds, tol=1e-11):
     cs = constant_state(lp)
     phi = bp.phi_j.values
     base = BranchPoint(s=0.0, d1=bp.delta_j, tau=cs.tau_star,
-                       w=GridFn(g, np.full(g.n_cells, w_star(lp, bp.delta_j))),
+                       w=GridFn(g, np.full(g.n_cells, w_star(lp, cs, bp.delta_j))),
                        arclength=0.0, newton_iters=0)
     truncated = False
     sides = []

@@ -300,9 +300,10 @@ def test_is_solve_reports_its_newton_iterations(p1_limit, tmp_path):
     cfg = parse_config("")
     g = Grid(64)
     _, phi = neumann_eigenpair(g, cfg["run.mode"])
-    w0 = GridFn(g, limits.w_star(p1_limit, p1_limit.d1) + cfg["run.amplitude"] * phi.values)
-    sol = limits.is_newton(p1_limit, w0, constant_state(p1_limit).tau_star,
-                           tol=cfg["run.tol"])
+    cs = constant_state(p1_limit)
+    w0 = GridFn(g, limits.w_star(p1_limit, cs, p1_limit.d1)
+                + cfg["run.amplitude"] * phi.values)
+    sol = limits.is_newton(p1_limit, w0, cs.tau_star, tol=cfg["run.tol"])
     assert float(meta["tau"]) == sol.tau
     assert sol.newton_iters > 0 and int(meta["newton_iters"]) == sol.newton_iters
 
@@ -465,6 +466,20 @@ def test_a_march_above_the_step_ceiling_is_config_error(command, lines, dt, tmp_
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("config error: run.dt: ")
     assert not out.exists()
+
+
+def test_limit_study_meets_the_step_ceiling_only_in_its_march_fallback(tmp_path,
+                                                                       monkeypatch):
+    # at the defaults the seed's Newton converges, so no march runs and a
+    # run.dt far above the 10^6-step ceiling is never checked
+    def no_step(*args, **kwargs):
+        raise AssertionError("a march step ran")
+
+    monkeypatch.setattr(steady, "solve_tridiag", no_step)
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text("run.dt = 1e-300\ngrid.n_cells = 64\n")
+    assert main(["limit-study", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _metadata(tmp_path / "limit_study.csv")["classification"] == "Incomplete"
 
 
 def _newton_spy(monkeypatch):

@@ -44,14 +44,13 @@ def _ref_lap_band(n: int, h: float, mult=1.0, diag=0.0) -> np.ndarray:
     return ab
 
 
-def _ref_march(p, u0, v0, dt, t_end):
+def _ref_march(p, u0, v0, dt, steps):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     g = u0.grid
     h = g.h
     u = u0.values.copy()
     v = v0.values.copy()
-    steps = max(1, int(round(t_end / dt)))
     # an overflow reaches solve_tridiag as NonFiniteSystem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(steps):
@@ -95,10 +94,10 @@ def test_stacked_march_equals_the_two_system_march(params, n, dt):
     # falls 1e6-fold in 200 steps and P1's does not by t = 0.2, so those
     # marches run in full
     p, u0, v0 = _start(params, n)
-    u, v, steps = steady.time_march(p, u0, v0, dt, 200 * dt, 1e-11)
+    u, v, steps = steady.time_march(p, u0, v0, dt, 200, 1e-11)
     if params is PW or dt == 1e-3:
         assert steps == 200
-    ur, vr = _ref_march(p, u0, v0, dt, steps * dt)
+    ur, vr = _ref_march(p, u0, v0, dt, steps)
     assert np.array_equal(u.values, ur.values)
     assert np.array_equal(v.values, vr.values)
 
@@ -117,7 +116,7 @@ def _band_spy(monkeypatch):
 def test_one_tridiagonal_solve_per_march_step(monkeypatch):
     calls = _band_spy(monkeypatch)
     p, u0, v0 = _start(PW, 64)
-    _, _, steps = steady.time_march(p, u0, v0, 0.1, 2.0, 1e-11)
+    _, _, steps = steady.time_march(p, u0, v0, 0.1, 20, 1e-11)
     assert steps == 20
     assert calls == [(3, 128)] * 20
 
@@ -131,8 +130,8 @@ def test_march_then_newton_reaches_the_fixed_length_attractor(params, seed):
     g = Grid(256)
     for k in range(1, 14):
         u0, v0 = cli._seeded_fields(p, g, seed, 10.0 ** -k)
-        st = march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
-        ur, vr = _ref_march(p, u0, v0, 0.1, 20.0)
+        st = march_then_newton(p, u0, v0, 0.1, 200, 1e-11)
+        ur, vr = _ref_march(p, u0, v0, 0.1, 200)
         ref = steady.newton_solve(p, ur, vr, 1e-11)
         scale = max(ref.u_max, ref.v_max)
         assert np.max(np.abs(st.u.values - ref.u.values)) <= 1e-9 * scale
@@ -151,8 +150,8 @@ def test_solve_reaches_the_fixed_length_attractor(params, seed):
     g = Grid(256)
     for k in range(1, 14):
         u0, v0 = cli._seeded_fields(p, g, seed, 10.0 ** -k)
-        st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
-        ur, vr = _ref_march(p, u0, v0, 0.1, 20.0)
+        st = steady.solve(p, u0, v0, 0.1, 200, 1e-11)
+        ur, vr = _ref_march(p, u0, v0, 0.1, 200)
         ref = steady.newton_solve(p, ur, vr, 1e-11)
         scale = max(ref.u_max, ref.v_max)
         assert np.max(np.abs(st.u.values - ref.u.values)) <= 1e-8 * scale
@@ -171,10 +170,10 @@ def test_solve_above_256_cells_marches_on_256_and_keeps_the_state(monkeypatch, n
     for amplitude in (0.9, 0.1, 1e-3):
         u0, v0 = cli._seeded_fields(p, g, seed, amplitude)
         bands.clear()
-        st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
-        assert st.march_cells == 256 and 0 < st.march_steps < round(20.0 / 0.1)
+        st = steady.solve(p, u0, v0, 0.1, 200, 1e-11)
+        assert st.march_cells == 256 and 0 < st.march_steps < 200
         assert bands == [(3, 512)] * st.march_steps
-        ref = march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
+        ref = march_then_newton(p, u0, v0, 0.1, 200, 1e-11)
         scale = max(ref.u_max, ref.v_max)
         assert np.max(np.abs(st.u.values - ref.u.values)) <= 1e-8 * scale
         assert np.max(np.abs(st.v.values - ref.v.values)) <= 1e-8 * scale
@@ -185,10 +184,10 @@ def test_solve_up_to_256_cells_marches_on_the_grid(monkeypatch, n):
     bands = _band_spy(monkeypatch)
     g = Grid(n)
     p = ModelParams(**P1).with_rates(100.0, 100.0)
-    st = steady.solve(p, *cli._seeded_fields(p, g, 5, 0.1), 0.1, 20.0, 1e-11)
+    st = steady.solve(p, *cli._seeded_fields(p, g, 5, 0.1), 0.1, 200, 1e-11)
     assert st.march_cells == n and bands == [(3, 2 * n)] * st.march_steps
     # the Newton-first path marches on no grid
     p = ModelParams(**PW).with_rates(100.0, 100.0)
     bands.clear()
-    st = steady.solve(p, *cli._seeded_fields(p, g, 5, 0.1), 0.1, 20.0, 1e-11)
+    st = steady.solve(p, *cli._seeded_fields(p, g, 5, 0.1), 0.1, 200, 1e-11)
     assert st.march_steps == st.march_cells == 0 and bands == []

@@ -71,7 +71,7 @@ def _ref_branch_newton(lp, x0, phi, s_target, g, tol=1e-11, max_iter=30):
         w, tau, d1 = x[:-2], float(x[-2]), float(x[-1])
         lp1 = replace(lp, d1=d1)
         fld, con = _ref_is_residual_values(lp1, w, tau, h)
-        phase = h * float(np.sum(phi * (w - w_star(lp, d1)))) - s_target
+        phase = h * float(np.sum(phi * (w - w_star(lp, cs, d1)))) - s_target
         return max(float(np.max(np.abs(fld))), abs(con), abs(phase)), \
             residual_floor(h, float(np.max(np.abs(w)))), (fld, con, phase, lp1)
 
@@ -167,8 +167,9 @@ def test_branch_newton_bit_equal_to_reference(p1_limit, mode, n):
     g = Grid(n)
     bp = detect_crossing(p1_limit, mode, g)
     phi = bp.phi_j.values
-    tau0 = constant_state(p1_limit).tau_star
-    w_base = np.full(n, w_star(p1_limit, bp.delta_j))
+    cs = constant_state(p1_limit)
+    tau0 = cs.tau_star
+    w_base = np.full(n, w_star(p1_limit, cs, bp.delta_j))
     iters = []
     # the linear predictor of the first continuation step, near and far
     for s in (0.005, 0.05, 0.2, 0.45):
@@ -193,13 +194,14 @@ def test_is_newton_bit_equal_to_reference(p1_limit, monkeypatch, mode, n):
     monkeypatch.setattr(limits, "_damped_newton", spy)
     g = Grid(n)
     _, phi = neumann_eigenpair(g, mode)
-    tau0 = constant_state(p1_limit).tau_star
+    cs = constant_state(p1_limit)
+    tau0 = cs.tau_star
     # below, near and above the first threshold, small and large starts;
     # the full steps from the last start overshoot tau < 0: halved, they
     # converge for mode 1 and collapse tau for mode 2
     for d1, amp in ((0.5, 0.1), (0.66, 0.5), (1.0, 2.0), (0.5, 10.0)):
         lp = replace(p1_limit, d1=d1)
-        w0 = GridFn(g, w_star(lp, d1) + amp * phi.values)
+        w0 = GridFn(g, w_star(lp, cs, d1) + amp * phi.values)
         runs.clear()
         new = _outcome(lambda: is_newton(lp, w0, tau0))
         ref = _outcome(lambda: _ref_is_newton(lp, w0, tau0))
@@ -233,8 +235,9 @@ def test_branch_newton_halves_an_infeasible_trial(p1_limit, monkeypatch, s, n):
     g = Grid(n)
     bp = detect_crossing(p1_limit, 2, g)
     phi = bp.phi_j.values
-    tau0 = constant_state(p1_limit).tau_star
-    args = (p1_limit, np.concatenate((np.full(n, w_star(p1_limit, bp.delta_j)) + s * phi,
+    cs = constant_state(p1_limit)
+    tau0 = cs.tau_star
+    args = (p1_limit, np.concatenate((np.full(n, w_star(p1_limit, cs, bp.delta_j)) + s * phi,
                                       [tau0, bp.delta_j])), phi, s, g)
     ref = _ref_branch_newton(*args)
     monkeypatch.setattr(limits, "_damped_newton", spy)

@@ -21,7 +21,10 @@ in `cli`, the coefficient and grid records in their `__post_init__`.  So
 a `raise ValueError(...)` or `raise IndexError(...)` appears only in a
 `__post_init__`, in `io.write_csv` (its columns) and in
 `limits.is_residual` (a tau read back from a file), never as a second
-check on an argument that only checked values reach.
+check on an argument that only checked values reach.  Likewise a `raise
+ValidationError(...)`, which names config keys, appears only in `cli` and
+in `limitstudy.geometric_schedule`, the schedule builder that only `cli`
+calls: a solver raises only solver outcomes.
 """
 
 import ast
@@ -167,9 +170,9 @@ _ARGUMENT_ERRORS = {"ValueError", "IndexError"}
 _CHECKS_AT_A_BOUNDARY = {("io", "write_csv"), ("limits", "is_residual")}
 
 
-def _stray_argument_checks(package: dict[str, str]) -> list[str]:
-    """`module.qualname` of each function that raises ValueError or
-    IndexError outside a `__post_init__` and the two boundary checks."""
+def _raises_outside(package: dict[str, str], names: set[str], allowed) -> list[str]:
+    """`module.qualname` of each function that raises one of names where
+    allowed(module, scope) is false; scope is the list of enclosing names."""
     found = []
 
     def visit(node, module, scope):
@@ -179,15 +182,31 @@ def _stray_argument_checks(package: dict[str, str]) -> list[str]:
                 continue
             if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if (isinstance(exc, ast.Name) and exc.id in _ARGUMENT_ERRORS
-                        and scope[-1:] != ["__post_init__"]
-                        and (module, scope[-1] if scope else "") not in _CHECKS_AT_A_BOUNDARY):
+                if isinstance(exc, ast.Name) and exc.id in names and not allowed(module, scope):
                     found.append(".".join([module] + scope))
             visit(child, module, scope)
 
     for name, text in sorted(package.items()):
         visit(ast.parse(text, filename=name), name.removesuffix(".py"), [])
     return found
+
+
+def _stray_argument_checks(package: dict[str, str]) -> list[str]:
+    """Functions that raise ValueError or IndexError outside a
+    `__post_init__` and the two boundary checks."""
+    return _raises_outside(
+        package, _ARGUMENT_ERRORS,
+        lambda module, scope: scope[-1:] == ["__post_init__"]
+        or (module, scope[-1] if scope else "") in _CHECKS_AT_A_BOUNDARY)
+
+
+def _stray_config_errors(package: dict[str, str]) -> list[str]:
+    """Functions outside `cli` and `limitstudy.geometric_schedule` that
+    raise ValidationError."""
+    return _raises_outside(
+        package, {"ValidationError"},
+        lambda module, scope: module == "cli"
+        or (module, scope[:1]) == ("limitstudy", ["geometric_schedule"]))
 
 
 def test_argument_errors_are_raised_only_at_the_edges():
@@ -208,3 +227,26 @@ def test_argument_error_scan_flags_a_repeated_check():
                       "def w_z(p):\n    def inner():\n        raise ValueError('rates')\n"),
     }
     assert _stray_argument_checks(package) == ["a.R.check", "a.f", "a.g", "limits.w_z.inner"]
+
+
+def test_config_errors_are_raised_only_at_the_config_edge():
+    package = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _stray_config_errors(package) == []
+
+
+def test_config_error_scan_flags_a_solver_that_checks_a_config_key():
+    # the march ceiling as steady checked it before cli took it over
+    package = {
+        "cli.py": ("def _march_steps(cfg):\n"
+                   "    if not cfg['run.t_march'] / cfg['run.dt'] <= 1e6:\n"
+                   "        raise ValidationError('run.dt: too many march steps')\n"),
+        "limitstudy.py": ("def geometric_schedule(ratio):\n"
+                          "    if ratio <= 1:\n        raise ValidationError('run.ratio')\n\n"
+                          "def run_sequence(schedule):\n"
+                          "    raise ValidationError('schedule')\n"),
+        "steady.py": ("def _step_count(dt, t_end):\n"
+                      "    if not t_end / dt <= 1e6:\n"
+                      "        raise ValidationError('run.dt: too many march steps')\n"
+                      "    raise ValueError('not a config error')\n"),
+    }
+    assert _stray_config_errors(package) == ["limitstudy.run_sequence", "steady._step_count"]

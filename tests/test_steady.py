@@ -106,7 +106,7 @@ def test_time_march_preserves_positivity(grid64, pw):
     p = pw.with_rates(5.0, 5.0)
     u0 = GridFn(grid64, np.full(64, 0.5))
     v0 = GridFn(grid64, np.full(64, 0.5))
-    u, v, _ = steady.time_march(p, u0, v0, dt=1e-3, t_end=1.0, tol=1e-11)
+    u, v, _ = steady.time_march(p, u0, v0, dt=1e-3, steps=1000, tol=1e-11)
     assert np.min(u.values) > 0.0
     assert np.min(v.values) > 0.0
 
@@ -118,7 +118,7 @@ def test_march_then_newton_weak_regime(grid64, pw):
     x = grid64.x
     u0 = GridFn(grid64, cs.u_star * (1 + 0.4 * np.cos(np.pi * x)))
     v0 = GridFn(grid64, cs.v_star * (1 - 0.4 * np.cos(np.pi * x)))
-    st = march_then_newton(p, u0, v0, dt=1e-3, t_end=5.0)
+    st = march_then_newton(p, u0, v0, dt=1e-3, steps=5000)
     assert np.max(np.abs(st.u.values - cs.u_star)) < 1e-8
 
 
@@ -131,7 +131,7 @@ def test_time_march_positive_for_any_dt(grid64, params, dt, t_end):
     x = grid64.x
     u0 = GridFn(grid64, cs.u_star * (1 + 0.1 * np.cos(np.pi * x)))
     v0 = GridFn(grid64, cs.v_star * (1 - 0.1 * np.cos(2 * np.pi * x)))
-    u, v, _ = steady.time_march(p, u0, v0, dt=dt, t_end=t_end, tol=1e-11)
+    u, v, _ = steady.time_march(p, u0, v0, dt=dt, steps=round(t_end / dt), tol=1e-11)
     assert np.min(u.values) > 0.0
     assert np.min(v.values) > 0.0
 
@@ -278,7 +278,7 @@ def test_a_failed_newton_falls_back_to_the_march():
     u0, v0 = cli._seeded_fields(p, g, 5, 3.0)
     with pytest.raises(NoConvergence, match="no Newton step stays in the nonnegative cone"):
         steady.newton_solve(p, u0, v0, tol=1e-11)
-    st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    st = steady.solve(p, u0, v0, 0.1, 200, 1e-11)
     assert st.constant_rate < 0.0 and st.march_steps == 200
     assert np.max(np.abs(st.u.values - cs.u_star)) <= 1e-8 * cs.u_star
     assert np.max(np.abs(st.v.values - cs.v_star)) <= 1e-8 * cs.v_star
@@ -299,7 +299,7 @@ def test_an_unsettled_coarse_march_keeps_the_outcome_of_the_march_at_n(monkeypat
     p = ModelParams(**TURING)
     u0, v0 = cli._seeded_fields(p, Grid(1024), 5, 0.1)
     with pytest.raises(NoConvergence) as ref:
-        march_then_newton(p, u0, v0, 0.1, 20.0, 1e-11)
+        march_then_newton(p, u0, v0, 0.1, 200, 1e-11)
     marches = []
     time_march = steady.time_march
 
@@ -310,7 +310,7 @@ def test_an_unsettled_coarse_march_keeps_the_outcome_of_the_march_at_n(monkeypat
 
     monkeypatch.setattr(steady, "time_march", spy)
     with pytest.raises(NoConvergence) as got:
-        steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+        steady.solve(p, u0, v0, 0.1, 200, 1e-11)
     assert str(got.value) == str(ref.value)
     assert marches == [(256, 200), (1024, 200)]
 
@@ -338,7 +338,7 @@ def test_a_cross_diffusion_instability_takes_the_march_path():
     assert steady._constant_rate(p, cs, g)[1] is False
     assert steady._constant_rate(p.with_rates(0.0, 0.0), cs, g)[1] is True
     u0, v0 = cli._seeded_fields(p, g, 5, 1e-3)
-    st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    st = steady.solve(p, u0, v0, 0.1, 200, 1e-11)
     assert st.march_steps == 200
     assert st.constant_rate > 0.0
 
@@ -352,8 +352,8 @@ def test_solve_without_a_coexistence_state_marches_to_exclusion():
     u0 = GridFn(g, 10.0 + np.cos(np.pi * g.x))
     v0 = GridFn(g, 5.0 + np.cos(2.0 * np.pi * g.x))
     with pytest.raises(NotApplicable, match="requires weak or strong competition"):
-        steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
-    st = steady.search(p, u0, v0, 0.1, 20.0, 1e-11)
+        steady.solve(p, u0, v0, 0.1, 200, 1e-11)
+    st = steady.search(p, u0, v0, 0.1, 200, 1e-11)
     assert np.max(np.abs(st.u.values - p.a1 / p.b1)) <= 1e-12 * p.a1 / p.b1
     assert st.v_max <= 1e-40
     assert np.isnan(st.constant_rate)
@@ -378,8 +378,8 @@ def test_solve_reaches_the_state_of_march_then_newton(params, seed):
     g = Grid(256)
     for amplitude in (1e-3, 0.1, 0.9):
         u0, v0 = cli._seeded_fields(p, g, seed, amplitude)
-        st = _solved(steady.solve, p, u0, v0, 0.1, 20.0, 1e-11)
-        ref = _solved(march_then_newton, p, u0, v0, 0.1, 20.0, 1e-11)
+        st = _solved(steady.solve, p, u0, v0, 0.1, 200, 1e-11)
+        ref = _solved(march_then_newton, p, u0, v0, 0.1, 200, 1e-11)
         if st is None or ref is None:
             continue
         if st.march_cells == 256:
@@ -451,7 +451,7 @@ def test_kinetics_integrate_to_the_residual_on_steady_states(kinetics):
     p = ModelParams(**kinetics).with_rates(100.0, 100.0)
     g = Grid(1024)
     u0, v0 = cli._seeded_fields(p, g, 42, 0.1)
-    st = steady.solve(p, u0, v0, 0.1, 20.0, 1e-11)
+    st = steady.solve(p, u0, v0, 0.1, 200, 1e-11)
     bound = g.length * (st.residual_inf + 8.0 * st.residual_floor)
     assert abs(g.h * np.sum(reaction_f(p, st.u.values, st.v.values))) <= bound
     assert abs(g.h * np.sum(reaction_g(p, st.u.values, st.v.values))) <= bound
